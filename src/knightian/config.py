@@ -1,12 +1,14 @@
 """JSON run configuration shared by the command-line tools."""
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .dsl import PayoffParseError, parse
 from .equilibrium import Agent, Economy, PriorSpec, Utility
 from .gexp import GridSpec, VolBounds, default_grid
+from .replication import _check_batch
 
 __all__ = ["ConfigError", "McSpec", "Tolerances", "Config", "load_config"]
 
@@ -23,10 +25,11 @@ class McSpec:
     increments: str = "binary"
 
     def __post_init__(self):
-        if self.paths < 1 or self.steps < 1:
-            raise ConfigError("mc paths and steps must be positive")
-        if self.seed < 0:
-            raise ConfigError("mc seed must be nonnegative")
+        # checked here so an oversized batch fails at load, before any allocation
+        try:
+            _check_batch(self.paths, self.steps, self.seed)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         if self.increments not in ("binary", "gaussian"):
             raise ConfigError(f"unknown mc increments {self.increments!r}")
 
@@ -59,6 +62,23 @@ class Config:
         if self.pricing_prior is None:
             raise ConfigError("this command needs a pricing_prior in the configuration")
         return self.pricing_prior
+
+
+def _integer(value, where: str) -> int:
+    """An integral JSON number; 41.0 passes, 41.9 and Infinity do not."""
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _finite(value, where: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _require_keys(obj: dict, allowed, where: str):
@@ -126,9 +146,9 @@ def load_config(path) -> Config:
     _require_keys(b, {"sigma_lo", "sigma_hi", "horizon"}, "bounds")
     try:
         bounds = VolBounds(
-            float(b.get("sigma_lo", 0.0)),
-            float(b.get("sigma_hi", 0.0)),
-            float(b.get("horizon", 1.0)),
+            _finite(b.get("sigma_lo", 0.0), "sigma_lo"),
+            _finite(b.get("sigma_hi", 0.0), "sigma_hi"),
+            _finite(b.get("horizon", 1.0), "horizon"),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bounds: {err}") from err
@@ -138,7 +158,10 @@ def load_config(path) -> Config:
         _require_keys(g, {"x_min", "x_max", "nx", "nt"}, "grid")
         try:
             grid = GridSpec(
-                float(g["x_min"]), float(g["x_max"]), int(g["nx"]), int(g["nt"])
+                _finite(g["x_min"], "x_min"),
+                _finite(g["x_max"], "x_max"),
+                _integer(g["nx"], "nx"),
+                _integer(g["nt"], "nt"),
             )
         except (TypeError, KeyError, ValueError) as err:
             raise ConfigError(f"grid: {err}") from err
@@ -168,9 +191,9 @@ def load_config(path) -> Config:
     _require_keys(mc_raw, {"paths", "steps", "seed", "increments"}, "mc")
     try:
         mc = McSpec(
-            paths=int(mc_raw.get("paths", McSpec.paths)),
-            steps=int(mc_raw.get("steps", McSpec.steps)),
-            seed=int(mc_raw.get("seed", McSpec.seed)),
+            paths=_integer(mc_raw.get("paths", McSpec.paths), "paths"),
+            steps=_integer(mc_raw.get("steps", McSpec.steps), "steps"),
+            seed=_integer(mc_raw.get("seed", McSpec.seed), "seed"),
             increments=str(mc_raw.get("increments", McSpec.increments)),
         )
     except (TypeError, ValueError) as err:
@@ -180,8 +203,10 @@ def load_config(path) -> Config:
     _require_keys(tol_raw, {"mean_af", "equilibrium"}, "tolerances")
     try:
         tolerances = Tolerances(
-            mean_af=float(tol_raw.get("mean_af", Tolerances.mean_af)),
-            equilibrium=float(tol_raw.get("equilibrium", Tolerances.equilibrium)),
+            mean_af=_finite(tol_raw.get("mean_af", Tolerances.mean_af), "mean_af"),
+            equilibrium=_finite(
+                tol_raw.get("equilibrium", Tolerances.equilibrium), "equilibrium"
+            ),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"tolerances: {err}") from err

@@ -20,6 +20,7 @@ from .gexp import (
     UPPER,
     ValueField,
     VolBounds,
+    conditional_at,
     layer_at_or_below,
     solve_value_field,
 )
@@ -44,10 +45,64 @@ class SimulationError(RuntimeError):
     """Path simulation or replication produced unusable statistics."""
 
 
+# increments are drawn for a chunk of paths at a time, about this many bytes of them
+_CHUNK_BYTES = 16 << 20
+# path i of a seed draws from the Philox key (seed << 32) + i; keys hold 128 bits
+_MAX_PATHS = 1 << 32
+_MAX_SEED = 1 << 96
+_MASK64 = (1 << 64) - 1
+
+
+def _check_batch(n_paths: int, n_steps: int, seed: int) -> None:
+    """Reject batch sizes the chunked walk cannot run, before anything is allocated."""
+    if n_paths < 1 or n_steps < 1:
+        raise ValueError("paths and steps must be positive")
+    if n_paths >= _MAX_PATHS:
+        raise ValueError(
+            f"{n_paths} paths would overlap the next seed's substreams; at most {_MAX_PATHS - 1}"
+        )
+    if 8 * n_steps > _CHUNK_BYTES:
+        raise ValueError(f"{n_steps} steps exceed the per-chunk budget of {_CHUNK_BYTES // 8}")
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must lie in [0, 2**96), got {seed}")
+
+
+def _bracket(grid: GridSpec, nodes: np.ndarray, x: np.ndarray):
+    """Grid interval of each query point, clamped to the grid.
+
+    Returns j and x - nodes[j] with nodes[j] <= x < nodes[j + 1] (j = nx - 1
+    only at x_max).  The uniform-grid guess is corrected against `nodes`, so
+    the bracket is the one np.interp's search finds.
+    """
+    x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
+    # fmin also sends NaN to a valid index; its d stays NaN, as np.interp's value
+    j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
+    j -= nodes[j] > x
+    j += nodes[j + 1] <= x
+    return j, x - nodes[j]
+
+
+def _slopes(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Slope of each grid interval along the last axis, 0 past the last node."""
+    out = np.zeros(values.shape)
+    out[..., :-1] = np.diff(values, axis=-1) / np.diff(nodes)
+    return out
+
+
+def _sample(row: np.ndarray, slope_row: np.ndarray, bracket) -> np.ndarray:
+    """Linear interpolation of one layer at a bracket: np.interp's formula."""
+    j, d = bracket
+    return slope_row[j] * d + row[j]
+
+
 @dataclass(eq=False)
 class GridFunction:
     """Space-time field sampled like the solver stores it: the time layer at
-    or below t, linear interpolation in x (clamped at the grid edges)."""
+    or below t, linear interpolation in x (clamped at the grid edges).
+
+    Sampling matches np.interp bit for bit, except that a stored -0.0 can
+    come back as 0.0.
+    """
 
     values: np.ndarray  # (nt + 1, nx)
     grid: GridSpec
@@ -56,7 +111,10 @@ class GridFunction:
     def at(self, t: float, x):
         k = layer_at_or_below(t, self.horizon, self.grid.nt)
         xa = np.asarray(x, dtype=float)
-        out = np.interp(xa, self.grid.nodes, self.values[k])
+        nodes = self.grid.nodes
+        row = self.values[k]
+        bracket = _bracket(self.grid, nodes, xa.reshape(-1))
+        out = _sample(row, _slopes(row, nodes), bracket).reshape(xa.shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -125,42 +183,115 @@ class ControlSpec:
 
 @dataclass(eq=False)
 class PathBatch:
-    """Simulated driver paths with their realized volatility schedule.
+    """Recipe for simulated driver paths: control, bounds, sizes, seed and
+    increment kind.
 
-    `b` has shape (n_paths, n_steps + 1) with b[:, 0] = 0; `sigmas` has shape
-    (n_paths, n_steps), entry (i, k) applying on [t_k, t_{k+1}).
+    No path is stored.  `replicate` and `strategy_gains` generate the paths
+    chunk by chunk and consume each chunk as it is made, so their memory is
+    O(chunk x n_steps) whatever the batch size.  `b` (shape
+    (n_paths, n_steps + 1), b[:, 0] = 0) and `sigmas` (shape
+    (n_paths, n_steps), entry (i, k) applying on [t_k, t_{k+1})) are built
+    by the same walk each time they are read.
     """
 
-    b: np.ndarray
-    sigmas: np.ndarray
-    dt: float
-    seed: int
+    control: ControlSpec
     bounds: VolBounds
+    n_paths: int
+    n_steps: int
+    seed: int
     increments: str
 
     @property
-    def n_paths(self) -> int:
-        return self.b.shape[0]
+    def dt(self) -> float:
+        return self.bounds.horizon / self.n_steps
 
     @property
-    def n_steps(self) -> int:
-        return self.b.shape[1] - 1
+    def b(self) -> np.ndarray:
+        return self._materialise()[0]
+
+    @property
+    def sigmas(self) -> np.ndarray:
+        return self._materialise()[1]
+
+    def _materialise(self):
+        b = np.zeros((self.n_paths, self.n_steps + 1))
+        sigmas = np.empty((self.n_paths, self.n_steps))
+        for rows, steps in _walk(self):
+            for k, _bk, b_next, sig, _bracket in steps:
+                b[rows, k + 1] = b_next
+                sigmas[rows, k] = sig
+        return b, sigmas
 
 
-def _draw_increments(seed: int, n_paths: int, n_steps: int, kind: str) -> np.ndarray:
-    """Unit-variance increments, one counter-based substream per path index.
+def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps: int, kind: str):
+    """Unit-variance increments of paths start..stop-1, shape (n_steps, rows).
 
-    Path i is a pure function of (seed, i), so enlarging the batch never
-    reshuffles earlier paths.
+    Path i draws from its own counter-based substream, Philox keyed
+    (seed << 32) + i, so it is a pure function of (seed, i): neither the
+    batch size nor the chunking reshuffles it.  One generator serves every
+    path; `state` is a fresh Philox state whose key is reset per path.
     """
-    z = np.empty((n_paths, n_steps))
-    for i in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=(seed << 32) + i))
+    raw = np.empty((stop - start, n_steps), dtype=np.int64 if kind == "binary" else float)
+    key = state["state"]["key"]
+    for row, i in enumerate(range(start, stop)):
+        path_key = (seed << 32) + i
+        key[0] = path_key & _MASK64
+        key[1] = path_key >> 64
+        gen.bit_generator.state = state
         if kind == "binary":
-            z[i] = 2.0 * gen.integers(0, 2, n_steps) - 1.0
+            raw[row] = gen.integers(0, 2, n_steps)
         else:
-            z[i] = gen.standard_normal(n_steps)
+            gen.standard_normal(n_steps, out=raw[row])
+    z = np.ascontiguousarray(raw.T, dtype=float)
+    if kind == "binary":
+        z *= 2.0
+        z -= 1.0
     return z
+
+
+def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
+    """Generate a batch chunk by chunk.
+
+    Yields (rows, steps) per chunk, rows being the chunk's slice of path
+    indices.  `steps` yields (k, b_k, b_{k+1}, sigma_k, bracket) for
+    k = 0 .. n_steps - 1, where bracket is b_k's interval on `grid` (None
+    without a grid) and sigma_k is a float under constant control.
+    """
+    control = paths.control
+    n_steps = paths.n_steps
+    dt = paths.dt
+    sq = math.sqrt(dt)
+    nodes = None if grid is None else grid.nodes
+    if control.kind == "extremal":
+        phi = control.hedge.phi_hat
+        phi_nodes = phi.grid.nodes
+        phi_slopes = _slopes(phi.values, phi_nodes)
+        shared = grid == phi.grid
+        hi, lo = paths.bounds.sigma_hi, paths.bounds.sigma_lo
+
+    def steps(z):
+        bk = np.zeros(z.shape[1])
+        for k in range(n_steps):
+            bracket = None if grid is None else _bracket(grid, nodes, bk)
+            if control.kind == "constant":
+                sig = control.sigma
+            else:
+                layer = layer_at_or_below(k * dt, phi.horizon, phi.grid.nt)
+                own = bracket if shared else _bracket(phi.grid, phi_nodes, bk)
+                curv = _sample(phi.values[layer], phi_slopes[layer], own)
+                # ties at zero curvature take the high edge of the band
+                sig = np.where(curv >= 0.0, hi, lo)
+            b_next = bk + sig * sq * z[k]
+            yield k, bk, b_next, sig, bracket
+            bk = b_next
+
+    gen = np.random.Generator(np.random.Philox(key=0))
+    state = gen.bit_generator.state
+    chunk = max(1, _CHUNK_BYTES // (8 * n_steps))
+    for start in range(0, paths.n_paths, chunk):
+        stop = min(start + chunk, paths.n_paths)
+        z = _draw_increments(gen, state, paths.seed, start, stop, n_steps, paths.increments)
+        yield slice(start, stop), steps(z)
 
 
 def simulate_paths(
@@ -171,9 +302,8 @@ def simulate_paths(
     seed: int = 0,
     increments: str = "binary",
 ) -> PathBatch:
-    """Simulate driver paths from 0 under the given volatility control."""
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("n_paths and n_steps must be positive")
+    """Driver paths from 0 under the given volatility control, as a lazy batch."""
+    _check_batch(n_paths, n_steps, seed)
     if increments not in ("binary", "gaussian"):
         raise ValueError(f"unknown increment kind {increments!r}")
     if control.kind == "constant":
@@ -186,28 +316,7 @@ def simulate_paths(
             raise ValueError("hedge field was built for different bounds")
     else:
         raise ValueError(f"unknown control kind {control.kind!r}")
-
-    dt = bounds.horizon / n_steps
-    sq = math.sqrt(dt)
-    z = _draw_increments(seed, n_paths, n_steps, increments)
-
-    if control.kind == "constant":
-        sigmas = np.full((n_paths, n_steps), float(control.sigma))
-        b = np.empty((n_paths, n_steps + 1))
-        b[:, 0] = 0.0
-        np.cumsum(control.sigma * sq * z, axis=1, out=b[:, 1:])
-    else:
-        phi = control.hedge.phi_hat
-        sigmas = np.empty((n_paths, n_steps))
-        b = np.empty((n_paths, n_steps + 1))
-        b[:, 0] = 0.0
-        for k in range(n_steps):
-            curv = phi.at(k * dt, b[:, k])
-            # ties at zero curvature take the high edge of the band
-            sig = np.where(curv >= 0.0, bounds.sigma_hi, bounds.sigma_lo)
-            sigmas[:, k] = sig
-            b[:, k + 1] = b[:, k] + sig * sq * z[:, k]
-    return PathBatch(b, sigmas, dt, seed, bounds, increments)
+    return PathBatch(control, bounds, n_paths, n_steps, seed, increments)
 
 
 @dataclass(eq=False)
@@ -253,37 +362,56 @@ def replicate(
     compensator K accrues (worst-case flux of twice the curvature minus
     curvature times realized variance) * dt, a nonnegative amount each step.
     Paths leaving the grid are excluded from the statistics.
+
+    The paths are generated and consumed chunk by chunk; per step, delta,
+    curvature and an extremal control all read one interpolation bracket.
     """
     if hedge.bounds != paths.bounds:
         raise ValueError("hedge field and paths use different bounds")
     if upper_value is None:
-        upper_value = _origin_value(hedge.field)
+        upper_value = conditional_at(hedge.field, 0.0, 0.0)
 
-    b = paths.b
     grid = hedge.grid
-    inside = np.all((b >= grid.x_min) & (b <= grid.x_max), axis=1)
-    n_excluded = int(b.shape[0] - inside.sum())
+    nodes = grid.nodes
+    eta, phi = hedge.eta, hedge.phi_hat
+    eta_slopes = _slopes(eta.values, nodes)
+    phi_slopes = _slopes(phi.values, nodes)
+    n = paths.n_paths
+    dt = paths.dt
+    g = hedge.bounds.g
+    gains = np.empty(n)
+    k_acc = np.empty(n)
+    gap = np.empty(n)
+    inside = np.empty(n, dtype=bool)
+    min_inc = math.inf
+    for rows, steps in _walk(paths, grid):
+        size = rows.stop - rows.start
+        gain = np.zeros(size)
+        comp = np.zeros(size)
+        low = np.full(size, math.inf)
+        b_min = np.zeros(size)
+        b_max = np.zeros(size)
+        for k, bk, b_next, sig, bracket in steps:
+            layer = layer_at_or_below(k * dt, eta.horizon, grid.nt)
+            eta_k = _sample(eta.values[layer], eta_slopes[layer], bracket)
+            phi_k = _sample(phi.values[layer], phi_slopes[layer], bracket)
+            gain += eta_k * (b_next - bk)
+            inc = (g(2.0 * phi_k) - phi_k * (sig * sig)) * dt
+            comp += inc
+            np.minimum(low, inc, out=low)
+            np.minimum(b_min, b_next, out=b_min)
+            np.maximum(b_max, b_next, out=b_max)
+        chunk_in = (b_min >= grid.x_min) & (b_max <= grid.x_max)
+        if chunk_in.any():
+            min_inc = min(min_inc, float(low[chunk_in].min()))
+        gap[rows] = (upper_value + gain - comp) - evaluate(expr, b_next)
+        gains[rows] = gain
+        k_acc[rows] = comp
+        inside[rows] = chunk_in
+
+    n_excluded = int(n - inside.sum())
     if not np.any(inside):
         raise SimulationError("every path left the grid; enlarge it or shorten the horizon")
-
-    n_steps = paths.n_steps
-    dt = paths.dt
-    gains = np.zeros(b.shape[0])
-    k_acc = np.zeros(b.shape[0])
-    min_inc = math.inf
-    g = hedge.bounds.g
-    for k in range(n_steps):
-        t_k = k * dt
-        bk = b[:, k]
-        eta_k = hedge.eta.at(t_k, bk)
-        phi_k = hedge.phi_hat.at(t_k, bk)
-        gains += eta_k * (b[:, k + 1] - bk)
-        inc = (g(2.0 * phi_k) - phi_k * paths.sigmas[:, k] ** 2) * dt
-        k_acc += inc
-        min_inc = min(min_inc, float(inc[inside].min()))
-
-    payoff = evaluate(expr, b[:, -1])
-    gap = (upper_value + gains - k_acc) - payoff
     gap_in = gap[inside]
     k_in = k_acc[inside]
     if not (np.all(np.isfinite(gap_in)) and np.all(np.isfinite(k_in))):
@@ -293,8 +421,8 @@ def replicate(
     se_gap = float(np.std(gap_in, ddof=1) / math.sqrt(n_in)) if n_in > 1 else math.nan
     se_k = float(np.std(k_in, ddof=1) / math.sqrt(n_in)) if n_in > 1 else math.nan
     return ReplicationReport(
-        n_paths=b.shape[0],
-        n_steps=n_steps,
+        n_paths=n,
+        n_steps=paths.n_steps,
         n_excluded=n_excluded,
         seed=paths.seed,
         upper_value=float(upper_value),
@@ -307,10 +435,6 @@ def replicate(
         gaps=gap_in,
         k_terminal=k_in,
     )
-
-
-def _origin_value(field: ValueField) -> float:
-    return float(np.interp(0.0, field.grid.nodes, field.values[0]))
 
 
 @dataclass(eq=False)
@@ -360,15 +484,16 @@ def strategy_gains(strategy, paths: PathBatch, loading: Optional[GridFunction] =
     Without a loading the integrator is the driver itself; with one, each
     increment is scaled by the loading sampled at the step's left endpoint.
     """
-    b = paths.b
     dt = paths.dt
-    gains = np.zeros(b.shape[0])
-    for k in range(paths.n_steps):
-        t_k = k * dt
-        bk = b[:, k]
-        s = strategy.at(t_k, bk)
-        db = b[:, k + 1] - bk
-        if loading is not None:
-            db = loading.at(t_k, bk) * db
-        gains += s * db
+    gains = np.empty(paths.n_paths)
+    for rows, steps in _walk(paths):
+        acc = np.zeros(rows.stop - rows.start)
+        for k, bk, b_next, _sig, _bracket in steps:
+            t_k = k * dt
+            s = strategy.at(t_k, bk)
+            db = b_next - bk
+            if loading is not None:
+                db = loading.at(t_k, bk) * db
+            acc += s * db
+        gains[rows] = acc
     return gains

@@ -108,6 +108,47 @@ class TestConfigHandling:
         assert code == 2
         assert "junk" in err
 
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [
+            ("grid", {"x_min": -6.0, "x_max": 6.0, "nx": 41.9, "nt": 800}, "nx"),
+            ("mc", {"paths": 50.7, "steps": 16, "seed": 1}, "paths"),
+            ("bounds", {"sigma_lo": 0.5, "sigma_hi": 1.0, "horizon": float("inf")}, "horizon"),
+            ("tolerances", {"mean_af": float("inf"), "equilibrium": 1e-10}, "mean_af"),
+        ],
+    )
+    def test_non_integral_or_non_finite_rejected(self, ws, capsys, section, values, field):
+        cfg = write_config(ws / f"bad_{section}.json", **{section: values})
+        code, out, err = run(capsys, "--config", str(cfg), "eval", "min(exp(x),1)")
+        assert code == 2
+        assert field in err
+        assert "gap" not in out
+
+    def test_integral_floats_accepted(self, ws, capsys):
+        cfg = write_config(
+            ws / "floats.json",
+            grid={"x_min": -6.0, "x_max": 6.0, "nx": 201.0, "nt": 400.0},
+            mc={"paths": 1e3, "steps": 16.0, "seed": 3.0},
+        )
+        code, _, _ = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "mc, message",
+        [
+            ({"paths": 10, "steps": 10**12}, "per-chunk budget"),
+            ({"paths": 1e7, "steps": 1e12}, "per-chunk budget"),
+            ({"paths": 2**32, "steps": 4}, "substreams"),
+        ],
+    )
+    def test_oversized_monte_carlo_rejected_at_load(self, ws, capsys, mc, message):
+        cfg = write_config(ws / "huge.json", mc=mc)
+        code, _, err = run(
+            capsys, "--config", str(cfg), "replicate", "--payoff", "x", "--prior-sigma", "0.5"
+        )
+        assert code == 2
+        assert message in err
+
     def test_out_directory_created(self, ws, capsys):
         out_dir = ws / "made" / "deep"
         code, _, _ = run(

@@ -1,6 +1,12 @@
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from knightian import replication
 from knightian import (
     ControlSpec,
     GridFunction,
@@ -18,7 +24,9 @@ from knightian import (
     solve_equilibrium,
     strategy_gains,
 )
-from knightian.dsl import parse
+from knightian.cli import main
+from knightian.dsl import evaluate, parse
+from knightian.gexp import conditional_at, layer_at_or_below
 
 from helpers import BAND, example_economy, linear_split_economy
 
@@ -278,3 +286,197 @@ class TestTransform:
             exp_martingale_transform(example_hedge.eta, load, floor=1e-6)
         with pytest.raises(ValueError):
             exp_martingale_transform(example_hedge.eta, load, floor=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# streaming: the chunked walk against the materialised algorithm it replaced
+
+TIGHT = GridSpec(-1.2, 1.2, 121, 200)  # narrow enough that some paths leave it
+EXAMPLE = parse("min(exp(x), 1)")
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "example_config.json"
+
+
+@pytest.fixture(scope="module")
+def tight_hedge():
+    return hedge_field(EXAMPLE, BAND, TIGHT)
+
+
+def reference_paths(control, n_paths, n_steps, seed, kind):
+    """Whole paths as they were first built: a fresh Philox per path, then
+    a cumulative sum (constant control) or np.interp of the curvature per
+    step (extremal control)."""
+    z = np.empty((n_paths, n_steps))
+    for i in range(n_paths):
+        gen = np.random.Generator(np.random.Philox(key=(seed << 32) + i))
+        if kind == "binary":
+            z[i] = 2.0 * gen.integers(0, 2, n_steps) - 1.0
+        else:
+            z[i] = gen.standard_normal(n_steps)
+    dt = BAND.horizon / n_steps
+    sq = math.sqrt(dt)
+    b = np.zeros((n_paths, n_steps + 1))
+    if control.kind == "constant":
+        sigmas = np.full((n_paths, n_steps), control.sigma)
+        np.cumsum(control.sigma * sq * z, axis=1, out=b[:, 1:])
+        return b, sigmas
+    phi = control.hedge.phi_hat
+    sigmas = np.empty((n_paths, n_steps))
+    for k in range(n_steps):
+        layer = layer_at_or_below(k * dt, BAND.horizon, phi.grid.nt)
+        curv = np.interp(b[:, k], phi.grid.nodes, phi.values[layer])
+        sigmas[:, k] = np.where(curv >= 0.0, BAND.sigma_hi, BAND.sigma_lo)
+        b[:, k + 1] = b[:, k] + sigmas[:, k] * sq * z[:, k]
+    return b, sigmas
+
+
+def reference_replicate(expr, hedge, b, sigmas):
+    """The hedging identity over whole paths with np.interp per step."""
+    grid = hedge.grid
+    n_steps = sigmas.shape[1]
+    dt = BAND.horizon / n_steps
+    inside = np.all((b >= grid.x_min) & (b <= grid.x_max), axis=1)
+    gains = np.zeros(b.shape[0])
+    k_acc = np.zeros(b.shape[0])
+    min_inc = math.inf
+    for k in range(n_steps):
+        layer = layer_at_or_below(k * dt, BAND.horizon, grid.nt)
+        bk = b[:, k]
+        eta_k = np.interp(bk, grid.nodes, hedge.eta.values[layer])
+        phi_k = np.interp(bk, grid.nodes, hedge.phi_hat.values[layer])
+        gains += eta_k * (b[:, k + 1] - bk)
+        inc = (BAND.g(2.0 * phi_k) - phi_k * sigmas[:, k] ** 2) * dt
+        k_acc += inc
+        min_inc = min(min_inc, float(inc[inside].min()))
+    upper = conditional_at(hedge.field, 0.0, 0.0)
+    gap = (upper + gains - k_acc) - evaluate(expr, b[:, -1])
+    return {
+        "n_excluded": int(b.shape[0] - inside.sum()),
+        "upper_value": upper,
+        "mean_gap": float(gap[inside].mean()),
+        "mean_gains": float(gains[inside].mean()),
+        "mean_k": float(k_acc[inside].mean()),
+        "min_k_increment": min_inc,
+        "gaps": gap[inside],
+        "k_terminal": k_acc[inside],
+    }
+
+
+def bits(value):
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype, value.tobytes()
+    return repr(value)
+
+
+def assert_reports_identical(a, b):
+    assert vars(a).keys() == vars(b).keys()
+    for name, value in vars(a).items():
+        assert bits(value) == bits(getattr(b, name)), name
+
+
+def control_for(kind, hedge):
+    return ControlSpec.constant(0.75) if kind == "constant" else ControlSpec.extremal(hedge)
+
+
+CASES = [(c, i) for c in ("constant", "extremal") for i in ("binary", "gaussian")]
+
+
+class TestStreaming:
+    N_PATHS, N_STEPS, SEED = 150, 40, 23
+
+    def _run(self, tight_hedge, control_kind, increments):
+        paths = simulate_paths(
+            control_for(control_kind, tight_hedge),
+            BAND,
+            self.N_PATHS,
+            self.N_STEPS,
+            seed=self.SEED,
+            increments=increments,
+        )
+        return paths, replicate(EXAMPLE, tight_hedge, paths)
+
+    @pytest.mark.parametrize("control_kind, increments", CASES)
+    def test_matches_materialised_reference(self, tight_hedge, control_kind, increments):
+        control = control_for(control_kind, tight_hedge)
+        b, sigmas = reference_paths(control, self.N_PATHS, self.N_STEPS, self.SEED, increments)
+        paths, rep = self._run(tight_hedge, control_kind, increments)
+        assert bits(paths.b) == bits(b)
+        assert bits(paths.sigmas) == bits(sigmas)
+        ref = reference_replicate(EXAMPLE, tight_hedge, b, sigmas)
+        assert 0 < ref["n_excluded"] < self.N_PATHS  # some paths leave the grid
+        for name, value in ref.items():
+            assert bits(getattr(rep, name)) == bits(value), name
+
+    @pytest.mark.parametrize("control_kind, increments", CASES)
+    @pytest.mark.parametrize("rows", [1, 7, N_PATHS])
+    def test_chunk_size_invariance(self, tight_hedge, monkeypatch, control_kind, increments, rows):
+        base_paths, base = self._run(tight_hedge, control_kind, increments)
+        base_b = base_paths.b
+        monkeypatch.setattr(replication, "_CHUNK_BYTES", rows * 8 * self.N_STEPS)
+        paths, rep = self._run(tight_hedge, control_kind, increments)
+        assert_reports_identical(rep, base)
+        assert bits(paths.b) == bits(base_b)
+        gains = strategy_gains(tight_hedge.eta, paths)
+        monkeypatch.undo()
+        assert bits(gains) == bits(strategy_gains(tight_hedge.eta, base_paths))
+
+    def test_batch_holds_no_paths(self):
+        p = simulate_paths(ControlSpec.constant(0.5), BAND, 1000, 64, seed=1)
+        assert not [v for v in vars(p).values() if isinstance(v, np.ndarray)]
+
+    def test_oversized_batches_rejected_before_allocation(self):
+        with pytest.raises(ValueError, match="per-chunk budget"):
+            simulate_paths(ControlSpec.constant(0.5), BAND, 10, 10**12)
+        with pytest.raises(ValueError, match="substreams"):
+            simulate_paths(ControlSpec.constant(0.5), BAND, 2**32, 4)
+        with pytest.raises(ValueError, match="seed"):
+            simulate_paths(ControlSpec.constant(0.5), BAND, 4, 4, seed=2**96)
+
+
+class TestGridFunctionInterp:
+    @pytest.fixture(scope="class")
+    def field(self):
+        rng = np.random.default_rng(5)
+        return GridFunction(rng.normal(size=(GRID.nt + 1, GRID.nx)), GRID, BAND.horizon)
+
+    def test_bitwise_np_interp(self, field):
+        rng = np.random.default_rng(6)
+        nodes = GRID.nodes
+        x = np.concatenate(
+            [
+                [GRID.x_min, GRID.x_max, -7.0, 7.5, -1e300, 1e300, -np.inf, np.inf],
+                nodes,
+                rng.uniform(-6.5, 6.5, 5000),
+            ]
+        )
+        for t in (0.0, 0.37, BAND.horizon):
+            k = layer_at_or_below(t, BAND.horizon, GRID.nt)
+            assert bits(field.at(t, x)) == bits(np.interp(x, nodes, field.values[k]))
+            for xi in x[:12]:
+                assert bits(field.at(t, xi)) == bits(float(np.interp(xi, nodes, field.values[k])))
+
+    def test_nan_query(self, field):
+        assert np.isnan(field.at(0.5, np.nan))
+
+
+class TestGolden:
+    """Values the materialised implementation produced; streaming keeps them."""
+
+    def test_cli_replication_json(self, tmp_path, capsys):
+        cfg = json.loads(EXAMPLE_CONFIG.read_text())
+        cfg["mc"] = {"paths": 2000, "steps": 64, "seed": 42}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]
+        assert main(argv + ["replicate", "--agent", "a1", "--prior-sigma", "0.5"]) == 0
+        capsys.readouterr()
+        blob = (tmp_path / "replication.json").read_bytes()
+        assert json.loads(blob)["mean_k"] == 0.10480025930571187
+        assert (
+            hashlib.sha256(blob).hexdigest()
+            == "fb97aa68f70cfe89e40946b41f304e00d151f3b5aac1b2551f85082010c9192a"
+        )
+
+    def test_extremal_run(self, example_hedge):
+        paths = simulate_paths(ControlSpec.extremal(example_hedge), BAND, 2000, 64, seed=9)
+        rep = replicate(EXAMPLE, example_hedge, paths)
+        assert rep.mean_gap == -0.00019166730115315793
+        assert rep.mean_k == 0.0
