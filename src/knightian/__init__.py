@@ -14,7 +14,6 @@ from .equilibrium import (
     Utility,
     allocation_field,
     budget_excess,
-    efficient_allocation_at,
     full_insurance_check,
     inverse_marginal,
     solve_equilibrium,

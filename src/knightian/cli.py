@@ -135,13 +135,13 @@ def cmd_eval(cfg: Config, args, out_dir: Path) -> int:
 def _solved_equilibrium(cfg: Config):
     economy = cfg.economy()
     prior = cfg.require_prior()
-    result = solve_equilibrium(economy, prior, tol=cfg.tolerances.equilibrium)
+    result = solve_equilibrium(economy, prior, budget_tol=cfg.tolerances.equilibrium)
     return economy, result
 
 
 def cmd_equilibrium(cfg: Config, args, out_dir: Path) -> int:
     economy, result = _solved_equilibrium(cfg)
-    psi0 = float(result.psi[0])
+    shadow0 = float(result.shadow[0])
     if not cfg.bounds.degenerate:
         _say(
             args,
@@ -149,7 +149,7 @@ def cmd_equilibrium(cfg: Config, args, out_dir: Path) -> int:
             f"[{cfg.bounds.sigma_lo!r}, {cfg.bounds.sigma_hi!r}] supports a "
             "different equilibrium allocation",
         )
-    _say(args, f"shadow value: {psi0!r}")
+    _say(args, f"shadow value: {shadow0!r}")
     _say(args, f"full-insurance variation: {full_insurance_check(result)!r}")
     rows = []
     for i, name in enumerate(result.names):
@@ -192,10 +192,10 @@ def _net_trade_expr(cfg: Config, agent_name: str):
     if agent_name not in result.names:
         raise ValueError(f"no agent named {agent_name!r} in the configuration")
     i = result.names.index(agent_name)
-    psi0 = float(result.psi[0])
+    shadow0 = float(result.shadow[0])
     c0 = float(result.allocations[i][0])
     endowment = economy.agents[i].endowment
-    return BinOp("*", Lit(psi0), BinOp("-", Lit(c0), endowment))
+    return BinOp("*", Lit(shadow0), BinOp("-", Lit(c0), endowment))
 
 
 def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:

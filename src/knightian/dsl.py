@@ -32,6 +32,11 @@ __all__ = [
 # function name -> arity
 FUNCTIONS = {"exp": 1, "log": 1, "abs": 1, "sqrt": 1, "tanh": 1, "min": 2, "max": 2}
 
+# deepest nesting parse accepts: a leaf may sit inside at most MAX_DEPTH - 1
+# brackets, calls, unary minus signs or operators.  The parser, evaluate and
+# pretty_print recurse once per level, so this keeps them off the stack limit.
+MAX_DEPTH = 64
+
 
 class PayoffParseError(ValueError):
     """Malformed payoff text.  `offset` is the byte position of the problem."""
@@ -114,6 +119,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -136,6 +142,8 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             raise PayoffParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if _tree_depth(node) > MAX_DEPTH:
+            raise PayoffParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
         return node
 
     def expr(self) -> Expr:
@@ -153,6 +161,17 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
+        # each nested bracket, call or unary minus recurses through here
+        if self.depth == MAX_DEPTH:
+            pos = self.tokens[self.i - 1][2]  # the token that opened the extra level
+            raise PayoffParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
+        try:
+            return self._factor()
+        finally:
+            self.depth -= 1
+
+    def _factor(self) -> Expr:
         # '-' here (rather than inside atom) makes ^ bind tighter than unary
         # minus: -x^2 parses as -(x^2).  Negated literals fold to literals so
         # printed trees re-parse to themselves.
@@ -181,7 +200,11 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self._next("a value")
         if kind == "number":
-            return Lit(float(text))
+            value = float(text)
+            # an overflowing literal would print as inf, which does not re-parse
+            if not math.isfinite(value):
+                raise PayoffParseError(f"number {text!r} is out of range", pos)
+            return Lit(value)
         if kind == "name":
             if text == "x":
                 return Var()
@@ -218,11 +241,27 @@ class _Parser:
         self.i += 1
 
 
+def _tree_depth(root: Expr) -> int:
+    """Depth of an expression tree, walked level by level without recursion."""
+    depth, level = 0, [root]
+    while level:
+        depth += 1
+        level = [
+            child
+            for node in level
+            for value in vars(node).values()
+            for child in (value if isinstance(value, tuple) else (value,))
+            if isinstance(child, Expr)
+        ]
+    return depth
+
+
 def parse(text: str) -> Expr:
     """Parse payoff text into an expression tree.
 
     Raises PayoffParseError (with a byte offset) on syntax errors, unknown
-    identifiers, and wrong function arity.
+    identifiers, wrong function arity, literals that overflow a float, and
+    nesting deeper than MAX_DEPTH.
     """
     return _Parser(text).parse()
 

@@ -1,12 +1,11 @@
-"""Planner-weight computation of risk-sharing equilibria.
+"""Full-insurance risk-sharing equilibria.
 
 Agents share a constant aggregate endowment under a common volatility band.
-Candidate allocations come from the planner problem: consumptions align the
-weighted marginal utilities at a common shadow value.  The weights are then
-adjusted until each agent's budget, priced under a chosen reference
-volatility, balances.  With a constant aggregate the efficient allocations
-are constant across states, which is what makes the weight search and the
-PDE budget check agree.
+With a constant aggregate every efficient allocation is constant across
+states, so an agent's budget, priced under a chosen reference volatility,
+balances exactly when they consume the price of their endowment.  The
+planner weights supporting that allocation follow in closed form:
+weighted marginal utilities must all equal one shadow value.
 """
 
 import math
@@ -17,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dsl import Expr, evaluate
-from .gexp import GridSpec, Mode, ValueField, VolBounds, conditional_at, solve_terminal_values
+from .gexp import GridSpec, Mode, VolBounds, conditional_at, solve_terminal_values
 
 __all__ = [
     "Utility",
@@ -30,7 +29,6 @@ __all__ = [
     "EquilibriumResult",
     "Allocations",
     "inverse_marginal",
-    "efficient_allocation_at",
     "allocation_field",
     "budget_excess",
     "solve_equilibrium",
@@ -38,16 +36,17 @@ __all__ = [
 ]
 
 # planner weights closer to the simplex boundary than this are treated as
-# degenerate rather than converged
+# degenerate rather than interior
 BOUNDARY_MARGIN = 1e-8
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve (allocation or weight search) failed to converge."""
+    """An iterative solve (the shadow-value bisection) failed to converge."""
 
 
 class NegishiError(ConvergenceError):
-    """Weight iteration diverged or was attracted to the simplex boundary."""
+    """No interior equilibrium: weights at the simplex boundary, or a PDE
+    budget check that disagrees with the closed form."""
 
 
 class NonConstantEndowmentError(RuntimeError):
@@ -159,14 +158,6 @@ class PriorSpec:
         return Mode.fixed(self.sigma)
 
 
-def _check_prior(prior: PriorSpec, bounds: VolBounds):
-    if not bounds.sigma_lo <= prior.sigma <= bounds.sigma_hi:
-        raise ValueError(
-            f"prior sigma {prior.sigma} outside the band "
-            f"[{bounds.sigma_lo}, {bounds.sigma_hi}]"
-        )
-
-
 @dataclass(eq=False)
 class Economy:
     """Agents with endowment claims over a common band and grid.
@@ -206,8 +197,8 @@ class Economy:
         self.constant_aggregate = bool(np.ptp(self.aggregate) <= 1e-10 * scale)
         if any(a.utility.kind == "exp" for a in self.agents):
             warnings.warn(
-                "exp utility has bounded marginal utility; allocations may hit "
-                "the consumption floor and the weight search may fail",
+                "exp utility has bounded marginal utility; planner allocations at "
+                "lopsided weights may hit the consumption floor",
                 stacklevel=2,
             )
 
@@ -244,15 +235,10 @@ def _shadow_bisect(alpha: np.ndarray, e_vals: np.ndarray, utilities) -> np.ndarr
 
     hi0 = lam_cap * (1.0 - 1e-12) if math.isfinite(lam_cap) else 1.0
     lo = np.full_like(e, hi0 * 0.5)
-    for _ in range(600):
-        need = total(lo) < e
-        if not np.any(need):
-            break
+    while np.any(need := total(lo) < e):
         lo = np.where(need, lo * 0.25, lo)
         if np.any(lo < 1e-280):
             raise ConvergenceError("failed to bracket the shadow value from below")
-    else:
-        raise ConvergenceError("failed to bracket the shadow value from below")
 
     hi = np.full_like(e, hi0)
     if math.isfinite(lam_cap):
@@ -262,15 +248,10 @@ def _shadow_bisect(alpha: np.ndarray, e_vals: np.ndarray, utilities) -> np.ndarr
                 "(exp-utility marginal range exhausted)"
             )
     else:
-        for _ in range(600):
-            need = total(hi) > e
-            if not np.any(need):
-                break
+        while np.any(need := total(hi) > e):
             hi = np.where(need, hi * 4.0, hi)
             if np.any(hi > 1e280):
                 raise ConvergenceError("failed to bracket the shadow value from above")
-        else:
-            raise ConvergenceError("failed to bracket the shadow value from above")
 
     for _ in range(120):
         mid = 0.5 * (lo + hi)
@@ -285,29 +266,12 @@ def _shadow_bisect(alpha: np.ndarray, e_vals: np.ndarray, utilities) -> np.ndarr
     return lam
 
 
-def efficient_allocation_at(alpha, e_val: float, utilities):
-    """Planner allocation of a scalar endowment level.
-
-    Returns (consumptions, shadow value); weighted marginal utilities all
-    equal the shadow value.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    lam = _shadow_bisect(alpha, np.asarray(float(e_val)), utilities)
-    c = np.array([inverse_marginal(u, float(lam) / alpha[i]) for i, u in enumerate(utilities)])
-    return c, float(lam)
-
-
 @dataclass(eq=False)
 class Allocations:
     """Per-agent consumption grids with the shadow-value grid."""
 
     consumption: np.ndarray  # (n_agents, nx)
     shadow: np.ndarray  # (nx,)
-
-    @property
-    def psi(self) -> np.ndarray:
-        """State-price density proxy: the shadow-value grid itself."""
-        return self.shadow
 
 
 def allocation_field(alpha, economy: Economy) -> Allocations:
@@ -321,8 +285,8 @@ def allocation_field(alpha, economy: Economy) -> Allocations:
             stacklevel=2,
         )
     utilities = [a.utility for a in economy.agents]
-    lam = _shadow_bisect(np.asarray(alpha, dtype=float), economy.aggregate, utilities)
     alpha = np.asarray(alpha, dtype=float)
+    lam = _shadow_bisect(alpha, economy.aggregate, utilities)
     c = np.stack([inverse_marginal(u, lam / alpha[i]) for i, u in enumerate(utilities)])
     return Allocations(c, lam)
 
@@ -332,8 +296,8 @@ def budget_excess(alpha, economy: Economy, prior: PriorSpec) -> np.ndarray:
 
     The claim shadow * (c_i - e_i) is valued by a linear heat solve at the
     prior volatility; at an equilibrium every component vanishes.
+    The prior must sit inside the band; the heat solve checks it.
     """
-    _check_prior(prior, economy.bounds)
     alloc = allocation_field(alpha, economy)
     mode = prior.mode()
     out = np.empty(economy.n_agents)
@@ -348,11 +312,9 @@ def budget_excess(alpha, economy: Economy, prior: PriorSpec) -> np.ndarray:
 class EquilibriumResult:
     alpha: np.ndarray  # planner weights, summing to one
     allocations: np.ndarray  # (n_agents, nx) consumption grids
-    shadow: np.ndarray  # (nx,) shadow-value grid
-    psi: np.ndarray  # state-price density proxy (equals shadow)
+    shadow: np.ndarray  # (nx,) shadow-value grid, the state-price density proxy
     prior: PriorSpec
     names: tuple
-    iterations: int
     budget_residual: np.ndarray  # PDE-priced budget surplus per agent
 
 
@@ -364,143 +326,50 @@ def _endowment_price(economy: Economy, prior: PriorSpec, i: int) -> float:
 
 
 def solve_equilibrium(
-    economy: Economy,
-    prior: PriorSpec,
-    tol: float = 1e-10,
-    max_iter: int = 500,
+    economy: Economy, prior: PriorSpec, budget_tol: float = 1e-10
 ) -> EquilibriumResult:
-    """Find planner weights whose allocation balances every priced budget.
+    """Full-insurance equilibrium priced at the prior volatility.
 
-    Requires a constant aggregate endowment.  Budgets inside the weight
-    search use the linearity of the fixed-volatility solve: the price of
-    shadow * (c_i - e_i) with constant c_i and constant shadow reduces to
-    shadow * (c_i - price of e_i).  The returned result still carries the
-    full PDE-priced budget surplus as a cross-check.
+    Requires a constant aggregate endowment.  Agent i then consumes p_i, the
+    fixed-volatility price of their endowment, and the weights are
+    alpha_i proportional to 1 / u_i'(p_i), so alpha_i u_i'(p_i) is one common
+    shadow value.  The planner allocation at those weights and the full
+    PDE-priced budget surplus are computed independently as cross-checks;
+    a surplus above `budget_tol` raises NegishiError.
     """
     if not economy.constant_aggregate:
         raise NonConstantEndowmentError(
             "aggregate endowment varies across the grid; constant-sum "
             "endowments are required for an equilibrium"
         )
-    _check_prior(prior, economy.bounds)
-    n = economy.n_agents
-    utilities = [a.utility for a in economy.agents]
-    e_const = float(np.mean(economy.aggregate))
-    e_prices = np.array([_endowment_price(economy, prior, i) for i in range(n)])
-
-    def excess(alpha: np.ndarray) -> np.ndarray:
-        c, lam = efficient_allocation_at(alpha, e_const, utilities)
-        return lam * (c - e_prices)
-
-    iterations = 0
-    if n == 1:
-        alpha = np.array([1.0])
-    elif n == 2:
-        alpha, iterations = _solve_two_agent(excess, tol)
-    else:
-        alpha, iterations = _solve_many_agent(excess, n, tol, max_iter)
-
-    if np.any(alpha < BOUNDARY_MARGIN):
+    prices = np.array([_endowment_price(economy, prior, i) for i in range(economy.n_agents)])
+    if np.any(prices <= 0.0):
         raise NegishiError(
-            "weight iteration attracted to the simplex boundary; no interior "
-            "equilibrium at this prior"
+            "an endowment has no positive price; no interior equilibrium at this prior"
+        )
+    inv_marginal = np.array([1.0 / a.utility.marginal(p) for a, p in zip(economy.agents, prices)])
+    alpha = inv_marginal / inv_marginal.sum()
+    # also catches weights that are not finite
+    if not np.all(alpha >= BOUNDARY_MARGIN):
+        raise NegishiError(
+            "planner weights at the simplex boundary; no interior equilibrium at this prior"
         )
 
     alloc = allocation_field(alpha, economy)
     residual = budget_excess(alpha, economy, prior)
-    if np.max(np.abs(residual)) > 1e-6:
+    if np.max(np.abs(residual)) > budget_tol:
         raise NegishiError(
-            f"PDE budget check disagrees with the weight search "
+            f"PDE budget check disagrees with the closed form "
             f"(residual {np.max(np.abs(residual)):.3e})"
         )
     return EquilibriumResult(
         alpha=alpha,
         allocations=alloc.consumption,
         shadow=alloc.shadow,
-        psi=alloc.psi,
         prior=prior,
         names=economy.names,
-        iterations=iterations,
         budget_residual=residual,
     )
-
-
-def _solve_two_agent(excess, tol):
-    """Bisection on the first weight; the budget surplus of agent one is
-    increasing in it, so a sign bracket pins the root."""
-
-    def f(a):
-        return float(excess(np.array([a, 1.0 - a]))[0])
-
-    evals = 0
-    lo_a, hi_a = 0.5, 0.5
-    f_mid = f(0.5)
-    evals += 1
-    if abs(f_mid) <= tol:
-        return np.array([0.5, 0.5]), evals
-    try:
-        if f_mid > 0:
-            hi_a = 0.5
-            lo_a = 0.25
-            while f(lo_a) > 0:
-                evals += 1
-                lo_a *= 0.5
-                if lo_a < 1e-12:
-                    raise NegishiError("no interior sign change for the budget surplus")
-            evals += 1
-        else:
-            lo_a = 0.5
-            hi_a = 0.75
-            while f(hi_a) < 0:
-                evals += 1
-                hi_a = 1.0 - 0.5 * (1.0 - hi_a)
-                if 1.0 - hi_a < 1e-12:
-                    raise NegishiError("no interior sign change for the budget surplus")
-            evals += 1
-    except NegishiError:
-        raise
-    except ConvergenceError as err:
-        # allocation became infeasible before the surplus changed sign
-        raise NegishiError(f"budget surplus infeasible near the boundary: {err}") from err
-
-    for _ in range(200):
-        mid = 0.5 * (lo_a + hi_a)
-        fm = f(mid)
-        evals += 1
-        if abs(fm) <= tol:
-            return np.array([mid, 1.0 - mid]), evals
-        if fm > 0:
-            hi_a = mid
-        else:
-            lo_a = mid
-        if hi_a - lo_a < 1e-16:
-            break
-    mid = 0.5 * (lo_a + hi_a)
-    if abs(f(mid)) > tol:
-        raise NegishiError("two-agent weight bisection did not reach tolerance")
-    return np.array([mid, 1.0 - mid]), evals
-
-
-def _solve_many_agent(excess, n, tol, max_iter):
-    """Damped multiplicative update with backtracking on the surplus norm."""
-    alpha = np.full(n, 1.0 / n)
-    for it in range(1, max_iter + 1):
-        surplus = excess(alpha)
-        norm = float(np.max(np.abs(surplus)))
-        if norm <= tol:
-            return alpha, it
-        kappa = 0.5
-        while True:
-            cand = alpha * (1.0 - kappa * surplus)
-            if np.all(cand > 0.0):
-                cand = cand / cand.sum()
-                if float(np.max(np.abs(excess(cand)))) < norm or kappa < 1e-6:
-                    break
-            kappa *= 0.5
-            if kappa < 1e-12:
-                raise NegishiError("damped weight update stalled")
-        alpha = cand
-    raise NegishiError(f"weight iteration did not converge in {max_iter} steps")
 
 
 def full_insurance_check(result: EquilibriumResult) -> float:

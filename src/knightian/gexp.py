@@ -46,6 +46,11 @@ SUBSTEP_CAP = 1000
 
 MAX_TREE_STEPS = 14
 
+# memory one run may claim, checked before anything is allocated; hedging holds
+# up to _FIELD_LAYERS (nt + 1, nx) float64 layers (value, delta, curvature, temporaries)
+MEMORY_BUDGET = 1 << 30
+_FIELD_LAYERS = 5
+
 
 class CflError(ValueError):
     """Grid would need more internal sub-steps than SUBSTEP_CAP allows."""
@@ -119,6 +124,8 @@ class GridSpec:
             raise ValueError("nx must be at least 3")
         if self.nt < 1:
             raise ValueError("nt must be at least 1")
+        if _FIELD_LAYERS * 8 * (self.nt + 1) * self.nx > MEMORY_BUDGET:
+            raise ValueError(f"a {self.nx} x {self.nt} grid exceeds the memory budget")
 
     @property
     def dx(self) -> float:

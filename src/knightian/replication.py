@@ -16,6 +16,7 @@ import numpy as np
 
 from .dsl import Expr, evaluate
 from .gexp import (
+    MEMORY_BUDGET,
     GridSpec,
     UPPER,
     ValueField,
@@ -51,16 +52,20 @@ _CHUNK_BYTES = 16 << 20
 _MAX_PATHS = 1 << 32
 _MAX_SEED = 1 << 96
 _MASK64 = (1 << 64) - 1
+# replicate keeps at most eight float64 statistics per path
+_PATH_BYTES = 64
 
 
 def _check_batch(n_paths: int, n_steps: int, seed: int) -> None:
-    """Reject batch sizes the chunked walk cannot run, before anything is allocated."""
+    """Reject batches the walk cannot run or cannot keep statistics for, before allocating."""
     if n_paths < 1 or n_steps < 1:
         raise ValueError("paths and steps must be positive")
     if n_paths >= _MAX_PATHS:
         raise ValueError(
             f"{n_paths} paths would overlap the next seed's substreams; at most {_MAX_PATHS - 1}"
         )
+    if n_paths * _PATH_BYTES > MEMORY_BUDGET:
+        raise ValueError(f"{n_paths} paths exceed the memory budget of {MEMORY_BUDGET} bytes")
     if 8 * n_steps > _CHUNK_BYTES:
         raise ValueError(f"{n_steps} steps exceed the per-chunk budget of {_CHUNK_BYTES // 8}")
     if not 0 <= seed < _MAX_SEED:

@@ -71,6 +71,17 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "payoff",
+        ["(" * 3000 + "x" + ")" * 3000, "x" + "+x" * 5000, "1e999"],
+        ids=["nested-brackets", "long-chain", "overflowing-literal"],
+    )
+    def test_unparseable_payoff_exit(self, ws, capsys, payoff):
+        code, out, err = run(capsys, "--config", str(ws / "cfg.json"), "eval", payoff)
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+
     def test_fixed_needs_sigma(self, ws, capsys):
         code, _, err = run(
             capsys, "--config", str(ws / "cfg.json"), "eval", "x", "--mode", "fixed"
@@ -139,6 +150,8 @@ class TestConfigHandling:
             ({"paths": 10, "steps": 10**12}, "per-chunk budget"),
             ({"paths": 1e7, "steps": 1e12}, "per-chunk budget"),
             ({"paths": 2**32, "steps": 4}, "substreams"),
+            ({"paths": 2**32 - 1, "steps": 4}, "memory budget"),
+            ({"paths": 2**24 + 1, "steps": 4}, "memory budget"),
         ],
     )
     def test_oversized_monte_carlo_rejected_at_load(self, ws, capsys, mc, message):
@@ -148,6 +161,15 @@ class TestConfigHandling:
         )
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("nx, nt", [(8001, 100000), (10**6, 10**6)])
+    def test_oversized_grid_rejected_at_load(self, ws, capsys, nx, nt):
+        grid = {"x_min": -6.0, "x_max": 6.0, "nx": nx, "nt": nt}
+        cfg = write_config(ws / "huge_grid.json", grid=grid)
+        code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 2
+        assert "budget" in err
+        assert out == ""
 
     def test_out_directory_created(self, ws, capsys):
         out_dir = ws / "made" / "deep"
@@ -213,6 +235,14 @@ class TestEquilibrium:
         code, _, err = run(capsys, "--config", str(ws / "boundary.json"), "equilibrium")
         assert code == 4
         assert "error:" in err
+
+    def test_tolerance_bounds_budget_check(self, ws, capsys):
+        # the PDE budget residual of the example is about 1e-16; a tighter
+        # tolerances.equilibrium makes the cross-check fail
+        write_config(ws / "strict.json", tolerances={"mean_af": 0.001, "equilibrium": 1e-300})
+        code, _, err = run(capsys, "--config", str(ws / "strict.json"), "equilibrium")
+        assert code == 4
+        assert "budget" in err
 
 
 class TestImplement:

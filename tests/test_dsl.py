@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knightian.dsl import (
+    MAX_DEPTH,
     BinOp,
     Call,
     EvalDomainError,
@@ -89,6 +92,32 @@ class TestParse:
     def test_double_power_needs_parens(self):
         with pytest.raises(PayoffParseError):
             parse("x^2^2")
+
+    def test_non_finite_literal_rejected(self):
+        for text, offset in (("1e999", 0), ("-1e999", 1), ("x + 2e308", 4)):
+            with pytest.raises(PayoffParseError) as info:
+                parse(text)
+            assert info.value.offset == offset
+        assert parse("1e-999") == Lit(0.0)  # underflow is still a finite number
+
+    def test_nesting_limit(self):
+        # x may sit inside MAX_DEPTH - 1 brackets, calls or minus signs
+        inner = MAX_DEPTH - 1
+        assert parse("(" * inner + "x" + ")" * inner) == Var()
+        assert parse("-" * inner + "x") is not None
+        assert parse("exp(" * inner + "x" + ")" * inner) is not None
+        assert parse("x" + " + x" * inner) is not None
+        too_deep = [
+            "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+            "(" * 3000 + "x" + ")" * 3000,
+            "-" * 3000 + "x",
+            "exp(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+            # a flat chain parses in a loop but nests the tree as deeply
+            "x" + " + x" * MAX_DEPTH,
+        ]
+        for text in too_deep:
+            with pytest.raises(PayoffParseError, match="deeper than"):
+                parse(text)
 
     def test_unclosed_paren(self):
         with pytest.raises(PayoffParseError):
@@ -178,6 +207,21 @@ class TestPrettyPrint:
             normalized = parse(pretty_print(tree))
             assert np.array_equal(evaluate(tree, xs), evaluate(normalized, xs))
             assert parse(pretty_print(normalized)) == normalized
+
+    def test_roundtrip_extreme_literals(self):
+        for text in ("1.7976931348623157e308", "-1.7976931348623157e308", "5e-324", "1e-400"):
+            tree = parse(text)
+            assert parse(pretty_print(tree)) == tree
+        with pytest.raises(PayoffParseError):
+            parse("1e999")
+
+    @settings(max_examples=200, database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_roundtrip_any_finite_literal(self, value):
+        tree = BinOp("*", Lit(value), Var())
+        again = parse(pretty_print(tree))
+        assert again == tree
+        assert pretty_print(again) == pretty_print(tree)
 
     def test_negated_literal_folds(self):
         assert parse("-3") == Lit(-3.0)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knightian import (
     Agent,
@@ -11,16 +15,15 @@ from knightian import (
     Utility,
     allocation_field,
     budget_excess,
-    default_grid,
-    efficient_allocation_at,
     expectation,
     full_insurance_check,
     inverse_marginal,
     solve_equilibrium,
 )
+from knightian.config import Tolerances
 from knightian.equilibrium import ConvergenceError
 from knightian.gexp import Mode
-from knightian.dsl import parse
+from knightian.dsl import BinOp, Call, Lit, Var, parse
 
 from helpers import BAND, capped_exp_value, example_economy, symmetric_economy
 
@@ -88,46 +91,59 @@ class TestInverseMarginal:
         assert np.array_equal(out, 1.0 / ys)
 
 
+# allocation_field never marches, so a few nodes and one time step suffice
+FLAT_GRID = GridSpec(-1.0, 1.0, 5, 1)
+
+
+def _flat_economy(utilities, total):
+    """Agents with equal constant endowments summing to `total`."""
+    share = Lit(total / len(utilities))
+    agents = tuple(Agent(f"u{i}", u, share) for i, u in enumerate(utilities))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the exp-utility notice
+        return Economy(agents, BAND, FLAT_GRID)
+
+
 class TestEfficientAllocation:
+    """Planner allocation of a constant aggregate through allocation_field."""
+
     def test_log_agents_share_by_weight(self):
-        utils = [Utility.log(), Utility.log()]
-        c, lam = efficient_allocation_at([0.3, 0.7], 1.0, utils)
-        assert c == pytest.approx([0.3, 0.7], abs=1e-12)
-        assert lam == pytest.approx(1.0, abs=1e-12)
+        alloc = allocation_field([0.3, 0.7], _flat_economy([Utility.log()] * 2, 1.0))
+        assert alloc.consumption[:, 0] == pytest.approx([0.3, 0.7], abs=1e-12)
+        assert np.max(np.abs(alloc.shadow - 1.0)) < 1e-12
 
     def test_log_agents_scale(self):
-        utils = [Utility.log(), Utility.log()]
-        c, lam = efficient_allocation_at([0.5, 0.5], 4.0, utils)
-        assert c == pytest.approx([2.0, 2.0], abs=1e-11)
-        assert lam == pytest.approx(0.25, abs=1e-12)
+        alloc = allocation_field([0.5, 0.5], _flat_economy([Utility.log()] * 2, 4.0))
+        assert np.max(np.abs(alloc.consumption - 2.0)) < 1e-11
+        assert np.max(np.abs(alloc.shadow - 0.25)) < 1e-12
 
     def test_power_agents(self):
-        utils = [Utility.power(2.0), Utility.power(2.0)]
-        c, lam = efficient_allocation_at([0.5, 0.5], 2.0, utils)
-        assert c == pytest.approx([1.0, 1.0], abs=1e-11)
-        assert lam == pytest.approx(0.5, abs=1e-11)
+        alloc = allocation_field([0.5, 0.5], _flat_economy([Utility.power(2.0)] * 2, 2.0))
+        assert np.max(np.abs(alloc.consumption - 1.0)) < 1e-11
+        assert np.max(np.abs(alloc.shadow - 0.5)) < 1e-11
 
     def test_first_order_condition_mixed(self):
         utils = [Utility.log(), Utility.power(3.0), Utility.exponential(0.5)]
         alpha = np.array([0.2, 0.5, 0.3])
-        c, lam = efficient_allocation_at(alpha, 2.5, utils)
-        assert c.sum() == pytest.approx(2.5, abs=1e-9)
+        alloc = allocation_field(alpha, _flat_economy(utils, 2.5))
+        assert np.max(np.abs(alloc.consumption.sum(axis=0) - 2.5)) < 1e-9
         for i, u in enumerate(utils):
-            assert alpha[i] * u.marginal(c[i]) == pytest.approx(lam, rel=1e-9)
+            weighted = alpha[i] * u.marginal(alloc.consumption[i])
+            assert weighted == pytest.approx(alloc.shadow, rel=1e-9)
 
     def test_weight_scale_consistency(self):
-        utils = [Utility.log(), Utility.power(2.0)]
+        econ = _flat_economy([Utility.log(), Utility.power(2.0)], 1.5)
         alpha = np.array([0.4, 0.6])
-        c1, lam1 = efficient_allocation_at(alpha, 1.5, utils)
-        c2, lam2 = efficient_allocation_at(2.0 * alpha, 1.5, utils)
-        assert c2 == pytest.approx(c1, rel=1e-10)
-        assert lam2 == pytest.approx(2.0 * lam1, rel=1e-10)
+        a1 = allocation_field(alpha, econ)
+        a2 = allocation_field(2.0 * alpha, econ)
+        assert a2.consumption == pytest.approx(a1.consumption, rel=1e-10)
+        assert a2.shadow == pytest.approx(2.0 * a1.shadow, rel=1e-10)
 
     def test_exp_unattainable_total(self):
         # with lopsided weights the exp marginal range caps total consumption
-        utils = [Utility.exponential(1.0), Utility.exponential(1.0)]
+        econ = _flat_economy([Utility.exponential(1.0)] * 2, 1.0)
         with pytest.raises(ConvergenceError):
-            efficient_allocation_at([1e-9, 1.0 - 1e-9], 1.0, utils)
+            allocation_field([1e-9, 1.0 - 1e-9], econ)
 
 
 class TestAllocationField:
@@ -136,7 +152,6 @@ class TestAllocationField:
         alloc = allocation_field([0.5, 0.5], econ)
         assert np.max(np.abs(alloc.shadow - 1.0)) < 1e-12
         assert np.max(np.abs(alloc.consumption - 0.5)) < 1e-12
-        assert np.array_equal(alloc.psi, alloc.shadow)
 
     def test_power_two_closed_form(self):
         # two power-2 agents on unit endowment: c_i = sqrt(a_i)/sum sqrt(a),
@@ -194,6 +209,18 @@ class TestBudgetExcess:
             budget_excess([0.5, 0.5], _example(), PriorSpec.constant(2.0))
 
 
+def _three_agent_economy(utilities):
+    endowments = (
+        "0.5 * min(exp(x), 1)",
+        "0.2 + 0.25*(1 - min(exp(x), 1))",
+        "0.3 + 0.25*(1 - min(exp(x), 1))",
+    )
+    agents = tuple(
+        Agent(name, u, parse(e)) for name, u, e in zip("abc", utilities, endowments)
+    )
+    return Economy(agents, BAND, GRID)
+
+
 class TestSolveEquilibrium:
     def test_example_prior_high(self):
         res = solve_equilibrium(_example(), PRIOR1)
@@ -217,20 +244,33 @@ class TestSolveEquilibrium:
         assert res.alpha == pytest.approx([0.5, 0.5], abs=1e-9)
         assert np.max(np.abs(res.allocations - 0.5)) < 1e-9
 
-    def test_three_agent_damped_iteration(self):
-        agents = (
-            Agent("a", Utility.log(), parse("0.5 * min(exp(x), 1)")),
-            Agent("b", Utility.log(), parse("0.2 + 0.25*(1 - min(exp(x), 1))")),
-            Agent("c", Utility.log(), parse("0.3 + 0.25*(1 - min(exp(x), 1))")),
-        )
-        econ = Economy(agents, BAND, GRID)
+    def test_three_agent_log_consumes_endowment_prices(self):
+        econ = _three_agent_economy([Utility.log()] * 3)
         assert econ.constant_aggregate
         res = solve_equilibrium(econ, PRIOR1)
         # log agents with unit aggregate consume their endowment's price
-        for i in range(3):
-            price = expectation(agents[i].endowment, BAND, GRID, Mode.fixed(1.0))
-            assert float(res.allocations[i][0]) == pytest.approx(price, abs=1e-6)
+        for i, agent in enumerate(econ.agents):
+            price = expectation(agent.endowment, BAND, GRID, Mode.fixed(1.0))
+            assert float(res.allocations[i][0]) == pytest.approx(price, abs=1e-12)
         assert res.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("prior", [PRIOR5, PRIOR1], ids=["sigma0.5", "sigma1.0"])
+    def test_three_agent_power_exp_power(self, prior):
+        # power and exp agents sharing an interior equilibrium
+        with pytest.warns(UserWarning):
+            econ = _three_agent_economy(
+                [Utility.power(2.0), Utility.exponential(0.7), Utility.power(0.5)]
+            )
+        res = solve_equilibrium(econ, prior)
+        c = res.allocations[:, 0]
+        for i, agent in enumerate(econ.agents):
+            price = expectation(agent.endowment, BAND, GRID, prior.mode())
+            assert c[i] == pytest.approx(price, abs=1e-12)
+        weighted = [res.alpha[i] * a.utility.marginal(c[i]) for i, a in enumerate(econ.agents)]
+        assert weighted == pytest.approx([res.shadow[0]] * 3, rel=1e-12)
+        assert np.all(res.alpha > 0.0)
+        assert full_insurance_check(res) < 1e-12
+        assert np.max(np.abs(res.budget_residual)) <= Tolerances().equilibrium
 
     def test_nonconstant_aggregate_rejected(self):
         agents = (
@@ -249,6 +289,13 @@ class TestSolveEquilibrium:
         econ = Economy(agents, BAND, GRID)
         with pytest.raises(NegishiError):
             solve_equilibrium(econ, PRIOR1)
+
+    def test_budget_tolerance_bounds_cross_check(self):
+        res = solve_equilibrium(_example(), PRIOR1)
+        worst = float(np.max(np.abs(res.budget_residual)))
+        assert 0.0 < worst <= Tolerances().equilibrium
+        with pytest.raises(NegishiError, match="PDE budget check"):
+            solve_equilibrium(_example(), PRIOR1, budget_tol=worst / 2.0)
 
     def test_exp_agents_symmetric(self):
         with pytest.warns(UserWarning):
@@ -286,3 +333,50 @@ class TestEconomyValidation:
         econ = _example()
         assert econ.constant_aggregate
         assert np.min(econ.endowment_values[1]) == 0.0
+
+
+PROPERTY_GRID = GridSpec(-4.0, 4.0, 41, 40)
+KINK = Call("min", (Call("exp", (Var(),)), Lit(1.0)))
+UTILITIES = st.one_of(
+    st.just(Utility.log()),
+    st.floats(0.3, 4.0).filter(lambda g: abs(g - 1.0) > 1e-3).map(Utility.power),
+    st.floats(0.2, 3.0).map(Utility.exponential),
+)
+
+
+@st.composite
+def constant_aggregate_economies(draw):
+    """2-3 agents holding shares of a constant aggregate, each plus a zero-sum
+    multiple of a kinked claim, with every endowment bounded away from zero."""
+    n = draw(st.integers(2, 3))
+    total = draw(st.floats(0.5, 2.0))
+    raw = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    shares = raw / raw.sum()
+    tilt = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    # |tilt_i - mean| <= 2, so each coefficient stays below half the smallest share
+    coef = 0.25 * shares.min() * (tilt - tilt.mean())
+    agents = []
+    for i in range(n):
+        level = Lit(float(total * (shares[i] - 0.5 * coef[i])))
+        endowment = BinOp("+", level, BinOp("*", Lit(float(total * coef[i])), KINK))
+        agents.append(Agent(f"h{i}", draw(UTILITIES), endowment))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the exp-utility notice
+        return Economy(tuple(agents), BAND, PROPERTY_GRID)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(econ=constant_aggregate_economies(), sigma=st.sampled_from([0.5, 0.75, 1.0]))
+def test_closed_form_equilibrium_properties(econ, sigma):
+    assert econ.constant_aggregate
+    prior = PriorSpec.constant(sigma)
+    res = solve_equilibrium(econ, prior)
+    assert res.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+    c = res.allocations[:, 0]
+    weighted = [res.alpha[i] * a.utility.marginal(c[i]) for i, a in enumerate(econ.agents)]
+    assert weighted == pytest.approx([weighted[0]] * econ.n_agents, rel=1e-10)
+    for i, agent in enumerate(econ.agents):
+        price = expectation(agent.endowment, BAND, PROPERTY_GRID, prior.mode())
+        assert c[i] == pytest.approx(price, rel=1e-12, abs=1e-12)
+    assert full_insurance_check(res) < 1e-12
+    assert np.max(np.abs(res.budget_residual)) <= Tolerances().equilibrium

@@ -20,7 +20,7 @@ from knightian import (
     tree_expectation,
 )
 from knightian.dsl import evaluate, parse
-from knightian.gexp import _tree_positions, _tree_reachable, _tree_sweep
+from knightian.gexp import MEMORY_BUDGET, _tree_positions, _tree_reachable, _tree_sweep
 
 from helpers import BAND, capped_exp_value, example_payoff, random_payoff
 
@@ -57,6 +57,13 @@ class TestValidation:
             GridSpec(0.5, 6.0, 101, 100)  # does not straddle 0
         with pytest.raises(ValueError):
             GridSpec(-6.0, 6.0, 2, 100)
+
+    def test_grid_memory_budget(self):
+        # five stored (nt + 1, nx) float64 layers must fit in MEMORY_BUDGET
+        nodes = MEMORY_BUDGET // (5 * 8)
+        GridSpec(-6.0, 6.0, nodes // 1000, 999)
+        with pytest.raises(ValueError, match="budget"):
+            GridSpec(-6.0, 6.0, nodes // 1000 + 1, 999)
 
     def test_fixed_sigma_inside_band(self):
         with pytest.raises(ValueError):

@@ -201,7 +201,7 @@ class TestNetTradeReplication:
         from knightian.dsl import BinOp, Lit
 
         c0 = float(res.allocations[0][0])
-        expr = BinOp("*", Lit(float(res.psi[0])), BinOp("-", Lit(c0), econ.agents[0].endowment))
+        expr = BinOp("*", Lit(float(res.shadow[0])), BinOp("-", Lit(c0), econ.agents[0].endowment))
         h = hedge_field(expr, BAND, GRID)
         p = simulate_paths(ControlSpec.constant(0.5), BAND, 20000, 256, seed=31)
         rep = replicate(expr, h, p)
@@ -224,7 +224,7 @@ class TestNetTradeReplication:
         from knightian.dsl import BinOp, Lit
 
         c0 = float(res.allocations[0][0])
-        expr = BinOp("*", Lit(float(res.psi[0])), BinOp("-", Lit(c0), econ.agents[0].endowment))
+        expr = BinOp("*", Lit(float(res.shadow[0])), BinOp("-", Lit(c0), econ.agents[0].endowment))
         h = hedge_field(expr, BAND, GRID)
         for sigma in (0.5, 1.0):
             p = simulate_paths(ControlSpec.constant(sigma), BAND, 4000, 128, seed=17)
@@ -242,7 +242,7 @@ class TestNetTradeReplication:
         for i in range(2):
             c0 = float(res.allocations[i][0])
             expr = BinOp(
-                "*", Lit(float(res.psi[0])), BinOp("-", Lit(c0), econ.agents[i].endowment)
+                "*", Lit(float(res.shadow[0])), BinOp("-", Lit(c0), econ.agents[i].endowment)
             )
             hs.append(hedge_field(expr, BAND, GRID))
         total = hs[0].eta.values + hs[1].eta.values
@@ -428,6 +428,8 @@ class TestStreaming:
             simulate_paths(ControlSpec.constant(0.5), BAND, 10, 10**12)
         with pytest.raises(ValueError, match="substreams"):
             simulate_paths(ControlSpec.constant(0.5), BAND, 2**32, 4)
+        with pytest.raises(ValueError, match="memory budget"):
+            simulate_paths(ControlSpec.constant(0.5), BAND, 2**32 - 1, 4)
         with pytest.raises(ValueError, match="seed"):
             simulate_paths(ControlSpec.constant(0.5), BAND, 4, 4, seed=2**96)
 
@@ -470,9 +472,11 @@ class TestGolden:
         capsys.readouterr()
         blob = (tmp_path / "replication.json").read_bytes()
         assert json.loads(blob)["mean_k"] == 0.10480025930571187
+        # the net trade embeds a1's closed-form consumption 0.7615975820202958,
+        # the exact fixed-sigma price of their endowment on this grid
         assert (
             hashlib.sha256(blob).hexdigest()
-            == "fb97aa68f70cfe89e40946b41f304e00d151f3b5aac1b2551f85082010c9192a"
+            == "97546dc2726514b11044caf76a8bb39525a5da709be0aadf6b7a15946f6515a1"
         )
 
     def test_extremal_run(self, example_hedge):
