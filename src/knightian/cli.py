@@ -115,8 +115,11 @@ def _mode_from(args) -> Mode:
 def cmd_eval(cfg: Config, args, out_dir: Path) -> int:
     expr = parse(args.payoff)
     mode = _mode_from(args)
-    value = expectation(expr, cfg.bounds, cfg.grid, mode)
+    # the gap already holds the upper and lower values; only fixed needs its own march
+    value = expectation(expr, cfg.bounds, cfg.grid, mode) if mode.kind == "fixed" else None
     gap = mean_ambiguity_gap(expr, cfg.bounds, cfg.grid, tol=cfg.tolerances.mean_af)
+    if value is None:
+        value = gap.upper if mode == UPPER else gap.lower
     _say(args, f"payoff: {pretty_print(expr)}")
     _say(args, f"mode: {args.mode}" + (f" (sigma={args.sigma!r})" if args.mode == "fixed" else ""))
     _say(args, f"expectation: {value!r}")

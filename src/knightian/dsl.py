@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "PayoffParseError",
     "EvalDomainError",
+    "ExprDepthError",
     "Expr",
     "Lit",
     "Var",
@@ -32,9 +33,9 @@ __all__ = [
 # function name -> arity
 FUNCTIONS = {"exp": 1, "log": 1, "abs": 1, "sqrt": 1, "tanh": 1, "min": 2, "max": 2}
 
-# deepest nesting parse accepts: a leaf may sit inside at most MAX_DEPTH - 1
+# deepest nesting accepted: a leaf may sit inside at most MAX_DEPTH - 1
 # brackets, calls, unary minus signs or operators.  The parser, evaluate and
-# pretty_print recurse once per level, so this keeps them off the stack limit.
+# pretty_print recurse once per level, so all three check this limit first.
 MAX_DEPTH = 64
 
 
@@ -48,6 +49,10 @@ class PayoffParseError(ValueError):
 
 class EvalDomainError(ArithmeticError):
     """Evaluation left the real line: log/sqrt of a negative, division by zero."""
+
+
+class ExprDepthError(PayoffParseError):
+    """A tree nested deeper than MAX_DEPTH levels, parsed or built in code (offset 0)."""
 
 
 class Expr:
@@ -142,8 +147,7 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             raise PayoffParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        if _tree_depth(node) > MAX_DEPTH:
-            raise PayoffParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
+        _check_depth(node)
         return node
 
     def expr(self) -> Expr:
@@ -242,18 +246,27 @@ class _Parser:
 
 
 def _tree_depth(root: Expr) -> int:
-    """Depth of an expression tree, walked level by level without recursion."""
+    """Depth of an expression tree, walked level by level without recursion.
+
+    A level holds each node once, so a subtree shared within a tree built in
+    code (n = n + n, repeated) costs one visit per level, not one per path.
+    """
     depth, level = 0, [root]
     while level:
         depth += 1
-        level = [
-            child
+        level = {
+            id(child): child
             for node in level
             for value in vars(node).values()
             for child in (value if isinstance(value, tuple) else (value,))
             if isinstance(child, Expr)
-        ]
+        }.values()
     return depth
+
+
+def _check_depth(expr: Expr):
+    if isinstance(expr, Expr) and _tree_depth(expr) > MAX_DEPTH:
+        raise ExprDepthError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
 
 
 def parse(text: str) -> Expr:
@@ -319,6 +332,7 @@ def evaluate(expr: Expr, x):
     Evaluation is pure and deterministic.  Raises EvalDomainError when the
     value would leave the reals.
     """
+    _check_depth(expr)
     if isinstance(x, np.ndarray) and x.ndim > 0:
         xs = np.asarray(x, dtype=float)
         out = _eval(expr, xs)
@@ -336,20 +350,25 @@ def _fmt(value: float) -> str:
 
 def pretty_print(expr: Expr) -> str:
     """Canonical fully parenthesized rendering; parses back to an equal tree."""
+    _check_depth(expr)
+    return _pretty(expr)
+
+
+def _pretty(expr: Expr) -> str:
     if isinstance(expr, Lit):
         return _fmt(expr.value)
     if isinstance(expr, Var):
         return "x"
     if isinstance(expr, Neg):
-        return f"(-{pretty_print(expr.arg)})"
+        return f"(-{_pretty(expr.arg)})"
     if isinstance(expr, BinOp):
-        return f"({pretty_print(expr.lhs)} {expr.op} {pretty_print(expr.rhs)})"
+        return f"({_pretty(expr.lhs)} {expr.op} {_pretty(expr.rhs)})"
     if isinstance(expr, Pow):
-        base = pretty_print(expr.base)
+        base = _pretty(expr.base)
         # a bare negative literal base would re-parse as -(base^n)
         if isinstance(expr.base, Lit) and math.copysign(1.0, expr.base.value) < 0:
             base = f"({base})"
         return f"({base}^{expr.exponent})"
     if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(pretty_print(a) for a in expr.args)})"
+        return f"{expr.func}({', '.join(_pretty(a) for a in expr.args)})"
     raise TypeError(f"not an expression node: {expr!r}")

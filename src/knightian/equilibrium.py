@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dsl import Expr, evaluate
-from .gexp import GridSpec, Mode, VolBounds, conditional_at, solve_terminal_values
+from .gexp import GridSpec, Mode, VolBounds, expectation
 
 __all__ = [
     "Utility",
@@ -291,6 +291,12 @@ def allocation_field(alpha, economy: Economy) -> Allocations:
     return Allocations(c, lam)
 
 
+def _priced_claims(alloc: Allocations, economy: Economy, prior: PriorSpec) -> np.ndarray:
+    # every agent's claim shadow * (c_i - e_i), priced in one march
+    claims = alloc.shadow * (alloc.consumption - economy.endowment_values)
+    return expectation(claims, economy.bounds, economy.grid, prior.mode())
+
+
 def budget_excess(alpha, economy: Economy, prior: PriorSpec) -> np.ndarray:
     """Priced budget surplus of each agent at the candidate weights.
 
@@ -298,14 +304,7 @@ def budget_excess(alpha, economy: Economy, prior: PriorSpec) -> np.ndarray:
     prior volatility; at an equilibrium every component vanishes.
     The prior must sit inside the band; the heat solve checks it.
     """
-    alloc = allocation_field(alpha, economy)
-    mode = prior.mode()
-    out = np.empty(economy.n_agents)
-    for i in range(economy.n_agents):
-        payoff = alloc.shadow * (alloc.consumption[i] - economy.endowment_values[i])
-        field = solve_terminal_values(payoff, economy.bounds, economy.grid, mode)
-        out[i] = conditional_at(field, 0.0, 0.0)
-    return out
+    return _priced_claims(allocation_field(alpha, economy), economy, prior)
 
 
 @dataclass(eq=False)
@@ -316,13 +315,6 @@ class EquilibriumResult:
     prior: PriorSpec
     names: tuple
     budget_residual: np.ndarray  # PDE-priced budget surplus per agent
-
-
-def _endowment_price(economy: Economy, prior: PriorSpec, i: int) -> float:
-    field = solve_terminal_values(
-        economy.endowment_values[i], economy.bounds, economy.grid, prior.mode()
-    )
-    return conditional_at(field, 0.0, 0.0)
 
 
 def solve_equilibrium(
@@ -342,7 +334,7 @@ def solve_equilibrium(
             "aggregate endowment varies across the grid; constant-sum "
             "endowments are required for an equilibrium"
         )
-    prices = np.array([_endowment_price(economy, prior, i) for i in range(economy.n_agents)])
+    prices = expectation(economy.endowment_values, economy.bounds, economy.grid, prior.mode())
     if np.any(prices <= 0.0):
         raise NegishiError(
             "an endowment has no positive price; no interior equilibrium at this prior"
@@ -356,7 +348,7 @@ def solve_equilibrium(
         )
 
     alloc = allocation_field(alpha, economy)
-    residual = budget_excess(alpha, economy, prior)
+    residual = _priced_claims(alloc, economy, prior)
     if np.max(np.abs(residual)) > budget_tol:
         raise NegishiError(
             f"PDE budget check disagrees with the closed form "

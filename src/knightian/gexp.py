@@ -14,6 +14,7 @@ PDE route; the two are never merged.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -181,48 +182,56 @@ def _check_mode(mode: Mode, bounds: VolBounds):
         )
 
 
-def solve_terminal_values(
-    terminal: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode
-) -> ValueField:
-    """Backward-solve from explicit terminal node values.
+def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode, layers=None):
+    """March (nx,) or (k, nx) terminal node values back to t = 0 and return
+    them; with `layers`, an (nt + 1, nx) array, also store every time layer.
 
-    The scheme is explicit with central second differences; boundary rows are
+    The scheme is explicit with central second differences; boundary nodes are
     frozen (zero curvature there).  Internally each user time step is split
-    into enough sub-steps to keep the update monotone.
+    into enough sub-steps to keep the update monotone.  The flux is the band's
+    `bounds.g` or a fixed sigma's; the lower value is lower(f) = -upper(-f).
     """
     _check_mode(mode, bounds)
-    term = np.array(terminal, dtype=float)
-    if term.shape != (grid.nx,):
-        raise ValueError(f"terminal values must have shape ({grid.nx},)")
+    term = np.asarray(term, dtype=float)
+    if term.ndim not in (1, 2) or term.shape[-1] != grid.nx:
+        raise ValueError(f"terminal values must have shape ({grid.nx},) or (k, {grid.nx})")
     if not np.all(np.isfinite(term)):
         raise ValueError("terminal values must be finite")
 
     m = _substeps(bounds, grid)
     dtau = bounds.horizon / grid.nt / m
     inv_dx2 = 1.0 / grid.dx**2
-    hi2 = bounds.sigma_hi**2
-    lo2 = bounds.sigma_lo**2
+    flux = partial(np.multiply, 0.5 * mode.sigma**2) if mode.kind == "fixed" else bounds.g
 
-    if mode.kind == "upper":
-        def flux(d2):
-            return 0.5 * (hi2 * np.maximum(d2, 0.0) - lo2 * np.maximum(-d2, 0.0))
-    elif mode.kind == "lower":
-        def flux(d2):
-            return 0.5 * (lo2 * np.maximum(d2, 0.0) - hi2 * np.maximum(-d2, 0.0))
-    else:
-        half_s2 = 0.5 * mode.sigma**2
-
-        def flux(d2):
-            return half_s2 * d2
-
-    values = np.empty((grid.nt + 1, grid.nx))
-    values[grid.nt] = term
-    v = term.copy()
+    lower = mode.kind == "lower"
+    v = -term if lower else term.copy()
+    if layers is not None:
+        layers[grid.nt] = v
     for k in range(grid.nt, 0, -1):
         for _ in range(m):
-            d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_dx2
-            v[1:-1] += dtau * flux(d2)
-        values[k - 1] = v
+            d2 = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) * inv_dx2
+            v[..., 1:-1] += dtau * flux(d2)
+        if layers is not None:
+            layers[k - 1] = v
+    if lower:
+        # negation is exact but for marched zeros coming back as -0.0: adding 0.0
+        # to the marched interior restores +0.0; boundaries keep the payoff's zeros
+        v = -v
+        v[..., 1:-1] += 0.0
+        if layers is not None:
+            np.negative(layers, out=layers)
+            layers[:-1, 1:-1] += 0.0
+    return v
+
+
+def solve_terminal_values(
+    terminal: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode
+) -> ValueField:
+    """Backward-solve from explicit (nx,) terminal node values, keeping every layer."""
+    if np.shape(terminal) != (grid.nx,):
+        raise ValueError(f"terminal values must have shape ({grid.nx},)")
+    values = np.empty((grid.nt + 1, grid.nx))
+    _march(terminal, bounds, grid, mode, values)
     return ValueField(values, grid, bounds, mode)
 
 
@@ -248,10 +257,15 @@ def conditional_at(field: ValueField, t: float, x: float) -> float:
     return float(np.interp(x, g.nodes, field.values[k]))
 
 
-def expectation(expr: Expr, bounds: VolBounds, grid: GridSpec, mode: Mode) -> float:
-    """Expectation of the payoff at the origin of the band's horizon."""
-    field = solve_value_field(expr, bounds, grid, mode)
-    return conditional_at(field, 0.0, 0.0)
+def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Mode):
+    """Expectation at the origin of an expression or of node values on the
+    grid: an (nx,) vector gives a float, a (k, nx) stack, marched at once, a
+    (k,) array.  No field is stored; the origin is interpolated exactly as
+    `conditional_at(field, 0, 0)` does."""
+    v = _march(_terminal_of(payoff, grid), bounds, grid, mode)
+    if v.ndim == 1:
+        return float(np.interp(0.0, grid.nodes, v))
+    return np.array([np.interp(0.0, grid.nodes, row) for row in v])
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +362,18 @@ def mean_ambiguity_gap(
 ) -> GapResult:
     """Gap between the upper and lower expectations of a payoff.
 
-    `payoff` may be an expression or a vector of node values on the grid.
-    A gap within `tol` classifies the payoff as mean-ambiguity-free.
+    `payoff` may be an expression, a vector of node values on the grid, or a
+    (k, nx) stack of them, which gives every field as a (k,) array.  One upper
+    march of [f; -f] yields both bounds.  A gap within `tol` classifies the
+    payoff as mean-ambiguity-free.
     """
     term = _terminal_of(payoff, grid)
-    up = conditional_at(solve_terminal_values(term, bounds, grid, UPPER), 0.0, 0.0)
-    lo = conditional_at(solve_terminal_values(term, bounds, grid, LOWER), 0.0, 0.0)
+    rows = np.atleast_2d(term)
+    both = expectation(np.concatenate([rows, -rows]), bounds, grid, UPPER)
+    up, lo = both[: len(rows)], -both[len(rows) :] + 0.0
     gap = up - lo
-    return GapResult(gap, gap <= tol, up, lo)
+    res = GapResult(gap, gap <= tol, up, lo)
+    return GapResult(*(a.item() for a in res)) if term.ndim == 1 else res
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,9 +405,8 @@ def strong_ambiguity_probe(
     if not thresholds:
         raise ValueError("need at least one threshold")
     term = _terminal_of(payoff, grid)
-    gaps = []
-    for a in thresholds:
-        ramp = np.clip((term - a) / ramp_width, 0.0, 1.0)
-        gaps.append(mean_ambiguity_gap(ramp, bounds, grid, tol).gap)
-    gaps = tuple(gaps)
+    if term.shape != (grid.nx,):
+        raise ValueError(f"payoff values must have shape ({grid.nx},)")
+    ramps = np.clip((term - np.array(thresholds)[:, None]) / ramp_width, 0.0, 1.0)
+    gaps = tuple(mean_ambiguity_gap(ramps, bounds, grid, tol).gap.tolist())
     return StrongProbeReport(thresholds, gaps, any(g > tol for g in gaps), tol, ramp_width)

@@ -23,7 +23,7 @@ from .equilibrium import (
     PriorSpec,
     solve_equilibrium,
 )
-from .gexp import GapResult, mean_ambiguity_gap
+from .gexp import mean_ambiguity_gap
 
 __all__ = [
     "NetTradeSet",
@@ -86,11 +86,10 @@ def check_implementability(
 ) -> ImplementabilityVerdict:
     """Equilibrium is implementable when every net trade is mean-ambiguity-free."""
     trades = net_trades(result, economy)
-    verdicts = []
-    for name, row in zip(trades.names, trades.values):
-        res: GapResult = mean_ambiguity_gap(row, economy.bounds, economy.grid, tol)
-        verdicts.append(AgentVerdict(name, res.upper, res.lower, res.gap, res.mean_af))
-    return ImplementabilityVerdict(tuple(verdicts), all(v.mean_af for v in verdicts), tol)
+    res = mean_ambiguity_gap(trades.values, economy.bounds, economy.grid, tol)
+    columns = (res.upper, res.lower, res.gap, res.mean_af)
+    verdicts = tuple(AgentVerdict(*row) for row in zip(trades.names, *(c.tolist() for c in columns)))
+    return ImplementabilityVerdict(verdicts, all(v.mean_af for v in verdicts), tol)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knightian import dsl
 from knightian.dsl import (
     MAX_DEPTH,
     BinOp,
     Call,
     EvalDomainError,
+    ExprDepthError,
     Lit,
     Neg,
     PayoffParseError,
     Pow,
     Var,
+    _tree_depth,
     evaluate,
     parse,
     pretty_print,
@@ -118,6 +121,41 @@ class TestParse:
         for text in too_deep:
             with pytest.raises(PayoffParseError, match="deeper than"):
                 parse(text)
+
+    def test_code_built_tree_depth_checked(self):
+        # trees built in code skip the parser, so evaluate and pretty_print
+        # check the depth themselves instead of overflowing the stack
+        def nested(levels):
+            node = Var()
+            for _ in range(levels):
+                node = Neg(node)
+            return node
+
+        ok = nested(MAX_DEPTH - 1)
+        assert evaluate(ok, 2.0) == (-2.0 if (MAX_DEPTH - 1) % 2 else 2.0)
+        assert pretty_print(ok).count("-") == MAX_DEPTH - 1
+        for levels in (MAX_DEPTH, 5000):
+            with pytest.raises(ExprDepthError, match="deeper than"):
+                evaluate(nested(levels), np.linspace(-1.0, 1.0, 5))
+            with pytest.raises(ExprDepthError, match="deeper than"):
+                pretty_print(nested(levels))
+        assert issubclass(ExprDepthError, ValueError)
+
+    def test_depth_walk_visits_shared_nodes_once(self, monkeypatch):
+        # n = n + n shares one node per level; walking every path instead
+        # would take 2**levels steps, and memory to match
+        node = Var()
+        for _ in range(19):
+            node = BinOp("+", node, node)
+        visited = []
+
+        def counting_vars(obj):
+            visited.append(obj)
+            return vars(obj)
+
+        monkeypatch.setattr(dsl, "vars", counting_vars, raising=False)
+        assert _tree_depth(node) == 20
+        assert len(visited) == 20
 
     def test_unclosed_paren(self):
         with pytest.raises(PayoffParseError):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -90,6 +94,15 @@ class TestValidation:
             solve_terminal_values(np.zeros(100), BAND, g, UPPER)
         with pytest.raises(ValueError):
             solve_terminal_values(np.full(101, np.inf), BAND, g, UPPER)
+        # expectation marches (k, nx) stacks; a field is kept for one payoff only
+        for bad in (np.zeros((2, 101)), np.zeros((1, 101))):
+            with pytest.raises(ValueError):
+                solve_terminal_values(bad, BAND, g, UPPER)
+        for bad in (np.zeros((2, 3, 101)), np.zeros((2, 100)), np.full((2, 101), np.nan)):
+            with pytest.raises(ValueError):
+                expectation(bad, BAND, g, UPPER)
+        with pytest.raises(ValueError):
+            strong_ambiguity_probe(np.zeros((3, 101)), BAND, g, [0.0, 1.0, 2.0])
 
 
 class TestFixedSolver:
@@ -344,3 +357,96 @@ class TestGridConvergence:
                 d23 = abs(vals[1] - vals[2])
                 assert d23 < d12
                 assert d23 <= d12 / 1.8
+
+
+# ---------------------------------------------------------------------------
+# one march for every mode and for payoff stacks
+
+# small grid with two sub-steps per time step
+MARCH_GRID = GridSpec(-4.0, 4.0, 41, 15)
+# payoffs whose node values or marched values are signed zeros
+ZERO_PAYOFFS = ["0", "-(x - x)", "(-0.0) * x", "max(x, 0) - max(x, 0)", "-(max(x, 0) - max(x, 0))"]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes, so a signed zero counts as a difference."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_lower_field(term, bounds, grid):
+    """Reference lower march with its own flux, the band's infimum
+    0.5 * (lo2 * d2+ - hi2 * d2-), independent of the upper march."""
+    dt = bounds.horizon / grid.nt
+    m = max(1, math.ceil(bounds.sigma_hi**2 * dt / grid.dx**2 - 1e-12))
+    dtau = dt / m
+    inv_dx2 = 1.0 / grid.dx**2
+    hi2, lo2 = bounds.sigma_hi**2, bounds.sigma_lo**2
+    values = np.empty((grid.nt + 1, grid.nx))
+    values[grid.nt] = term
+    v = np.array(term, dtype=float)
+    for k in range(grid.nt, 0, -1):
+        for _ in range(m):
+            d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_dx2
+            v[1:-1] += dtau * (0.5 * (lo2 * np.maximum(d2, 0.0) - hi2 * np.maximum(-d2, 0.0)))
+        values[k - 1] = v
+    return values
+
+
+def check_lower_against_reference(term, bounds, grid):
+    ref = reference_lower_field(term, bounds, grid)
+    field = solve_terminal_values(term, bounds, grid, LOWER)
+    assert same_bits(field.values, ref)
+    origin = float(np.interp(0.0, grid.nodes, ref[0]))
+    assert same_bits(expectation(term, bounds, grid, LOWER), origin)
+    assert same_bits(conditional_at(field, 0.0, 0.0), origin)
+
+
+@st.composite
+def payoff_stacks(draw):
+    """(k, nx) node values of 1-6 random payoffs on MARCH_GRID."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    return np.stack([evaluate(random_payoff(rng), MARCH_GRID.nodes) for _ in range(k)])
+
+
+class TestBatchedMarch:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(stack=payoff_stacks())
+    def test_stack_matches_single_solves_and_lower_reference(self, stack):
+        for mode in (UPPER, LOWER, Mode.fixed(0.75)):
+            batched = expectation(stack, BAND, MARCH_GRID, mode)
+            singles = [expectation(row, BAND, MARCH_GRID, mode) for row in stack]
+            assert same_bits(batched, singles)
+        gaps = mean_ambiguity_gap(stack, BAND, MARCH_GRID)
+        for i, row in enumerate(stack):
+            single = mean_ambiguity_gap(row, BAND, MARCH_GRID)
+            assert all(same_bits(a[i], b) for a, b in zip(gaps, single))
+            assert single.upper == expectation(row, BAND, MARCH_GRID, UPPER)
+            assert same_bits(single.lower, expectation(row, BAND, MARCH_GRID, LOWER))
+            check_lower_against_reference(row, BAND, MARCH_GRID)
+
+    @pytest.mark.parametrize("text", ZERO_PAYOFFS)
+    def test_signed_zeros_match_lower_reference(self, text):
+        term = evaluate(parse(text), MARCH_GRID.nodes)
+        check_lower_against_reference(term, BAND, MARCH_GRID)
+        degenerate = VolBounds(0.7, 0.7, 1.0)
+        check_lower_against_reference(term, degenerate, MARCH_GRID)
+
+    def test_lower_of_zero_is_positive_zero(self):
+        for g in (MARCH_GRID, GridSpec(-6.0, 6.0, 101, 50)):
+            value = expectation(parse("0"), BAND, g, LOWER)
+            assert value == 0.0 and not np.signbit(value)
+            assert not np.signbit(mean_ambiguity_gap(parse("0"), BAND, g).lower)
+
+    def test_return_types(self):
+        stack = np.stack([evaluate(EXAMPLE, MARCH_GRID.nodes), MARCH_GRID.nodes])
+        assert isinstance(expectation(EXAMPLE, BAND, MARCH_GRID, UPPER), float)
+        assert isinstance(expectation(stack[0], BAND, MARCH_GRID, UPPER), float)
+        assert expectation(stack, BAND, MARCH_GRID, UPPER).shape == (2,)
+        single = mean_ambiguity_gap(stack[0], BAND, MARCH_GRID)
+        assert [type(f) for f in single] == [float, bool, float, float]
+        batched = mean_ambiguity_gap(stack, BAND, MARCH_GRID)
+        assert all(f.shape == (2,) for f in batched)
+        assert batched.mean_af.tolist() == [False, True]
+

@@ -13,6 +13,7 @@ from knightian import (
     net_trades,
     solve_equilibrium,
 )
+from knightian import gexp
 from knightian.dsl import parse
 from knightian.implementability import Perturbation
 
@@ -187,3 +188,34 @@ class TestGenericityProbe:
         )
         with pytest.raises(ValueError):
             genericity_probe(three, 3)
+
+
+COUNT_ENDOWMENTS = {
+    2: ("min(exp(x), 1)", "1 - min(exp(x), 1)"),
+    3: ("0.5 * min(exp(x), 1)", "0.2 + 0.25*(1 - min(exp(x), 1))", "0.3 + 0.25*(1 - min(exp(x), 1))"),
+}
+
+
+@pytest.mark.parametrize("n_agents", [2, 3])
+def test_one_march_per_batched_call(monkeypatch, n_agents):
+    """Every agent's column rides in one march: no per-agent march loops."""
+    grid = GridSpec(-6.0, 6.0, 101, 50)
+    agents = tuple(
+        Agent(f"a{i}", Utility.log(), parse(e)) for i, e in enumerate(COUNT_ENDOWMENTS[n_agents])
+    )
+    econ = Economy(agents, BAND, grid)
+    shapes = []
+    march = gexp._march
+
+    def counting_march(term, *args, **kwargs):
+        shapes.append(np.shape(term))
+        return march(term, *args, **kwargs)
+
+    monkeypatch.setattr(gexp, "_march", counting_march)
+    res = solve_equilibrium(econ, PRIOR1)
+    # endowment prices, then budget claims
+    assert shapes == [(n_agents, grid.nx), (n_agents, grid.nx)]
+    shapes.clear()
+    check_implementability(res, econ)
+    # one upper march of the net trades stacked over their negatives
+    assert shapes == [(2 * n_agents, grid.nx)]
