@@ -35,7 +35,7 @@ print("pricing sigma | weight a1 | consumption a1 | budget residual")
 consumptions = {}
 for sigma in (0.5, 0.75, 1.0):
     res = solve_equilibrium(economy, PriorSpec.constant(sigma))
-    c1 = float(res.allocations[0][0])
+    c1 = float(res.consumption[0])
     consumptions[sigma] = c1
     print(
         f"   {sigma:>10} | {float(res.alpha[0]):.6f}  | {c1:.6f}       | "
@@ -48,9 +48,10 @@ shift = consumptions[0.5] - consumptions[1.0]
 print(f"\nconsumption shift across the band: {shift:+.6f}")
 
 # Every one of these equilibria is full insurance: with a constant aggregate
-# endowment, efficient consumption is constant across states.
+# endowment, efficient consumption is constant across states. The printed
+# variation is how far the summed consumption misses the aggregate endowment.
 res = solve_equilibrium(economy, PriorSpec.constant(1.0))
-print(f"full-insurance variation at sigma=1.0: {full_insurance_check(res):.2e}")
+print(f"full-insurance variation at sigma=1.0: {full_insurance_check(res, economy):.2e}")
 
 # Agent one's equilibrium consumption equals the price of their endowment
 # under the chosen prior (log utility, unit aggregate): the whole effect is

@@ -4,7 +4,6 @@ from .config import Config, ConfigError, McSpec, Tolerances, load_config
 from .dsl import EvalDomainError, Expr, PayoffParseError, evaluate, parse, pretty_print
 from .equilibrium import (
     Agent,
-    Allocations,
     ConvergenceError,
     Economy,
     EquilibriumResult,
@@ -12,10 +11,7 @@ from .equilibrium import (
     NonConstantEndowmentError,
     PriorSpec,
     Utility,
-    allocation_field,
-    budget_excess,
     full_insurance_check,
-    inverse_marginal,
     solve_equilibrium,
 )
 from .gexp import (

@@ -144,7 +144,6 @@ def _solved_equilibrium(cfg: Config):
 
 def cmd_equilibrium(cfg: Config, args, out_dir: Path) -> int:
     economy, result = _solved_equilibrium(cfg)
-    shadow0 = float(result.shadow[0])
     if not cfg.bounds.degenerate:
         _say(
             args,
@@ -152,11 +151,11 @@ def cmd_equilibrium(cfg: Config, args, out_dir: Path) -> int:
             f"[{cfg.bounds.sigma_lo!r}, {cfg.bounds.sigma_hi!r}] supports a "
             "different equilibrium allocation",
         )
-    _say(args, f"shadow value: {shadow0!r}")
-    _say(args, f"full-insurance variation: {full_insurance_check(result)!r}")
+    _say(args, f"shadow value: {result.shadow!r}")
+    _say(args, f"full-insurance variation: {full_insurance_check(result, economy)!r}")
     rows = []
     for i, name in enumerate(result.names):
-        c0 = float(result.allocations[i][0])
+        c0 = float(result.consumption[i])
         a_i = float(result.alpha[i])
         rows.append((name, a_i, c0, float(result.budget_residual[i])))
         _say(args, f"agent {name}: weight={a_i!r} consumption={c0!r}")
@@ -195,10 +194,9 @@ def _net_trade_expr(cfg: Config, agent_name: str):
     if agent_name not in result.names:
         raise ValueError(f"no agent named {agent_name!r} in the configuration")
     i = result.names.index(agent_name)
-    shadow0 = float(result.shadow[0])
-    c0 = float(result.allocations[i][0])
+    c0 = float(result.consumption[i])
     endowment = economy.agents[i].endowment
-    return BinOp("*", Lit(shadow0), BinOp("-", Lit(c0), endowment))
+    return BinOp("*", Lit(result.shadow), BinOp("-", Lit(c0), endowment))
 
 
 def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:

@@ -334,7 +334,8 @@ def evaluate(expr: Expr, x):
     """
     _check_depth(expr)
     if isinstance(x, np.ndarray) and x.ndim > 0:
-        xs = np.asarray(x, dtype=float)
+        # a copy, so a bare x never hands back the caller's own array
+        xs = np.array(x, dtype=float)
         out = _eval(expr, xs)
         out = np.asarray(out, dtype=float)
         if out.shape != xs.shape:

@@ -3,13 +3,12 @@
 Agents share a constant aggregate endowment under a common volatility band.
 With a constant aggregate every efficient allocation is constant across
 states, so an agent's budget, priced under a chosen reference volatility,
-balances exactly when they consume the price of their endowment.  The
-planner weights supporting that allocation follow in closed form:
-weighted marginal utilities must all equal one shadow value.
+balances exactly when they consume p_i, the price of their endowment.  The
+whole equilibrium is then a handful of scalars: the prices, weights
+alpha_i proportional to 1 / u_i'(p_i), and one shadow value, the common
+weighted marginal utility.  Nothing is solved node by node.
 """
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,10 +26,6 @@ __all__ = [
     "NegishiError",
     "NonConstantEndowmentError",
     "EquilibriumResult",
-    "Allocations",
-    "inverse_marginal",
-    "allocation_field",
-    "budget_excess",
     "solve_equilibrium",
     "full_insurance_check",
 ]
@@ -39,14 +34,19 @@ __all__ = [
 # degenerate rather than interior
 BOUNDARY_MARGIN = 1e-8
 
+# summed endowment prices may miss the aggregate by at most this much,
+# relative to max(1, |aggregate|)
+CLEARING_TOL = 1e-9
+
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve (the shadow-value bisection) failed to converge."""
+    """No equilibrium could be built at this prior (exit code 4)."""
 
 
 class NegishiError(ConvergenceError):
-    """No interior equilibrium: weights at the simplex boundary, or a PDE
-    budget check that disagrees with the closed form."""
+    """No interior equilibrium: an endowment price that is not positive,
+    weights at the simplex boundary, prices that do not clear the aggregate,
+    or a PDE budget check that disagrees with the closed form."""
 
 
 class NonConstantEndowmentError(RuntimeError):
@@ -111,28 +111,6 @@ class Utility:
         return float(out) if out.ndim == 0 else out
 
 
-def inverse_marginal(utility: Utility, y):
-    """Consumption level whose marginal utility equals y.
-
-    For exp utility the marginal range on positive consumption is (0, 1), so
-    y >= 1 is rejected.
-    """
-    ya = np.asarray(y, dtype=float)
-    if np.any(ya <= 0.0):
-        raise ValueError("marginal utility value must be positive")
-    if utility.kind == "log":
-        out = 1.0 / ya
-    elif utility.kind == "power":
-        out = ya ** (-1.0 / utility.gamma)
-    else:
-        if np.any(ya >= 1.0):
-            raise ValueError(
-                "y outside the marginal range (0, 1) of exp utility on positive consumption"
-            )
-        out = -np.log(ya) / utility.a
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class Agent:
     name: str
@@ -195,12 +173,6 @@ class Economy:
             raise ValueError("aggregate endowment must be strictly positive on the grid")
         scale = max(1.0, float(np.max(np.abs(self.aggregate))))
         self.constant_aggregate = bool(np.ptp(self.aggregate) <= 1e-10 * scale)
-        if any(a.utility.kind == "exp" for a in self.agents):
-            warnings.warn(
-                "exp utility has bounded marginal utility; planner allocations at "
-                "lopsided weights may hit the consumption floor",
-                stacklevel=2,
-            )
 
     @property
     def names(self) -> tuple:
@@ -211,109 +183,14 @@ class Economy:
         return len(self.agents)
 
 
-def _shadow_bisect(alpha: np.ndarray, e_vals: np.ndarray, utilities) -> np.ndarray:
-    """Solve sum_i inverse_marginal_i(lam / alpha_i) = e for lam, elementwise.
-
-    The sum is strictly decreasing in lam, so bisection from a geometric
-    bracket converges unconditionally whenever the target is attainable.
-    """
-    e = np.asarray(e_vals, dtype=float)
-    if np.any(e <= 0.0):
-        raise ValueError("aggregate endowment must be positive")
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0.0):
-        raise ValueError("weights must be positive")
-
-    caps = [alpha[i] for i, u in enumerate(utilities) if u.kind == "exp"]
-    lam_cap = min(caps) if caps else math.inf
-
-    def total(lam):
-        acc = np.zeros_like(e)
-        for i, u in enumerate(utilities):
-            acc = acc + inverse_marginal(u, lam / alpha[i])
-        return acc
-
-    hi0 = lam_cap * (1.0 - 1e-12) if math.isfinite(lam_cap) else 1.0
-    lo = np.full_like(e, hi0 * 0.5)
-    while np.any(need := total(lo) < e):
-        lo = np.where(need, lo * 0.25, lo)
-        if np.any(lo < 1e-280):
-            raise ConvergenceError("failed to bracket the shadow value from below")
-
-    hi = np.full_like(e, hi0)
-    if math.isfinite(lam_cap):
-        if np.any(total(hi) > e):
-            raise ConvergenceError(
-                "aggregate endowment unattainable with positive consumption "
-                "(exp-utility marginal range exhausted)"
-            )
-    else:
-        while np.any(need := total(hi) > e):
-            hi = np.where(need, hi * 4.0, hi)
-            if np.any(hi > 1e280):
-                raise ConvergenceError("failed to bracket the shadow value from above")
-
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        low_side = total(mid) >= e
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-    lam = 0.5 * (lo + hi)
-
-    resid = np.max(np.abs(total(lam) - e) / np.maximum(1.0, np.abs(e)))
-    if resid > 1e-9:
-        raise ConvergenceError(f"shadow-value bisection residual {resid:.3e}")
-    return lam
-
-
-@dataclass(eq=False)
-class Allocations:
-    """Per-agent consumption grids with the shadow-value grid."""
-
-    consumption: np.ndarray  # (n_agents, nx)
-    shadow: np.ndarray  # (nx,)
-
-
-def allocation_field(alpha, economy: Economy) -> Allocations:
-    """Planner allocation node by node across the grid."""
-    if len(np.asarray(alpha)) != economy.n_agents:
-        raise ValueError("one weight per agent required")
-    if not economy.constant_aggregate:
-        warnings.warn(
-            "aggregate endowment varies across the grid; the planner field is "
-            "informative only and does not support an equilibrium here",
-            stacklevel=2,
-        )
-    utilities = [a.utility for a in economy.agents]
-    alpha = np.asarray(alpha, dtype=float)
-    lam = _shadow_bisect(alpha, economy.aggregate, utilities)
-    c = np.stack([inverse_marginal(u, lam / alpha[i]) for i, u in enumerate(utilities)])
-    return Allocations(c, lam)
-
-
-def _priced_claims(alloc: Allocations, economy: Economy, prior: PriorSpec) -> np.ndarray:
-    # every agent's claim shadow * (c_i - e_i), priced in one march
-    claims = alloc.shadow * (alloc.consumption - economy.endowment_values)
-    return expectation(claims, economy.bounds, economy.grid, prior.mode())
-
-
-def budget_excess(alpha, economy: Economy, prior: PriorSpec) -> np.ndarray:
-    """Priced budget surplus of each agent at the candidate weights.
-
-    The claim shadow * (c_i - e_i) is valued by a linear heat solve at the
-    prior volatility; at an equilibrium every component vanishes.
-    The prior must sit inside the band; the heat solve checks it.
-    """
-    return _priced_claims(allocation_field(alpha, economy), economy, prior)
-
-
 @dataclass(eq=False)
 class EquilibriumResult:
-    alpha: np.ndarray  # planner weights, summing to one
-    allocations: np.ndarray  # (n_agents, nx) consumption grids
-    shadow: np.ndarray  # (nx,) shadow-value grid, the state-price density proxy
+    alpha: np.ndarray  # (n_agents,) planner weights, summing to one
+    consumption: np.ndarray  # (n_agents,) constant consumption: the endowment prices
+    shadow: float  # common weighted marginal utility, the state-price density proxy
     prior: PriorSpec
     names: tuple
+    grid: GridSpec  # grid the prices were marched on
     budget_residual: np.ndarray  # PDE-priced budget surplus per agent
 
 
@@ -323,11 +200,12 @@ def solve_equilibrium(
     """Full-insurance equilibrium priced at the prior volatility.
 
     Requires a constant aggregate endowment.  Agent i then consumes p_i, the
-    fixed-volatility price of their endowment, and the weights are
-    alpha_i proportional to 1 / u_i'(p_i), so alpha_i u_i'(p_i) is one common
-    shadow value.  The planner allocation at those weights and the full
-    PDE-priced budget surplus are computed independently as cross-checks;
-    a surplus above `budget_tol` raises NegishiError.
+    fixed-volatility price of their endowment; the weights are alpha_i
+    proportional to 1 / u_i'(p_i) and the shadow value is
+    1 / sum_j 1 / u_j'(p_j), so alpha_i u_i'(p_i) equals it for every agent.
+    Two checks raise NegishiError: prices that miss the aggregate by more
+    than CLEARING_TOL (relative to max(1, |e|)), and net trades
+    shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`.
     """
     if not economy.constant_aggregate:
         raise NonConstantEndowmentError(
@@ -347,23 +225,27 @@ def solve_equilibrium(
             "planner weights at the simplex boundary; no interior equilibrium at this prior"
         )
 
-    alloc = allocation_field(alpha, economy)
-    residual = _priced_claims(alloc, economy, prior)
-    if np.max(np.abs(residual)) > budget_tol:
-        raise NegishiError(
-            f"PDE budget check disagrees with the closed form "
-            f"(residual {np.max(np.abs(residual)):.3e})"
-        )
-    return EquilibriumResult(
+    shadow = float(1.0 / inv_marginal.sum())
+    claims = shadow * (prices[:, None] - economy.endowment_values)
+    result = EquilibriumResult(
         alpha=alpha,
-        allocations=alloc.consumption,
-        shadow=alloc.shadow,
+        consumption=prices,
+        shadow=shadow,
         prior=prior,
         names=economy.names,
-        budget_residual=residual,
+        grid=economy.grid,
+        budget_residual=expectation(claims, economy.bounds, economy.grid, prior.mode()),
     )
+    clearing = full_insurance_check(result, economy)
+    if clearing > CLEARING_TOL * max(1.0, float(np.max(np.abs(economy.aggregate)))):
+        raise NegishiError(f"endowment prices do not clear the aggregate (residual {clearing:.3e})")
+    worst = float(np.max(np.abs(result.budget_residual)))
+    if worst > budget_tol:
+        raise NegishiError(f"PDE budget check disagrees with the closed form (residual {worst:.3e})")
+    return result
 
 
-def full_insurance_check(result: EquilibriumResult) -> float:
-    """Largest variation of any agent's consumption across states."""
-    return float(np.max(np.ptp(result.allocations, axis=1)))
+def full_insurance_check(result: EquilibriumResult, economy: Economy) -> float:
+    """Largest gap, over the grid, between the agents' summed consumption and
+    the aggregate endowment."""
+    return float(np.max(np.abs(result.consumption.sum() - economy.aggregate)))

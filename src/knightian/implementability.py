@@ -50,9 +50,9 @@ def net_trades(result: EquilibriumResult, economy: Economy) -> NetTradeSet:
     """Net trade grid of each agent: shadow * (consumption - endowment)."""
     if result.names != economy.names:
         raise ValueError("result and economy list different agents")
-    if result.allocations.shape != economy.endowment_values.shape:
+    if result.grid != economy.grid:
         raise ValueError("result and economy use different grids")
-    values = result.shadow * (result.allocations - economy.endowment_values)
+    values = result.shadow * (result.consumption[:, None] - economy.endowment_values)
     clearing = float(np.max(np.abs(values.sum(axis=0))))
     if clearing > 1e-10:
         raise ValueError(f"market clearing violated (residual {clearing:.3e})")

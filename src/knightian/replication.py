@@ -114,6 +114,8 @@ class GridFunction:
     horizon: float
 
     def at(self, t: float, x):
+        if not 0.0 <= t <= self.horizon + 1e-12:
+            raise ValueError(f"time {t} outside [0, {self.horizon}]")
         k = layer_at_or_below(t, self.horizon, self.grid.nt)
         xa = np.asarray(x, dtype=float)
         nodes = self.grid.nodes

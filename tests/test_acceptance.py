@@ -103,12 +103,12 @@ def test_a3_allocation_indeterminacy():
     econ = example_economy(grid=GRID)
     res_hi = solve_equilibrium(econ, PriorSpec.constant(1.0))
     res_lo = solve_equilibrium(econ, PriorSpec.constant(0.5))
-    c_hi = float(res_hi.allocations[0][0])
-    c_lo = float(res_lo.allocations[0][0])
+    c_hi = float(res_hi.consumption[0])
+    c_lo = float(res_lo.consumption[0])
     shift = abs(c_hi - c_lo)
     assert shift == pytest.approx(0.088, abs=0.01)
-    fi_hi = full_insurance_check(res_hi)
-    fi_lo = full_insurance_check(res_lo)
+    fi_hi = full_insurance_check(res_hi, econ)
+    fi_lo = full_insurance_check(res_lo, econ)
     assert fi_hi < 1e-8 and fi_lo < 1e-8
     print(
         f"PASS indeterminacy: c1 {c_hi:.5f} vs {c_lo:.5f} (shift {shift:.5f}), "

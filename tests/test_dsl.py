@@ -194,6 +194,12 @@ class TestEvaluate:
         b = evaluate(e, xs)
         assert np.array_equal(a, b)
 
+    def test_result_never_aliases_input(self):
+        xs = np.linspace(-2, 2, 5)
+        kept = xs.copy()
+        evaluate(parse("x"), xs)[:] = 99.0
+        assert np.array_equal(xs, kept)
+
     def test_log_domain(self):
         with pytest.raises(EvalDomainError):
             evaluate(parse("log(x)"), -1.0)

@@ -64,6 +64,10 @@ class TestNetTrades:
         other = symmetric_economy(grid=GRID)
         with pytest.raises(ValueError):
             net_trades(res, other)
+        # the same agents on another grid with as many nodes
+        moved = example_economy(grid=GridSpec(-5.0, 5.0, GRID.nx, GRID.nt))
+        with pytest.raises(ValueError, match="different grids"):
+            net_trades(res, moved)
 
 
 class TestCheckImplementability:
@@ -81,7 +85,7 @@ class TestCheckImplementability:
         verdict = check_implementability(res, econ)
         v1 = verdict.agent("a1")
         # upper of c - e1 is c - lower of e1
-        c_star = float(res.allocations[0][0])
+        c_star = float(res.consumption[0])
         assert v1.upper == pytest.approx(c_star - 0.7435, abs=2e-3)
         assert v1.lower == pytest.approx(c_star - 0.8626, abs=2e-3)
 

@@ -200,8 +200,8 @@ class TestNetTradeReplication:
         trade = net_trades(res, econ).values[0]
         from knightian.dsl import BinOp, Lit
 
-        c0 = float(res.allocations[0][0])
-        expr = BinOp("*", Lit(float(res.shadow[0])), BinOp("-", Lit(c0), econ.agents[0].endowment))
+        c0 = float(res.consumption[0])
+        expr = BinOp("*", Lit(res.shadow), BinOp("-", Lit(c0), econ.agents[0].endowment))
         h = hedge_field(expr, BAND, GRID)
         p = simulate_paths(ControlSpec.constant(0.5), BAND, 20000, 256, seed=31)
         rep = replicate(expr, h, p)
@@ -223,8 +223,8 @@ class TestNetTradeReplication:
         res = solve_equilibrium(econ, PriorSpec.constant(1.0))
         from knightian.dsl import BinOp, Lit
 
-        c0 = float(res.allocations[0][0])
-        expr = BinOp("*", Lit(float(res.shadow[0])), BinOp("-", Lit(c0), econ.agents[0].endowment))
+        c0 = float(res.consumption[0])
+        expr = BinOp("*", Lit(res.shadow), BinOp("-", Lit(c0), econ.agents[0].endowment))
         h = hedge_field(expr, BAND, GRID)
         for sigma in (0.5, 1.0):
             p = simulate_paths(ControlSpec.constant(sigma), BAND, 4000, 128, seed=17)
@@ -240,9 +240,9 @@ class TestNetTradeReplication:
 
         hs = []
         for i in range(2):
-            c0 = float(res.allocations[i][0])
+            c0 = float(res.consumption[i])
             expr = BinOp(
-                "*", Lit(float(res.shadow[0])), BinOp("-", Lit(c0), econ.agents[i].endowment)
+                "*", Lit(res.shadow), BinOp("-", Lit(c0), econ.agents[i].endowment)
             )
             hs.append(hedge_field(expr, BAND, GRID))
         total = hs[0].eta.values + hs[1].eta.values
@@ -458,6 +458,11 @@ class TestGridFunctionInterp:
 
     def test_nan_query(self, field):
         assert np.isnan(field.at(0.5, np.nan))
+
+    @pytest.mark.parametrize("t", [-0.5, -1e-9, np.nan, BAND.horizon + 1e-9, 2.0])
+    def test_time_outside_horizon_rejected(self, field, t):
+        with pytest.raises(ValueError, match="outside"):
+            field.at(t, 0.0)
 
 
 class TestGolden:
