@@ -268,6 +268,7 @@ def cmd_probe(cfg: Config, args, out_dir: Path) -> int:
         seed=cfg.mc.seed,
         prior=cfg.pricing_prior,
         tol=cfg.tolerances.mean_af,
+        budget_tol=cfg.tolerances.equilibrium,
     )
     _say(
         args,

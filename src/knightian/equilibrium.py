@@ -207,42 +207,86 @@ def solve_equilibrium(
     than CLEARING_TOL (relative to max(1, |e|)), and net trades
     shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`.
     """
-    if not economy.constant_aggregate:
-        raise NonConstantEndowmentError(
-            "aggregate endowment varies across the grid; constant-sum "
-            "endowments are required for an equilibrium"
-        )
-    prices = expectation(economy.endowment_values, economy.bounds, economy.grid, prior.mode())
-    if np.any(prices <= 0.0):
-        raise NegishiError(
-            "an endowment has no positive price; no interior equilibrium at this prior"
-        )
-    inv_marginal = np.array([1.0 / a.utility.marginal(p) for a, p in zip(economy.agents, prices)])
-    alpha = inv_marginal / inv_marginal.sum()
-    # also catches weights that are not finite
-    if not np.all(alpha >= BOUNDARY_MARGIN):
-        raise NegishiError(
-            "planner weights at the simplex boundary; no interior equilibrium at this prior"
-        )
+    (outcome,) = _solve_stack((economy,), prior, budget_tol)
+    if isinstance(outcome, NegishiError):
+        raise outcome
+    return outcome
 
-    shadow = float(1.0 / inv_marginal.sum())
-    claims = shadow * (prices[:, None] - economy.endowment_values)
-    result = EquilibriumResult(
-        alpha=alpha,
-        consumption=prices,
-        shadow=shadow,
-        prior=prior,
-        names=economy.names,
-        grid=economy.grid,
-        budget_residual=expectation(claims, economy.bounds, economy.grid, prior.mode()),
+
+def _solve_stack(economies, prior: PriorSpec, budget_tol: float) -> list:
+    """Solve economies that share their agents' utilities, band and grid.
+
+    Returns, per economy and in order, its EquilibriumResult or the
+    NegishiError that `solve_equilibrium` raises for it.  Two marches serve
+    the whole stack: one of every endowment, then one of every budget claim
+    of the economies that passed the price and weight checks.  Each check
+    runs on all economies at once, with the same arithmetic per economy as
+    a solve of that economy alone, so every value is bit-identical to it.
+    """
+    for economy in economies:
+        if not economy.constant_aggregate:
+            raise NonConstantEndowmentError(
+                "aggregate endowment varies across the grid; constant-sum "
+                "endowments are required for an equilibrium"
+            )
+    first = economies[0]
+    bounds, grid, mode = first.bounds, first.grid, prior.mode()
+    endowments = np.stack([e.endowment_values for e in economies])  # (s, n, nx)
+    s, n, nx = endowments.shape
+    prices = expectation(endowments.reshape(s * n, nx), bounds, grid, mode).reshape(s, n)
+
+    outcomes = [None] * s
+    ok = np.ones(s, dtype=bool)
+
+    def check(passed, message, residual=None):
+        for i in np.flatnonzero(ok & ~passed):
+            text = message if residual is None else f"{message} (residual {residual[i]:.3e})"
+            outcomes[i] = NegishiError(text)
+        ok[:] &= passed
+
+    check(
+        ~np.any(prices <= 0.0, axis=1),
+        "an endowment has no positive price; no interior equilibrium at this prior",
     )
-    clearing = full_insurance_check(result, economy)
-    if clearing > CLEARING_TOL * max(1.0, float(np.max(np.abs(economy.aggregate)))):
-        raise NegishiError(f"endowment prices do not clear the aggregate (residual {clearing:.3e})")
-    worst = float(np.max(np.abs(result.budget_residual)))
-    if worst > budget_tol:
-        raise NegishiError(f"PDE budget check disagrees with the closed form (residual {worst:.3e})")
-    return result
+    inv_marginal = np.ones((s, n))
+    # a marginal utility that underflows to zero has an infinite inverse, and
+    # the weights are then not finite: the boundary check rejects them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, agent in enumerate(first.agents):
+            inv_marginal[ok, j] = 1.0 / agent.utility.marginal(prices[ok, j])
+        total = inv_marginal.sum(axis=1)
+        alpha = inv_marginal / total[:, None]
+    # also catches weights that are not finite
+    check(
+        np.all(alpha >= BOUNDARY_MARGIN, axis=1),
+        "planner weights at the simplex boundary; no interior equilibrium at this prior",
+    )
+
+    live = np.flatnonzero(ok)
+    shadow = np.zeros(s)
+    shadow[live] = 1.0 / total[live]
+    residual = np.zeros((s, n))
+    if live.size:
+        claims = shadow[live, None, None] * (prices[live, :, None] - endowments[live])
+        residual[live] = expectation(claims.reshape(-1, nx), bounds, grid, mode).reshape(-1, n)
+    aggregates = np.stack([e.aggregate for e in economies])
+    clearing = np.max(np.abs(prices.sum(axis=1)[:, None] - aggregates), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(aggregates), axis=1))
+    passed = ~(clearing > CLEARING_TOL * scale)
+    check(passed, "endowment prices do not clear the aggregate", clearing)
+    worst = np.max(np.abs(residual), axis=1)
+    check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)
+    for i in np.flatnonzero(ok):
+        outcomes[i] = EquilibriumResult(
+            alpha=alpha[i],
+            consumption=prices[i],
+            shadow=float(shadow[i]),
+            prior=prior,
+            names=economies[i].names,
+            grid=grid,
+            budget_residual=residual[i],
+        )
+    return outcomes
 
 
 def full_insurance_check(result: EquilibriumResult, economy: Economy) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .dsl import BinOp, Call, Lit, Neg, Pow, Var
 from .equilibrium import (
@@ -21,7 +20,7 @@ from .equilibrium import (
     Economy,
     EquilibriumResult,
     PriorSpec,
-    solve_equilibrium,
+    _solve_stack,
 )
 from .gexp import mean_ambiguity_gap
 
@@ -151,6 +150,25 @@ def _clamped_share(e_total: float, amplitude: float, tilt):
     return Call("min", (Call("max", (raw, Lit(eps))), Lit(e_total - eps)))
 
 
+# two-sided 95 percent normal quantile, norm.ppf(0.975)
+_Z95 = 1.959963984540054
+
+
+def _wilson_interval(k: int, n: int) -> tuple:
+    """95 percent Wilson score interval for k successes in n trials, in the
+    closed form of Newcombe (1998); the ends are exactly 0 and 1 at k = 0 and
+    k = n."""
+    z = _Z95
+    p = k / n
+    q = 1 - p
+    denom = 2 * (n + z**2)
+    center = (2 * n * p + z**2) / denom
+    delta = z / denom * math.sqrt(4 * n * p * q + z**2)
+    low = 0.0 if k == 0 else center - delta
+    high = 1.0 if k == n else center + delta
+    return low, high
+
+
 def genericity_probe(
     economy: Economy,
     n_samples: int,
@@ -158,14 +176,19 @@ def genericity_probe(
     seed: int = 0,
     prior: Optional[PriorSpec] = None,
     tol: float = 1e-3,
+    budget_tol: float = 1e-10,
 ) -> ProbeResult:
     """Estimate how often perturbed endowments break implementability.
 
     Each sample redraws the first agent's endowment as a clamped tilt of the
-    fifty-fifty split, re-solves the equilibrium, and tests the net trades.
-    The failing fraction over successful solves is reported with a 95 percent
-    Wilson interval; solve failures are tallied separately, never silently
-    counted as either outcome.
+    fifty-fifty split, re-solves the equilibrium (`budget_tol` as in
+    `solve_equilibrium`), and tests the net trades.  The failing fraction
+    over successful solves is reported with a 95 percent Wilson interval;
+    solve failures are tallied separately, never silently counted as either
+    outcome.  Every sample gives what `solve_equilibrium` and
+    `check_implementability` give it alone, but the whole probe takes three
+    marches: one of every endowment, one of every budget claim and one of
+    every net trade.
     """
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")
@@ -180,9 +203,8 @@ def genericity_probe(
     scale = economy.bounds.sigma_hi * math.sqrt(economy.bounds.horizon)
     a1, a2 = economy.agents
 
-    samples = []
-    n_failing = 0
-    n_failed_solves = 0
+    draws = []
+    economies = []
     for k in range(n_samples):
         # one independent substream per sample; reproducible regardless of
         # how many samples precede it
@@ -190,6 +212,7 @@ def genericity_probe(
         rng = np.random.default_rng(sample_seed)
         center = float(rng.uniform(-1.5 * scale, 1.5 * scale))
         width = float(rng.uniform(0.3 * scale, 1.0 * scale))
+        draws.append((k, sample_seed, center, width))
 
         tilt = _tilt_expr(perturbation.family, center, width)
         e1 = _clamped_share(e_total, perturbation.amplitude, tilt)
@@ -202,27 +225,33 @@ def genericity_probe(
             economy.bounds,
             economy.grid,
         )
-        try:
-            result = solve_equilibrium(perturbed, prior)
-            verdict = check_implementability(result, perturbed, tol)
-        except ConvergenceError as err:
-            n_failed_solves += 1
-            samples.append(ProbeSample(k, sample_seed, center, width, None, None, str(err)))
-            continue
-        gap_max = max(v.gap for v in verdict.agents)
-        if not verdict.implementable:
-            n_failing += 1
-        samples.append(
-            ProbeSample(k, sample_seed, center, width, gap_max, verdict.implementable)
-        )
+        economies.append(perturbed)
 
-    n_solved = n_samples - n_failed_solves
+    outcomes = _solve_stack(economies, prior, budget_tol)
+    solved = [k for k, out in enumerate(outcomes) if not isinstance(out, ConvergenceError)]
+    verdicts = iter(())
+    if solved:
+        trades = np.concatenate([net_trades(outcomes[k], economies[k]).values for k in solved])
+        res = mean_ambiguity_gap(trades, economy.bounds, economy.grid, tol)
+        per_sample = (c.reshape(len(solved), -1).tolist() for c in (res.gap, res.mean_af))
+        verdicts = zip(*per_sample)
+
+    samples = []
+    n_failing = 0
+    for draw, outcome in zip(draws, outcomes):
+        if isinstance(outcome, ConvergenceError):
+            samples.append(ProbeSample(*draw, None, None, str(outcome)))
+            continue
+        gaps, mean_af = next(verdicts)
+        if not all(mean_af):
+            n_failing += 1
+        samples.append(ProbeSample(*draw, max(gaps), all(mean_af)))
+
+    n_solved = len(solved)
+    n_failed_solves = n_samples - n_solved
     if n_solved > 0:
         fraction = n_failing / n_solved
-        ci = binomtest(n_failing, n_solved).proportion_ci(
-            confidence_level=0.95, method="wilson"
-        )
-        low, high = float(ci.low), float(ci.high)
+        low, high = _wilson_interval(n_failing, n_solved)
     else:
         fraction, low, high = math.nan, math.nan, math.nan
     return ProbeResult(

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main()."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -236,6 +237,16 @@ class TestEquilibrium:
         assert code == 4
         assert "error:" in err
 
+    def test_underflowing_marginal_utility_exit(self, ws, capsys):
+        exp_agents = [
+            {"name": "a1", "utility": {"kind": "exp", "a": 2000}, "endowment": "min(exp(x), 1)"},
+            {"name": "a2", "utility": {"kind": "exp", "a": 2000}, "endowment": "1 - min(exp(x), 1)"},
+        ]
+        write_config(ws / "exp2000.json", agents=exp_agents)
+        code, _, err = run(capsys, "--config", str(ws / "exp2000.json"), "equilibrium")
+        assert code == 4
+        assert "simplex boundary" in err
+
     def test_tolerance_bounds_budget_check(self, ws, capsys):
         # the PDE budget residual of the example is about 1e-16; a tighter
         # tolerances.equilibrium makes the cross-check fail
@@ -392,6 +403,52 @@ class TestProbe:
     def test_zero_samples_rejected(self, ws, probe_cfg, capsys):
         code, _, _ = run(capsys, "--config", probe_cfg, "probe", "--samples", "0")
         assert code == 2
+
+    def test_equilibrium_tolerance_applies(self, ws, capsys):
+        # budget residuals are about 1e-16, so a 1e-300 tolerance fails every solve
+        write_config(
+            ws / "probe_strict.json",
+            grid={"x_min": -6.0, "x_max": 6.0, "nx": 201, "nt": 350},
+            tolerances={"mean_af": 0.001, "equilibrium": 1e-300},
+        )
+        out_dir = ws / "probe_strict"
+        code, out, _ = run(
+            capsys,
+            "--config", str(ws / "probe_strict.json"), "--out", str(out_dir),
+            "probe", "--samples", "3",
+        )
+        assert code == 0
+        assert grab(out, "samples:") == "3 (solved 0, solver failures 3)"
+        rows = read_csv(out_dir / "probe.csv")[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[5] == "error"
+            assert row[6].startswith("PDE budget check disagrees with the closed form")
+
+    def test_mixed_failures_pinned(self, ws, capsys):
+        # two exp(200) agents: three of eight samples have weights at the
+        # simplex boundary; the file is pinned byte for byte
+        exp_agents = [
+            {"name": "a1", "utility": {"kind": "exp", "a": 200}, "endowment": "min(exp(x), 1)"},
+            {"name": "a2", "utility": {"kind": "exp", "a": 200}, "endowment": "1 - min(exp(x), 1)"},
+        ]
+        mc = {"paths": 4000, "steps": 128, "seed": 1, "increments": "binary"}
+        write_config(ws / "probe_exp.json", agents=exp_agents, mc=mc)
+        out_dir = ws / "probe_exp"
+        code, out, _ = run(
+            capsys,
+            "--config", str(ws / "probe_exp.json"), "--out", str(out_dir),
+            "probe", "--samples", "8",
+        )
+        assert code == 0
+        assert grab(out, "samples:") == "8 (solved 5, solver failures 3)"
+        assert grab(out, "wilson 95% interval:") == "[0.0, 0.43448246478317476]"
+        blob = (out_dir / "probe.csv").read_bytes()
+        assert blob.count(b"planner weights at the simplex boundary") == 3
+        assert (
+            hashlib.sha256(blob).hexdigest()
+            == "88e98006ea3126c30b3a62ae971d78788bd9de4694246e855fdff68de62774e8"
+        )
 
 
 class TestDeterminism:

@@ -283,6 +283,20 @@ class TestSolveEquilibrium:
         assert res.alpha == pytest.approx([0.5, 0.5], abs=1e-9)
         assert np.max(np.abs(res.consumption - 0.5)) < 1e-8
 
+    def test_underflowing_marginal_utility_at_boundary(self):
+        # exp(-2000 c) is 0.0 at the endowment prices, so 1 / u'(p) is infinite
+        # and the weights are not finite: the boundary check rejects them
+        econ = Economy(
+            (
+                Agent("a", Utility.exponential(2000.0), parse("min(exp(x), 1)")),
+                Agent("b", Utility.exponential(2000.0), parse("1 - min(exp(x), 1)")),
+            ),
+            BAND,
+            GridSpec(-6.0, 6.0, 101, 50),
+        )
+        with pytest.raises(NegishiError, match="simplex boundary"):
+            solve_equilibrium(econ, PRIOR1)
+
     def test_prices_that_do_not_clear_rejected(self, monkeypatch):
         march = equilibrium.expectation
 

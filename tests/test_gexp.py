@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from knightian import (
     strong_ambiguity_probe,
     tree_expectation,
 )
+from knightian import gexp
 from knightian.dsl import evaluate, parse
 from knightian.gexp import MEMORY_BUDGET, _tree_positions, _tree_reachable, _tree_sweep
 
@@ -450,3 +452,98 @@ class TestBatchedMarch:
         assert all(f.shape == (2,) for f in batched)
         assert batched.mean_af.tolist() == [False, True]
 
+
+
+# ---------------------------------------------------------------------------
+# the node-major march kernel against the row-major update it replaces
+
+
+def row_major_march(term, bounds, grid, mode, layers=None):
+    """Reference march: the row-major update of a (nx,) vector or a (k, nx)
+    stack, one allocating ufunc expression per sub-step, with the flux taken
+    from `VolBounds.g`."""
+    dt = bounds.horizon / grid.nt
+    m = max(1, math.ceil(bounds.sigma_hi**2 * dt / grid.dx**2 - 1e-12))
+    dtau = dt / m
+    inv_dx2 = 1.0 / grid.dx**2
+    if mode.kind == "fixed":
+        def flux(d2):
+            return np.multiply(0.5 * mode.sigma**2, d2)
+    else:
+        flux = bounds.g
+    lower = mode.kind == "lower"
+    v = -term if lower else np.array(term, dtype=float)
+    if layers is not None:
+        layers[grid.nt] = v
+    for k in range(grid.nt, 0, -1):
+        for _ in range(m):
+            d2 = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) * inv_dx2
+            v[..., 1:-1] += dtau * flux(d2)
+        if layers is not None:
+            layers[k - 1] = v
+    if lower:
+        v = -v
+        v[..., 1:-1] += 0.0
+        if layers is not None:
+            np.negative(layers, out=layers)
+            layers[:-1, 1:-1] += 0.0
+    return v
+
+
+DEGENERATE = VolBounds(0.7, 0.7, 1.0)
+
+
+def modes_of(bounds):
+    return (UPPER, LOWER, Mode.fixed(0.5 * (bounds.sigma_lo + bounds.sigma_hi)))
+
+
+@st.composite
+def march_cases(draw):
+    """A stack of random and signed-zero payoffs in random order, a band, a
+    mode and a row-chunk size."""
+    rows = list(draw(payoff_stacks()))
+    zeros = draw(st.lists(st.sampled_from(ZERO_PAYOFFS), max_size=3))
+    rows += [evaluate(parse(text), MARCH_GRID.nodes) for text in zeros]
+    order = draw(st.permutations(range(len(rows))))
+    bounds = draw(st.sampled_from([BAND, DEGENERATE]))
+    mode = draw(st.sampled_from(modes_of(bounds)))
+    chunk = draw(st.integers(1, 8))
+    return np.stack([rows[i] for i in order]), bounds, mode, chunk
+
+
+class TestNodeMajorMarch:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(case=march_cases())
+    def test_matches_row_major_reference(self, case):
+        stack, bounds, mode, chunk = case
+        g = MARCH_GRID
+        with mock.patch.object(gexp, "_MARCH_ROWS", chunk):
+            marched = gexp._march(stack, bounds, g, mode)
+        assert same_bits(marched, row_major_march(stack, bounds, g, mode))
+        for row in stack:
+            assert same_bits(gexp._march(row, bounds, g, mode), row_major_march(row, bounds, g, mode))
+            got, ref = np.empty((g.nt + 1, g.nx)), np.empty((g.nt + 1, g.nx))
+            gexp._march(row, bounds, g, mode, got)
+            row_major_march(row, bounds, g, mode, ref)
+            assert same_bits(got, ref)
+
+    @pytest.mark.parametrize("rows", [1, 7, "default", "whole"])
+    def test_chunk_size_invariance(self, monkeypatch, rows):
+        rng = np.random.default_rng(11)
+        k = 2 * gexp._MARCH_ROWS + 5
+        stack = [evaluate(random_payoff(rng), MARCH_GRID.nodes) for _ in range(k)]
+        stack += [evaluate(parse(text), MARCH_GRID.nodes) for text in ZERO_PAYOFFS]
+        stack = np.stack(stack)
+        if rows != "default":
+            monkeypatch.setattr(gexp, "_MARCH_ROWS", len(stack) if rows == "whole" else rows)
+        for mode in modes_of(BAND):
+            marched = gexp._march(stack, BAND, MARCH_GRID, mode)
+            assert same_bits(marched, row_major_march(stack, BAND, MARCH_GRID, mode))
+
+    def test_input_untouched(self):
+        stack = np.stack([MARCH_GRID.nodes**2, -MARCH_GRID.nodes])
+        before = stack.copy()
+        for mode in modes_of(BAND):
+            gexp._march(stack, BAND, MARCH_GRID, mode)
+            gexp._march(stack[0], BAND, MARCH_GRID, mode)
+        assert same_bits(stack, before)

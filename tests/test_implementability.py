@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 from knightian import (
     Agent,
+    ConvergenceError,
     Economy,
     GridSpec,
     PriorSpec,
@@ -14,8 +17,13 @@ from knightian import (
     solve_equilibrium,
 )
 from knightian import gexp
-from knightian.dsl import parse
-from knightian.implementability import Perturbation
+from knightian.dsl import BinOp, Lit, parse
+from knightian.implementability import (
+    Perturbation,
+    _clamped_share,
+    _tilt_expr,
+    _wilson_interval,
+)
 
 from helpers import (
     BAND,
@@ -172,6 +180,12 @@ class TestGenericityProbe:
         )
         assert res.wilson_low == float(ci.low)
         assert res.wilson_high == float(ci.high)
+        # the closed form against scipy: every count up to 40 trials, and a few
+        # larger trial numbers in full
+        for n in [*range(1, 41), 97, 200, 300]:
+            for k in range(n + 1):
+                ci = binomtest(k, n).proportion_ci(confidence_level=0.95, method="wilson")
+                assert _wilson_interval(k, n) == (float(ci.low), float(ci.high)), (k, n)
 
     def test_validation(self):
         econ = example_economy(grid=GRID)
@@ -223,3 +237,107 @@ def test_one_march_per_batched_call(monkeypatch, n_agents):
     check_implementability(res, econ)
     # one upper march of the net trades stacked over their negatives
     assert shapes == [(2 * n_agents, grid.nx)]
+
+
+def counting_marches(monkeypatch):
+    """Record the shape of every stack handed to the march."""
+    shapes = []
+    march = gexp._march
+
+    def counting_march(term, *args, **kwargs):
+        shapes.append(np.shape(term))
+        return march(term, *args, **kwargs)
+
+    monkeypatch.setattr(gexp, "_march", counting_march)
+    return shapes
+
+
+PROBE_GRID = GridSpec(-6.0, 6.0, 101, 50)
+
+
+@pytest.mark.parametrize("n_samples", [1, 3, 17])
+def test_probe_marches_three_times(monkeypatch, n_samples):
+    """Endowment prices, budget claims and net trades: one march each, for
+    any number of samples."""
+    shapes = counting_marches(monkeypatch)
+    econ = example_economy(grid=PROBE_GRID)
+    res = genericity_probe(econ, n_samples, Perturbation("bump", 0.1), seed=5)
+    assert res.n_solved == n_samples
+    nx = PROBE_GRID.nx
+    assert shapes == [(2 * n_samples, nx), (2 * n_samples, nx), (4 * n_samples, nx)]
+
+
+def exp_economy(a: float, grid: GridSpec) -> Economy:
+    """The example endowments held by two exp(a) agents; at a = 200 or 400 a
+    bump probe mixes solved samples with weights at the simplex boundary."""
+    return Economy(
+        (
+            Agent("a1", Utility.exponential(a), parse("min(exp(x), 1)")),
+            Agent("a2", Utility.exponential(a), parse("1 - min(exp(x), 1)")),
+        ),
+        BAND,
+        grid,
+    )
+
+
+def test_failed_samples_leave_the_stack(monkeypatch):
+    shapes = counting_marches(monkeypatch)
+    res = genericity_probe(exp_economy(200.0, PROBE_GRID), 8, Perturbation("bump", 0.1), seed=1)
+    assert 0 < res.n_solved < 8
+    assert {s.error for s in res.samples} == {
+        None,
+        "planner weights at the simplex boundary; no interior equilibrium at this prior",
+    }
+    nx = PROBE_GRID.nx
+    assert shapes == [(16, nx), (2 * res.n_solved, nx), (4 * res.n_solved, nx)]
+
+
+def per_sample_probe(economy, n_samples, perturbation, seed, prior, tol, budget_tol):
+    """Reference probe: draw each sample as `genericity_probe` does, then one
+    solve_equilibrium and one check_implementability per sample."""
+    e_total = float(np.mean(economy.aggregate))
+    scale = economy.bounds.sigma_hi * math.sqrt(economy.bounds.horizon)
+    a1, a2 = economy.agents
+    rows = []
+    for k in range(n_samples):
+        sample_seed = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+        rng = np.random.default_rng(sample_seed)
+        center = float(rng.uniform(-1.5 * scale, 1.5 * scale))
+        width = float(rng.uniform(0.3 * scale, 1.0 * scale))
+        tilt = _tilt_expr(perturbation.family, center, width)
+        e1 = _clamped_share(e_total, perturbation.amplitude, tilt)
+        agents = (Agent(a1.name, a1.utility, e1), Agent(a2.name, a2.utility, BinOp("-", Lit(e_total), e1)))
+        perturbed = Economy(agents, economy.bounds, economy.grid)
+        try:
+            result = solve_equilibrium(perturbed, prior, budget_tol)
+            verdict = check_implementability(result, perturbed, tol)
+        except ConvergenceError as err:
+            rows.append((k, sample_seed, center, width, None, None, str(err)))
+            continue
+        gap_max = max(v.gap for v in verdict.agents)
+        rows.append((k, sample_seed, center, width, gap_max, verdict.implementable, None))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "utility_a, family, seed, budget_tol",
+    [
+        (None, "bump", 3, 1e-10),
+        (None, "ramp", 5, 1e-10),
+        (None, "bump", 4, 1e-300),
+        (200.0, "bump", 1, 1e-10),
+        (400.0, "bump", 2, 1e-10),
+    ],
+)
+def test_batched_probe_matches_per_sample_solves(utility_a, family, seed, budget_tol):
+    grid = GridSpec(-6.0, 6.0, 201, 300)
+    econ = example_economy(grid=grid) if utility_a is None else exp_economy(utility_a, grid)
+    prior, perturbation = PRIOR1, Perturbation(family, 0.1)
+    res = genericity_probe(econ, 8, perturbation, seed, prior, 1e-3, budget_tol)
+    got = [
+        (s.index, s.seed, s.center, s.width, s.gap_max, s.implementable, s.error)
+        for s in res.samples
+    ]
+    # repr tells signed zeros apart, so the rows must match bit for bit
+    assert repr(got) == repr(per_sample_probe(econ, 8, perturbation, seed, prior, 1e-3, budget_tol))
+    assert res.n_solved == sum(row[-1] is None for row in got)
