@@ -47,7 +47,8 @@ SUBSTEP_CAP = 1000
 MAX_TREE_STEPS = 14
 
 # memory one run may claim, checked before anything is allocated; hedging holds
-# up to _FIELD_LAYERS (nt + 1, nx) float64 layers (value, delta, curvature, temporaries)
+# _FIELD_LAYERS (nt + 1, nx) float64 layers: value, delta, curvature and the
+# slope tables of delta and curvature
 MEMORY_BUDGET = 1 << 30
 _FIELD_LAYERS = 5
 
@@ -285,19 +286,20 @@ def solve_value_field(expr: Expr, bounds: VolBounds, grid: GridSpec, mode: Mode)
 
 
 def layer_at_or_below(t: float, horizon: float, nt: int) -> int:
-    """Index of the stored time layer at or immediately below t."""
+    """Index of the stored time layer at or immediately below t; t must lie
+    in [0, horizon]."""
+    if not 0.0 <= t <= horizon + 1e-12:
+        raise ValueError(f"time {t} outside [0, {horizon}]")
     return min(nt, int(math.floor(t / (horizon / nt) + 1e-9)))
 
 
 def conditional_at(field: ValueField, t: float, x: float) -> float:
     """Value surface sampled at (t, x): nearest stored layer at or below t,
     linear interpolation in x."""
-    if not 0.0 <= t <= field.horizon + 1e-12:
-        raise ValueError(f"time {t} outside [0, {field.horizon}]")
     g = field.grid
+    k = layer_at_or_below(t, field.horizon, g.nt)
     if not g.x_min <= x <= g.x_max:
         raise ValueError(f"query point {x} off the grid [{g.x_min}, {g.x_max}]")
-    k = layer_at_or_below(t, field.horizon, g.nt)
     return float(np.interp(x, g.nodes, field.values[k]))
 
 

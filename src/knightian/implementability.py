@@ -22,7 +22,7 @@ from .equilibrium import (
     PriorSpec,
     _solve_stack,
 )
-from .gexp import mean_ambiguity_gap
+from .gexp import MEMORY_BUDGET, mean_ambiguity_gap
 
 __all__ = [
     "NetTradeSet",
@@ -101,8 +101,8 @@ class Perturbation:
     def __post_init__(self):
         if self.family not in ("bump", "ramp"):
             raise ValueError(f"unknown perturbation family {self.family!r}")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
 
 @dataclass(eq=False)
@@ -150,6 +150,14 @@ def _clamped_share(e_total: float, amplitude: float, tilt):
     return Call("min", (Call("max", (raw, Lit(eps))), Lit(e_total - eps)))
 
 
+# per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
+# nodes at once: the endowment (the economy's and the solver's stack), the
+# budget claim, the net trade, and the doubled [f; -f] stack and its march
+# output; on top come about _SAMPLE_BYTES of Python objects per sample
+# (measured: 7.8 rows at nx = 401, 4.3 kB of objects at nx = 11)
+_PROBE_ROWS = 8
+_SAMPLE_BYTES = 8192
+
 # two-sided 95 percent normal quantile, norm.ppf(0.975)
 _Z95 = 1.959963984540054
 
@@ -196,6 +204,9 @@ def genericity_probe(
         raise ValueError("the probe requires a constant aggregate endowment")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    per_sample = 8 * _PROBE_ROWS * economy.n_agents * economy.grid.nx + _SAMPLE_BYTES
+    if n_samples * per_sample > MEMORY_BUDGET:
+        raise ValueError(f"{n_samples} samples exceed the memory budget of {MEMORY_BUDGET} bytes")
     if prior is None:
         prior = PriorSpec.constant(economy.bounds.sigma_hi)
 

@@ -87,41 +87,39 @@ def _bracket(grid: GridSpec, nodes: np.ndarray, x: np.ndarray):
     return j, x - nodes[j]
 
 
-def _slopes(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Slope of each grid interval along the last axis, 0 past the last node."""
-    out = np.zeros(values.shape)
-    out[..., :-1] = np.diff(values, axis=-1) / np.diff(nodes)
-    return out
-
-
-def _sample(row: np.ndarray, slope_row: np.ndarray, bracket) -> np.ndarray:
-    """Linear interpolation of one layer at a bracket: np.interp's formula."""
-    j, d = bracket
-    return slope_row[j] * d + row[j]
-
-
 @dataclass(eq=False)
 class GridFunction:
     """Space-time field sampled like the solver stores it: the time layer at
     or below t, linear interpolation in x (clamped at the grid edges).
 
-    Sampling matches np.interp bit for bit, except that a stored -0.0 can
-    come back as 0.0.
+    `slopes` tabulates the slope of every grid interval once, at
+    construction (0 past the last node); every sample reads it.  Sampling
+    matches np.interp bit for bit, except that a stored -0.0 can come back
+    as 0.0.
     """
 
     values: np.ndarray  # (nt + 1, nx)
     grid: GridSpec
     horizon: float
 
-    def at(self, t: float, x):
-        if not 0.0 <= t <= self.horizon + 1e-12:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
+    def __post_init__(self):
+        shape = (self.grid.nt + 1, self.grid.nx)
+        if np.shape(self.values) != shape:
+            raise ValueError(f"values of shape {np.shape(self.values)} do not fit a {shape} grid")
+        self.slopes = np.zeros(shape)
+        self.slopes[:, :-1] = np.diff(self.values, axis=-1) / np.diff(self.grid.nodes)
+
+    def sample(self, t: float, bracket) -> np.ndarray:
+        """The layer at or below t at the points of a `_bracket` on this grid:
+        np.interp's formula."""
         k = layer_at_or_below(t, self.horizon, self.grid.nt)
+        j, d = bracket
+        return self.slopes[k][j] * d + self.values[k][j]
+
+    def at(self, t: float, x):
         xa = np.asarray(x, dtype=float)
-        nodes = self.grid.nodes
-        row = self.values[k]
-        bracket = _bracket(self.grid, nodes, xa.reshape(-1))
-        out = _sample(row, _slopes(row, nodes), bracket).reshape(xa.shape)
+        bracket = _bracket(self.grid, self.grid.nodes, xa.reshape(-1))
+        out = self.sample(t, bracket).reshape(xa.shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -195,10 +193,7 @@ class PathBatch:
 
     No path is stored.  `replicate` and `strategy_gains` generate the paths
     chunk by chunk and consume each chunk as it is made, so their memory is
-    O(chunk x n_steps) whatever the batch size.  `b` (shape
-    (n_paths, n_steps + 1), b[:, 0] = 0) and `sigmas` (shape
-    (n_paths, n_steps), entry (i, k) applying on [t_k, t_{k+1})) are built
-    by the same walk each time they are read.
+    O(chunk x n_steps) whatever the batch size.
     """
 
     control: ControlSpec
@@ -211,23 +206,6 @@ class PathBatch:
     @property
     def dt(self) -> float:
         return self.bounds.horizon / self.n_steps
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._materialise()[0]
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return self._materialise()[1]
-
-    def _materialise(self):
-        b = np.zeros((self.n_paths, self.n_steps + 1))
-        sigmas = np.empty((self.n_paths, self.n_steps))
-        for rows, steps in _walk(self):
-            for k, _bk, b_next, sig, _bracket in steps:
-                b[rows, k + 1] = b_next
-                sigmas[rows, k] = sig
-        return b, sigmas
 
 
 def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps: int, kind: str):
@@ -272,7 +250,6 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
     if control.kind == "extremal":
         phi = control.hedge.phi_hat
         phi_nodes = phi.grid.nodes
-        phi_slopes = _slopes(phi.values, phi_nodes)
         shared = grid == phi.grid
         hi, lo = paths.bounds.sigma_hi, paths.bounds.sigma_lo
 
@@ -283,9 +260,8 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
             if control.kind == "constant":
                 sig = control.sigma
             else:
-                layer = layer_at_or_below(k * dt, phi.horizon, phi.grid.nt)
                 own = bracket if shared else _bracket(phi.grid, phi_nodes, bk)
-                curv = _sample(phi.values[layer], phi_slopes[layer], own)
+                curv = phi.sample(k * dt, own)
                 # ties at zero curvature take the high edge of the band
                 sig = np.where(curv >= 0.0, hi, lo)
             b_next = bk + sig * sq * z[k]
@@ -379,10 +355,7 @@ def replicate(
         upper_value = conditional_at(hedge.field, 0.0, 0.0)
 
     grid = hedge.grid
-    nodes = grid.nodes
     eta, phi = hedge.eta, hedge.phi_hat
-    eta_slopes = _slopes(eta.values, nodes)
-    phi_slopes = _slopes(phi.values, nodes)
     n = paths.n_paths
     dt = paths.dt
     g = hedge.bounds.g
@@ -399,9 +372,8 @@ def replicate(
         b_min = np.zeros(size)
         b_max = np.zeros(size)
         for k, bk, b_next, sig, bracket in steps:
-            layer = layer_at_or_below(k * dt, eta.horizon, grid.nt)
-            eta_k = _sample(eta.values[layer], eta_slopes[layer], bracket)
-            phi_k = _sample(phi.values[layer], phi_slopes[layer], bracket)
+            eta_k = eta.sample(k * dt, bracket)
+            phi_k = phi.sample(k * dt, bracket)
             gain += eta_k * (b_next - bk)
             inc = (g(2.0 * phi_k) - phi_k * (sig * sig)) * dt
             comp += inc
@@ -470,15 +442,15 @@ def exp_martingale_transform(
 ) -> TransformedStrategy:
     """Rebase strategy theta to the integrator with the given loading.
 
-    The loading must stay at least `floor` away from zero in absolute value
-    on the whole grid.
+    The loading must be finite and stay at least `floor` away from zero in
+    absolute value on the whole grid.
     """
     if not floor > 0.0:
         raise ValueError("floor must be positive")
-    if theta.values.shape != loading.values.shape:
-        raise ValueError("theta and loading live on different grids")
     if theta.grid != loading.grid or theta.horizon != loading.horizon:
         raise ValueError("theta and loading live on different grids")
+    if not np.all(np.isfinite(loading.values)):
+        raise ValueError("loading is not finite on the grid")
     low = float(np.min(np.abs(loading.values)))
     if low < floor:
         raise ValueError(f"loading reaches {low:.3e}, below the floor {floor:.3e}")

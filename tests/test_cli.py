@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from knightian import implementability
 from knightian.cli import main
 
 from helpers import capped_exp_value, write_config
@@ -403,6 +404,29 @@ class TestProbe:
     def test_zero_samples_rejected(self, ws, probe_cfg, capsys):
         code, _, _ = run(capsys, "--config", probe_cfg, "probe", "--samples", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("amplitude", ["inf", "nan"])
+    def test_non_finite_amplitude_rejected(self, ws, probe_cfg, capsys, amplitude):
+        out_dir = ws / f"probe_amplitude_{amplitude}"
+        code, _, err = run(
+            capsys,
+            "--config", probe_cfg, "--out", str(out_dir),
+            "probe", "--samples", "2", "--amplitude", amplitude,
+        )
+        assert code == 2
+        assert "amplitude" in err
+        assert not (out_dir / "probe.csv").exists()
+
+    def test_oversized_probe_rejected_before_drawing(self, ws, probe_cfg, capsys, monkeypatch):
+        # ten million samples would hold stacks of tens of GB; the budget
+        # check must come before the first sample is drawn
+        def no_draws(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(implementability, "_tilt_expr", no_draws)
+        code, _, err = run(capsys, "--config", probe_cfg, "probe", "--samples", str(10**7))
+        assert code == 2
+        assert "memory budget" in err
 
     def test_equilibrium_tolerance_applies(self, ws, capsys):
         # budget residuals are about 1e-16, so a 1e-300 tolerance fails every solve

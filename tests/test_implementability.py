@@ -195,6 +195,11 @@ class TestGenericityProbe:
             Perturbation("sine", 0.1)
         with pytest.raises(ValueError):
             Perturbation("bump", -0.5)
+        for amplitude in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="amplitude"):
+                Perturbation("bump", amplitude)
+        with pytest.raises(ValueError, match="memory budget"):
+            genericity_probe(econ, 10**7)
         three = Economy(
             (
                 Agent("a", Utility.log(), parse("0.3")),

@@ -38,6 +38,30 @@ def example_hedge():
     return hedge_field(parse("min(exp(x), 1)"), BAND, GRID)
 
 
+def walked_positions(paths):
+    """The driver paths a batch walks, read through strategy_gains with a
+    strategy that holds one unit and records every position it is sampled
+    at.  Returns b_0 .. b_{n-1} bit for bit, shape (n_paths, n_steps), and
+    the unit's gains, which telescope to b_T."""
+    seen = []
+
+    class Unit:
+        def at(self, t, x):
+            seen.append(x.copy())
+            return np.ones_like(x)
+
+    gains = strategy_gains(Unit(), paths)
+    n = paths.n_steps
+    chunks = [np.column_stack(seen[i : i + n]) for i in range(0, len(seen), n)]
+    return np.vstack(chunks), gains
+
+
+def whole_paths(paths):
+    """b_0 .. b_T of every path, b_T summed from the increments."""
+    b, b_T = walked_positions(paths)
+    return np.column_stack([b, b_T])
+
+
 class TestHedgeField:
     def test_linear_payoff_delta_one(self):
         h = hedge_field(parse("x"), BAND, GRID)
@@ -75,18 +99,17 @@ class TestHedgeField:
 class TestSimulatePaths:
     def test_binary_increments_structure(self):
         p = simulate_paths(ControlSpec.constant(1.0), BAND, 64, 16, seed=1)
-        db = np.diff(p.b, axis=1)
-        step = np.sqrt(BAND.horizon / 16)
-        assert np.allclose(np.abs(db), step)
-        assert p.b.shape == (64, 17)
-        assert np.all(p.b[:, 0] == 0.0)
-        assert np.all(p.sigmas == 1.0)
+        b = whole_paths(p)
+        # steps of sigma * sqrt(dt) = 1/4 are dyadic, so every sum is exact
+        assert b.shape == (64, 17)
+        assert np.all(b[:, 0] == 0.0)
+        assert np.all(np.abs(np.diff(b, axis=1)) == np.sqrt(BAND.horizon / 16))
 
     def test_gaussian_increments_moments(self):
         p = simulate_paths(
             ControlSpec.constant(0.5), BAND, 4000, 8, seed=2, increments="gaussian"
         )
-        db = np.diff(p.b, axis=1)
+        db = np.diff(whole_paths(p), axis=1)
         sd = 0.5 * np.sqrt(BAND.horizon / 8)
         assert abs(db.mean()) < 4 * sd / np.sqrt(db.size)
         assert np.std(db) == pytest.approx(sd, rel=0.05)
@@ -95,13 +118,13 @@ class TestSimulatePaths:
         a = simulate_paths(ControlSpec.constant(0.8), BAND, 16, 32, seed=9)
         b = simulate_paths(ControlSpec.constant(0.8), BAND, 16, 32, seed=9)
         c = simulate_paths(ControlSpec.constant(0.8), BAND, 16, 32, seed=10)
-        assert np.array_equal(a.b, b.b)
-        assert not np.array_equal(a.b, c.b)
+        assert np.array_equal(whole_paths(a), whole_paths(b))
+        assert not np.array_equal(whole_paths(a), whole_paths(c))
 
     def test_path_substreams_stable_under_batch_growth(self):
         small = simulate_paths(ControlSpec.constant(0.8), BAND, 3, 32, seed=9)
         big = simulate_paths(ControlSpec.constant(0.8), BAND, 7, 32, seed=9)
-        assert np.array_equal(small.b, big.b[:3])
+        assert np.array_equal(whole_paths(small), whole_paths(big)[:3])
 
     def test_constant_sigma_validated(self):
         with pytest.raises(ValueError):
@@ -112,7 +135,12 @@ class TestSimulatePaths:
     def test_extremal_on_convex_payoff_pins_high_vol(self):
         h = hedge_field(parse("x^2"), BAND, GRID)
         p = simulate_paths(ControlSpec.extremal(h), BAND, 32, 16, seed=4)
-        assert np.all(p.sigmas == BAND.sigma_hi)
+        # binary steps of sigma_hi * sqrt(dt) = 1/4 are dyadic, so exact
+        assert np.all(np.abs(np.diff(whole_paths(p), axis=1)) == BAND.sigma_hi / 4)
+        # the curvature is positive, so a step at sigma_lo would accrue K
+        rep = replicate(parse("x^2"), h, p)
+        assert rep.n_excluded == 0
+        assert np.all(rep.k_terminal == 0.0)
 
     def test_extremal_needs_matching_bounds(self):
         h = hedge_field(parse("x^2"), BAND, GRID)
@@ -280,6 +308,20 @@ class TestTransform:
         ts = exp_martingale_transform(example_hedge.eta, load, floor=1e-6)
         assert np.array_equal(ts.node_values, example_hedge.eta.values / load.values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loading_rejected(self, example_hedge, bad):
+        values = np.ones((GRID.nt + 1, GRID.nx))
+        values[3, 7] = bad
+        load = GridFunction(values, GRID, BAND.horizon)
+        with pytest.raises(ValueError, match="not finite"):
+            exp_martingale_transform(example_hedge.eta, load, floor=1e-6)
+
+    def test_grid_mismatch_rejected(self, example_hedge):
+        coarse = GridSpec(-6.0, 6.0, 201, 800)
+        load = GridFunction(np.ones((coarse.nt + 1, coarse.nx)), coarse, BAND.horizon)
+        with pytest.raises(ValueError, match="different grids"):
+            exp_martingale_transform(example_hedge.eta, load)
+
     def test_floor_violation_rejected(self, example_hedge):
         load = self._loading(lambda t, x: x + t * 0.0)  # crosses zero
         with pytest.raises(ValueError):
@@ -399,8 +441,9 @@ class TestStreaming:
         control = control_for(control_kind, tight_hedge)
         b, sigmas = reference_paths(control, self.N_PATHS, self.N_STEPS, self.SEED, increments)
         paths, rep = self._run(tight_hedge, control_kind, increments)
-        assert bits(paths.b) == bits(b)
-        assert bits(paths.sigmas) == bits(sigmas)
+        walked, b_T = walked_positions(paths)
+        assert bits(walked) == bits(b[:, :-1])
+        assert np.max(np.abs(b_T - b[:, -1])) < 1e-12
         ref = reference_replicate(EXAMPLE, tight_hedge, b, sigmas)
         assert 0 < ref["n_excluded"] < self.N_PATHS  # some paths leave the grid
         for name, value in ref.items():
@@ -410,13 +453,13 @@ class TestStreaming:
     @pytest.mark.parametrize("rows", [1, 7, N_PATHS])
     def test_chunk_size_invariance(self, tight_hedge, monkeypatch, control_kind, increments, rows):
         base_paths, base = self._run(tight_hedge, control_kind, increments)
-        base_b = base_paths.b
         monkeypatch.setattr(replication, "_CHUNK_BYTES", rows * 8 * self.N_STEPS)
         paths, rep = self._run(tight_hedge, control_kind, increments)
         assert_reports_identical(rep, base)
-        assert bits(paths.b) == bits(base_b)
+        walked = walked_positions(paths)
         gains = strategy_gains(tight_hedge.eta, paths)
         monkeypatch.undo()
+        assert bits(walked) == bits(walked_positions(base_paths))
         assert bits(gains) == bits(strategy_gains(tight_hedge.eta, base_paths))
 
     def test_batch_holds_no_paths(self):
@@ -463,6 +506,24 @@ class TestGridFunctionInterp:
     def test_time_outside_horizon_rejected(self, field, t):
         with pytest.raises(ValueError, match="outside"):
             field.at(t, 0.0)
+
+    @pytest.mark.parametrize("t", [-0.5, -1e-9, np.nan, BAND.horizon + 1e-9, 2.0])
+    def test_layer_lookup_rejects_time_outside_horizon(self, t):
+        with pytest.raises(ValueError, match="outside"):
+            layer_at_or_below(t, BAND.horizon, GRID.nt)
+
+    @pytest.mark.parametrize("shape", [(3, 41), (41, 42), (41, 40), (42, 41), (41,), (41, 41, 1)])
+    def test_values_must_fit_the_grid(self, shape):
+        with pytest.raises(ValueError, match="do not fit"):
+            GridFunction(np.zeros(shape), GridSpec(-6.0, 6.0, 41, 40), 1.0)
+
+    def test_sample_reads_the_layer_at_or_below(self, field):
+        nodes = GRID.nodes
+        x = np.random.default_rng(7).uniform(-6.5, 6.5, 200)
+        bracket = replication._bracket(GRID, nodes, x)
+        for t in (0.0, 0.37, BAND.horizon):
+            k = layer_at_or_below(t, BAND.horizon, GRID.nt)
+            assert bits(field.sample(t, bracket)) == bits(np.interp(x, nodes, field.values[k]))
 
 
 class TestGolden:
