@@ -38,28 +38,16 @@ def example_hedge():
     return hedge_field(parse("min(exp(x), 1)"), BAND, GRID)
 
 
-def walked_positions(paths):
-    """The driver paths a batch walks, read through strategy_gains with a
-    strategy that holds one unit and records every position it is sampled
-    at.  Returns b_0 .. b_{n-1} bit for bit, shape (n_paths, n_steps), and
-    the unit's gains, which telescope to b_T."""
-    seen = []
-
-    class Unit:
-        def at(self, t, x):
-            seen.append(x.copy())
-            return np.ones_like(x)
-
-    gains = strategy_gains(Unit(), paths)
-    n = paths.n_steps
-    chunks = [np.column_stack(seen[i : i + n]) for i in range(0, len(seen), n)]
-    return np.vstack(chunks), gains
-
-
 def whole_paths(paths):
-    """b_0 .. b_T of every path, b_T summed from the increments."""
-    b, b_T = walked_positions(paths)
-    return np.column_stack([b, b_T])
+    """b_0 .. b_T and sigma_0 .. sigma_{T-1} of every path, read off the
+    chunked walk: shapes (n_paths, n_steps + 1) and (n_paths, n_steps)."""
+    b = np.zeros((paths.n_paths, paths.n_steps + 1))
+    sigmas = np.empty((paths.n_paths, paths.n_steps))
+    for rows, steps in replication._walk(paths):
+        for k, _bk, b_next, sig, _bracket in steps:
+            b[rows, k + 1] = b_next
+            sigmas[rows, k] = sig
+    return b, sigmas
 
 
 class TestHedgeField:
@@ -99,17 +87,18 @@ class TestHedgeField:
 class TestSimulatePaths:
     def test_binary_increments_structure(self):
         p = simulate_paths(ControlSpec.constant(1.0), BAND, 64, 16, seed=1)
-        b = whole_paths(p)
+        b, sigmas = whole_paths(p)
         # steps of sigma * sqrt(dt) = 1/4 are dyadic, so every sum is exact
         assert b.shape == (64, 17)
         assert np.all(b[:, 0] == 0.0)
         assert np.all(np.abs(np.diff(b, axis=1)) == np.sqrt(BAND.horizon / 16))
+        assert np.all(sigmas == 1.0)
 
     def test_gaussian_increments_moments(self):
         p = simulate_paths(
             ControlSpec.constant(0.5), BAND, 4000, 8, seed=2, increments="gaussian"
         )
-        db = np.diff(whole_paths(p), axis=1)
+        db = np.diff(whole_paths(p)[0], axis=1)
         sd = 0.5 * np.sqrt(BAND.horizon / 8)
         assert abs(db.mean()) < 4 * sd / np.sqrt(db.size)
         assert np.std(db) == pytest.approx(sd, rel=0.05)
@@ -118,13 +107,13 @@ class TestSimulatePaths:
         a = simulate_paths(ControlSpec.constant(0.8), BAND, 16, 32, seed=9)
         b = simulate_paths(ControlSpec.constant(0.8), BAND, 16, 32, seed=9)
         c = simulate_paths(ControlSpec.constant(0.8), BAND, 16, 32, seed=10)
-        assert np.array_equal(whole_paths(a), whole_paths(b))
-        assert not np.array_equal(whole_paths(a), whole_paths(c))
+        assert np.array_equal(whole_paths(a)[0], whole_paths(b)[0])
+        assert not np.array_equal(whole_paths(a)[0], whole_paths(c)[0])
 
     def test_path_substreams_stable_under_batch_growth(self):
         small = simulate_paths(ControlSpec.constant(0.8), BAND, 3, 32, seed=9)
         big = simulate_paths(ControlSpec.constant(0.8), BAND, 7, 32, seed=9)
-        assert np.array_equal(whole_paths(small), whole_paths(big)[:3])
+        assert np.array_equal(whole_paths(small)[0], whole_paths(big)[0][:3])
 
     def test_constant_sigma_validated(self):
         with pytest.raises(ValueError):
@@ -135,8 +124,7 @@ class TestSimulatePaths:
     def test_extremal_on_convex_payoff_pins_high_vol(self):
         h = hedge_field(parse("x^2"), BAND, GRID)
         p = simulate_paths(ControlSpec.extremal(h), BAND, 32, 16, seed=4)
-        # binary steps of sigma_hi * sqrt(dt) = 1/4 are dyadic, so exact
-        assert np.all(np.abs(np.diff(whole_paths(p), axis=1)) == BAND.sigma_hi / 4)
+        assert np.all(whole_paths(p)[1] == BAND.sigma_hi)
         # the curvature is positive, so a step at sigma_lo would accrue K
         rep = replicate(parse("x^2"), h, p)
         assert rep.n_excluded == 0
@@ -441,9 +429,9 @@ class TestStreaming:
         control = control_for(control_kind, tight_hedge)
         b, sigmas = reference_paths(control, self.N_PATHS, self.N_STEPS, self.SEED, increments)
         paths, rep = self._run(tight_hedge, control_kind, increments)
-        walked, b_T = walked_positions(paths)
-        assert bits(walked) == bits(b[:, :-1])
-        assert np.max(np.abs(b_T - b[:, -1])) < 1e-12
+        walked, walked_sigmas = whole_paths(paths)
+        assert bits(walked) == bits(b)
+        assert bits(walked_sigmas) == bits(sigmas)
         ref = reference_replicate(EXAMPLE, tight_hedge, b, sigmas)
         assert 0 < ref["n_excluded"] < self.N_PATHS  # some paths leave the grid
         for name, value in ref.items():
@@ -453,13 +441,15 @@ class TestStreaming:
     @pytest.mark.parametrize("rows", [1, 7, N_PATHS])
     def test_chunk_size_invariance(self, tight_hedge, monkeypatch, control_kind, increments, rows):
         base_paths, base = self._run(tight_hedge, control_kind, increments)
+        base_b, base_sigmas = whole_paths(base_paths)
         monkeypatch.setattr(replication, "_CHUNK_BYTES", rows * 8 * self.N_STEPS)
         paths, rep = self._run(tight_hedge, control_kind, increments)
         assert_reports_identical(rep, base)
-        walked = walked_positions(paths)
+        b, sigmas = whole_paths(paths)
+        assert bits(b) == bits(base_b)
+        assert bits(sigmas) == bits(base_sigmas)
         gains = strategy_gains(tight_hedge.eta, paths)
         monkeypatch.undo()
-        assert bits(walked) == bits(walked_positions(base_paths))
         assert bits(gains) == bits(strategy_gains(tight_hedge.eta, base_paths))
 
     def test_batch_holds_no_paths(self):
