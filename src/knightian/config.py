@@ -7,7 +7,7 @@ from typing import Optional
 
 from .dsl import PayoffParseError, parse
 from .equilibrium import Agent, Economy, PriorSpec, Utility
-from .gexp import GridSpec, VolBounds, default_grid
+from .gexp import GridSpec, VolBounds, _substeps, default_grid
 from .replication import _check_batch
 
 __all__ = ["ConfigError", "McSpec", "Tolerances", "Config", "load_config"]
@@ -64,18 +64,28 @@ class Config:
         return self.pricing_prior
 
 
+def _number(value, where: str):
+    """`value` if it is a JSON number: not a bool (an int to Python), not a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
 def _integer(value, where: str) -> int:
-    """An integral JSON number; 41.0 passes, 41.9 and Infinity do not."""
-    if isinstance(value, int):
+    """An integral JSON number; 41.0 passes, 41.9, Infinity and "41" do not."""
+    if isinstance(_number(value, where), int):
         return value
-    number = float(value)
-    if not number.is_integer():
+    if not value.is_integer():
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(number)
+    return int(value)
 
 
 def _finite(value, where: str) -> float:
-    number = float(value)
+    """A finite JSON number, as a float; an integer too large for a float is not finite."""
+    try:
+        number = float(_number(value, where))
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number
@@ -98,11 +108,11 @@ def _utility_from(obj: dict, where: str) -> Utility:
         if kind == "power":
             if "gamma" not in obj:
                 raise ConfigError(f"{where}: power utility needs gamma")
-            return Utility.power(float(obj["gamma"]))
+            return Utility.power(_finite(obj["gamma"], "gamma"))
         if kind == "exp":
             if "a" not in obj:
                 raise ConfigError(f"{where}: exp utility needs a")
-            return Utility.exponential(float(obj["a"]))
+            return Utility.exponential(_finite(obj["a"], "a"))
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
     raise ConfigError(f"{where}: unknown utility kind {kind!r}")
@@ -167,6 +177,11 @@ def load_config(path) -> Config:
             raise ConfigError(f"grid: {err}") from err
     else:
         grid = default_grid(bounds)
+    # checked here so an over-budget march fails at load, before any work
+    try:
+        _substeps(bounds, grid)
+    except ValueError as err:
+        raise ConfigError(f"grid: {err}") from err
 
     agents_raw = raw.get("agents", [])
     if not isinstance(agents_raw, list):
@@ -178,7 +193,7 @@ def load_config(path) -> Config:
         p = raw["pricing_prior"]
         _require_keys(p, {"sigma"}, "pricing_prior")
         try:
-            prior = PriorSpec.constant(float(p["sigma"]))
+            prior = PriorSpec.constant(_finite(p["sigma"], "sigma"))
         except (TypeError, KeyError, ValueError) as err:
             raise ConfigError(f"pricing_prior: {err}") from err
         if not bounds.sigma_lo <= prior.sigma <= bounds.sigma_hi:

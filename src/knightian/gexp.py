@@ -47,10 +47,19 @@ SUBSTEP_CAP = 1000
 MAX_TREE_STEPS = 14
 
 # memory one run may claim, checked before anything is allocated; hedging holds
-# _FIELD_LAYERS (nt + 1, nx) float64 layers: value, delta, curvature and the
-# slope tables of delta and curvature
+# _FIELD_LAYERS (nt + 1, nx) float64 layers at most: the value surface and the
+# hedge table, which packs delta, curvature and their interval slopes, written
+# in place (a tracemalloc peak of 5.08 layers on the 401 x 800 grid)
 MEMORY_BUDGET = 1 << 30
 _FIELD_LAYERS = 5
+
+# march work per payoff column, nt * m * (nx + _SUBSTEP_NODES), checked before
+# marching.  A sub-step costs up to 28 us of dispatch (at nx = 3) plus about
+# 8 ns per node in upper mode (2-core Xeon VM, numpy 2.4), so its dispatch is
+# worth about 3500 node updates and the costliest march the budget admits runs
+# for about a minute.
+WORK_BUDGET = 7_500_000_000
+_SUBSTEP_NODES = 3500
 
 
 class CflError(ValueError):
@@ -162,6 +171,8 @@ class ValueField:
 
 
 def _substeps(bounds: VolBounds, grid: GridSpec) -> int:
+    """Sub-steps per time step of a march on this band and grid; refuses one
+    past SUBSTEP_CAP (CflError) or one whose work exceeds WORK_BUDGET."""
     # sub-step count depends only on sigma_hi so that upper/lower/fixed runs
     # of a degenerate band walk bit-identical schedules
     dt = bounds.horizon / grid.nt
@@ -170,6 +181,11 @@ def _substeps(bounds: VolBounds, grid: GridSpec) -> int:
         raise CflError(
             f"grid needs {m} sub-steps per time step (cap {SUBSTEP_CAP}); "
             "refine dx or use more time steps"
+        )
+    if grid.nt * m * (grid.nx + _SUBSTEP_NODES) > WORK_BUDGET:
+        raise ValueError(
+            f"a march of nt={grid.nt} time steps x m={m} sub-steps on nx={grid.nx} nodes "
+            "exceeds the work budget; use fewer time steps or nodes"
         )
     return m
 

@@ -46,7 +46,9 @@ class SimulationError(RuntimeError):
     """Path simulation or replication produced unusable statistics."""
 
 
-# increments are drawn for a chunk of paths at a time, about this many bytes of them
+# increments are drawn for a chunk of _CHUNK_BYTES // (8 * n_steps) paths at a
+# time: this many bytes of float64 gaussian increments, an eighth of it of int8
+# binary ones (and while those are drawn, two more arrays of that size)
 _CHUNK_BYTES = 16 << 20
 # path i of a seed draws from the Philox key (seed << 32) + i; keys hold 128 bits
 _MAX_PATHS = 1 << 32
@@ -72,19 +74,51 @@ def _check_batch(n_paths: int, n_steps: int, seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**96), got {seed}")
 
 
-def _bracket(grid: GridSpec, nodes: np.ndarray, x: np.ndarray):
+def _edges(grid: GridSpec) -> np.ndarray:
+    """(nx, 2) table whose row j holds nodes[j] and nodes[j + 1] (the last
+    row repeats x_max), so one gather reads both ends of an interval."""
+    nodes = grid.nodes
+    return np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
+
+
+def _bracket(grid: GridSpec, edges: np.ndarray, x: np.ndarray):
     """Grid interval of each query point, clamped to the grid.
 
     Returns j and x - nodes[j] with nodes[j] <= x < nodes[j + 1] (j = nx - 1
-    only at x_max).  The uniform-grid guess is corrected against `nodes`, so
-    the bracket is the one np.interp's search finds.
+    only at x_max).  The uniform-grid guess is corrected against both ends of
+    its interval, read from `edges` (`_edges(grid)`) in one gather, so the
+    bracket is the one np.interp's search finds.
     """
     x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
     # fmin also sends NaN to a valid index; its d stays NaN, as np.interp's value
     j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
-    j -= nodes[j] > x
-    j += nodes[j + 1] <= x
-    return j, x - nodes[j]
+    ends = np.take(edges, j, axis=0)
+    # the guess is off by at most one, and never in both directions
+    j -= ends[:, 0] > x
+    j += ends[:, 1] <= x
+    return j, x - np.take(edges[:, 0], j)
+
+
+def _tabulate(grid: GridSpec, table: np.ndarray) -> np.ndarray:
+    """Fill in and return a field table: (nt + 1, nx, 2 f) for f fields, each
+    a column of slopes, then one of node values.  The slopes are computed
+    here, in place, from the filled value columns: the slope of the grid
+    interval right of each node, 0 past the last node."""
+    gaps = np.diff(grid.nodes)
+    for i in range(0, table.shape[-1], 2):
+        slope, value = table[..., i], table[..., i + 1]
+        np.subtract(value[:, 1:], value[:, :-1], slope[:, :-1])
+        np.divide(slope[:, :-1], gaps, slope[:, :-1])
+        slope[:, -1] = 0.0
+    return table
+
+
+def _sample(table: np.ndarray, k: int, bracket) -> list:
+    """Every field of a `_tabulate` table at layer k and the points of a
+    `_bracket`, by np.interp's formula; one gather reads all of them."""
+    j, d = bracket
+    near = np.take(table[k], j, axis=0)
+    return [near[:, i] * d + near[:, i + 1] for i in range(0, near.shape[1], 2)]
 
 
 @dataclass(eq=False)
@@ -92,10 +126,12 @@ class GridFunction:
     """Space-time field sampled like the solver stores it: the time layer at
     or below t, linear interpolation in x (clamped at the grid edges).
 
-    `slopes` tabulates the slope of every grid interval once, at
-    construction (0 past the last node); every sample reads it.  Sampling
-    matches np.interp bit for bit, except that a stored -0.0 can come back
-    as 0.0.
+    The field lives in `table`, an (nt + 1, nx, 2) `_tabulate` table of
+    interval slopes and node values, built once at construction; `values`
+    views its value column.  `GridFunction.over` views a block of a wider
+    table without copying it, which lets `hedge_field` keep delta and
+    curvature in one table.  Sampling matches np.interp bit for bit, except
+    that a stored -0.0 can come back as 0.0.
     """
 
     values: np.ndarray  # (nt + 1, nx)
@@ -106,30 +142,49 @@ class GridFunction:
         shape = (self.grid.nt + 1, self.grid.nx)
         if np.shape(self.values) != shape:
             raise ValueError(f"values of shape {np.shape(self.values)} do not fit a {shape} grid")
-        self.slopes = np.zeros(shape)
-        self.slopes[:, :-1] = np.diff(self.values, axis=-1) / np.diff(self.grid.nodes)
+        table = np.empty(shape + (2,))
+        table[..., 1] = self.values
+        self._view(_tabulate(self.grid, table))
+
+    def _view(self, table: np.ndarray):
+        self.table = table
+        self.values = table[..., 1]
+        self.edges = _edges(self.grid)
+
+    @classmethod
+    def over(cls, table: np.ndarray, grid: GridSpec, horizon: float) -> "GridFunction":
+        """The field held by a (nt + 1, nx, 2) block of a `_tabulate` table,
+        sharing its memory."""
+        out = cls.__new__(cls)
+        out.grid, out.horizon = grid, horizon
+        out._view(table)
+        return out
 
     def sample(self, t: float, bracket) -> np.ndarray:
-        """The layer at or below t at the points of a `_bracket` on this grid:
-        np.interp's formula."""
-        k = layer_at_or_below(t, self.horizon, self.grid.nt)
-        j, d = bracket
-        return self.slopes[k][j] * d + self.values[k][j]
+        """The layer at or below t at the points of a `_bracket` on this grid."""
+        (out,) = _sample(self.table, layer_at_or_below(t, self.horizon, self.grid.nt), bracket)
+        return out
 
     def at(self, t: float, x):
         xa = np.asarray(x, dtype=float)
-        bracket = _bracket(self.grid, self.grid.nodes, xa.reshape(-1))
+        bracket = _bracket(self.grid, self.edges, xa.reshape(-1))
         out = self.sample(t, bracket).reshape(xa.shape)
         return float(out) if out.ndim == 0 else out
 
 
 @dataclass(eq=False)
 class HedgeField:
-    """Delta and curvature of the upper value surface of a payoff."""
+    """Delta and curvature of the upper value surface of a payoff.
+
+    Both live in `table`, one (nt + 1, nx, 4) `_tabulate` table (slope and
+    value of delta, then of curvature) that `eta` and `phi_hat` view, so
+    `sample` reads both with one gather.
+    """
 
     eta: GridFunction  # delta: first space derivative
     phi_hat: GridFunction  # half the second space derivative
     field: ValueField
+    table: np.ndarray
 
     @property
     def bounds(self) -> VolBounds:
@@ -139,28 +194,46 @@ class HedgeField:
     def grid(self) -> GridSpec:
         return self.field.grid
 
+    def sample(self, t: float, bracket):
+        """Delta and curvature at the layer at or below t and the points of a
+        `_bracket` on the grid."""
+        return _sample(self.table, layer_at_or_below(t, self.bounds.horizon, self.grid.nt), bracket)
+
 
 def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
     """Differentiate the upper value surface by central differences.
 
     Boundary columns copy their interior neighbors; paths that wander that
-    far are excluded from replication statistics anyway.
+    far are excluded from replication statistics anyway.  Delta and
+    curvature are written straight into their table, so besides the value
+    surface nothing of (nt + 1, nx) size is allocated.
     """
     field = solve_value_field(expr, bounds, grid, UPPER)
     v = field.values
+    up, mid, down = v[:, 2:], v[:, 1:-1], v[:, :-2]
     dx = grid.dx
-    eta = np.empty_like(v)
-    eta[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dx)
-    eta[:, 0] = eta[:, 1]
-    eta[:, -1] = eta[:, -2]
-    phi = np.empty_like(v)
-    phi[:, 1:-1] = 0.5 * (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dx**2
-    phi[:, 0] = phi[:, 1]
-    phi[:, -1] = phi[:, -2]
+    table = np.empty((grid.nt + 1, grid.nx, 4))
+    eta, phi = table[..., 1], table[..., 3]
+    # eta = (v+ - v-) / (2 dx)
+    inner = eta[:, 1:-1]
+    np.subtract(up, down, inner)
+    np.divide(inner, 2.0 * dx, inner)
+    # phi = 0.5 * (v+ - 2 v + v-) / dx^2
+    inner = phi[:, 1:-1]
+    np.multiply(mid, 2.0, inner)
+    np.subtract(up, inner, inner)
+    np.add(inner, down, inner)
+    np.multiply(inner, 0.5, inner)
+    np.divide(inner, dx**2, inner)
+    for col in (eta, phi):
+        col[:, 0] = col[:, 1]
+        col[:, -1] = col[:, -2]
+    _tabulate(grid, table)
     return HedgeField(
-        GridFunction(eta, grid, bounds.horizon),
-        GridFunction(phi, grid, bounds.horizon),
+        GridFunction.over(table[..., 0:2], grid, bounds.horizon),
+        GridFunction.over(table[..., 2:4], grid, bounds.horizon),
         field,
+        table,
     )
 
 
@@ -192,8 +265,10 @@ class PathBatch:
     increment kind.
 
     No path is stored.  `replicate` and `strategy_gains` generate the paths
-    chunk by chunk and consume each chunk as it is made, so their memory is
-    O(chunk x n_steps) whatever the batch size.
+    chunk by chunk and consume each chunk as it is made, so whatever the
+    batch size they hold one chunk of increments: `_CHUNK_BYTES` of float64
+    gaussian ones, or an eighth of that of int8 binary ones (three such byte
+    arrays while a binary chunk is drawn).
     """
 
     control: ControlSpec
@@ -208,29 +283,57 @@ class PathBatch:
         return self.bounds.horizon / self.n_steps
 
 
+def _transpose_bytes(a: np.ndarray) -> np.ndarray:
+    """a.T as a new C-contiguous array, for a C-contiguous (rows, 8 m) uint8
+    array: its 8-byte words are transposed as uint64 first, then the bytes
+    inside each word, several times faster than numpy's bytewise transpose."""
+    rows, width = a.shape
+    words = np.ascontiguousarray(a.view(np.uint64).T).view(np.uint8)
+    return np.ascontiguousarray(words.reshape(-1, rows, 8).transpose(0, 2, 1)).reshape(width, rows)
+
+
 def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps: int, kind: str):
-    """Unit-variance increments of paths start..stop-1, shape (n_steps, rows).
+    """Unit-variance increments of paths start..stop-1, step-major, shape
+    (n_steps, rows): int8 signs for binary increments, float64 for gaussian.
 
     Path i draws from its own counter-based substream, Philox keyed
     (seed << 32) + i, so it is a pure function of (seed, i): neither the
     batch size nor the chunking reshuffles it.  One generator serves every
     path; `state` is a fresh Philox state whose key is reset per path.
+
+    A binary path draws raw 64-bit words: step 2w is bit 31 of word w and
+    step 2w + 1 its bit 63, the top bits of its low and high 32-bit halves.
+    That is numpy's bounded-integer draw of integers(0, 2), which takes the
+    low half first; test_replication.py::TestRawWordDraw pins the two equal,
+    so it is what catches a numpy change to that draw.
     """
-    raw = np.empty((stop - start, n_steps), dtype=np.int64 if kind == "binary" else float)
+    rows = stop - start
     key = state["state"]["key"]
+    bits = gen.bit_generator
+    if kind == "binary":
+        # per step, the byte of its 32-bit half that holds bit 31; steps are
+        # drawn up to a multiple of 8 for _transpose_bytes, and the extra dropped
+        width = -(-n_steps // 8) * 8
+        tops = np.empty((rows, width), dtype=np.uint8)
+    else:
+        raw = np.empty((rows, n_steps))
     for row, i in enumerate(range(start, stop)):
         path_key = (seed << 32) + i
         key[0] = path_key & _MASK64
         key[1] = path_key >> 64
-        gen.bit_generator.state = state
+        bits.state = state
         if kind == "binary":
-            raw[row] = gen.integers(0, 2, n_steps)
+            # little-endian words: byte 3 of each 32-bit half holds its bit 31
+            words = bits.random_raw(width // 2).astype("<u8", copy=False)
+            tops[row] = words.view(np.uint8)[3::4]
         else:
             gen.standard_normal(n_steps, out=raw[row])
-    z = np.ascontiguousarray(raw.T, dtype=float)
-    if kind == "binary":
-        z *= 2.0
-        z -= 1.0
+    if kind == "gaussian":
+        return np.ascontiguousarray(raw.T)
+    tops >>= 7  # the drawn bits, 0 or 1
+    z = _transpose_bytes(tops)[:n_steps].view(np.int8)
+    z += z
+    z -= 1
     return z
 
 
@@ -240,30 +343,32 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
     Yields (rows, steps) per chunk, rows being the chunk's slice of path
     indices.  `steps` yields (k, b_k, b_{k+1}, sigma_k, bracket) for
     k = 0 .. n_steps - 1, where bracket is b_k's interval on `grid` (None
-    without a grid) and sigma_k is a float under constant control.
+    without a grid) and sigma_k is a float under constant control.  A
+    chunk's increments are freed once its steps are exhausted, before the
+    next chunk is drawn.
     """
     control = paths.control
     n_steps = paths.n_steps
     dt = paths.dt
     sq = math.sqrt(dt)
-    nodes = None if grid is None else grid.nodes
+    edges = None if grid is None else _edges(grid)
     if control.kind == "extremal":
         phi = control.hedge.phi_hat
-        phi_nodes = phi.grid.nodes
         shared = grid == phi.grid
         hi, lo = paths.bounds.sigma_hi, paths.bounds.sigma_lo
 
     def steps(z):
         bk = np.zeros(z.shape[1])
         for k in range(n_steps):
-            bracket = None if grid is None else _bracket(grid, nodes, bk)
+            bracket = None if grid is None else _bracket(grid, edges, bk)
             if control.kind == "constant":
                 sig = control.sigma
             else:
-                own = bracket if shared else _bracket(phi.grid, phi_nodes, bk)
+                own = bracket if shared else _bracket(phi.grid, phi.edges, bk)
                 curv = phi.sample(k * dt, own)
                 # ties at zero curvature take the high edge of the band
                 sig = np.where(curv >= 0.0, hi, lo)
+            # a binary z[k] is int8, promoted to the same float64 signs
             b_next = bk + sig * sq * z[k]
             yield k, bk, b_next, sig, bracket
             bk = b_next
@@ -275,6 +380,7 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
         stop = min(start + chunk, paths.n_paths)
         z = _draw_increments(gen, state, paths.seed, start, stop, n_steps, paths.increments)
         yield slice(start, stop), steps(z)
+        del z  # left to the chunk's steps, which drop it when exhausted
 
 
 def simulate_paths(
@@ -347,7 +453,8 @@ def replicate(
     Paths leaving the grid are excluded from the statistics.
 
     The paths are generated and consumed chunk by chunk; per step, delta,
-    curvature and an extremal control all read one interpolation bracket.
+    curvature and an extremal control all read one interpolation bracket,
+    and delta and curvature come from one gather of the hedge table.
     """
     if hedge.bounds != paths.bounds:
         raise ValueError("hedge field and paths use different bounds")
@@ -355,7 +462,6 @@ def replicate(
         upper_value = conditional_at(hedge.field, 0.0, 0.0)
 
     grid = hedge.grid
-    eta, phi = hedge.eta, hedge.phi_hat
     n = paths.n_paths
     dt = paths.dt
     g = hedge.bounds.g
@@ -372,8 +478,7 @@ def replicate(
         b_min = np.zeros(size)
         b_max = np.zeros(size)
         for k, bk, b_next, sig, bracket in steps:
-            eta_k = eta.sample(k * dt, bracket)
-            phi_k = phi.sample(k * dt, bracket)
+            eta_k, phi_k = hedge.sample(k * dt, bracket)
             gain += eta_k * (b_next - bk)
             inc = (g(2.0 * phi_k) - phi_k * (sig * sig)) * dt
             comp += inc

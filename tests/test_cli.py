@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from knightian import implementability
+from knightian import gexp, implementability
 from knightian.cli import main
 
 from helpers import capped_exp_value, write_config
@@ -171,6 +171,50 @@ class TestConfigHandling:
         code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
         assert code == 2
         assert "budget" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [
+            ("mc", {"paths": True, "steps": 16, "seed": 1}, "paths"),
+            ("mc", {"paths": 100, "steps": True, "seed": 1}, "steps"),
+            ("mc", {"paths": 100, "steps": 16, "seed": True}, "seed"),
+            ("grid", {"x_min": -6.0, "x_max": 6.0, "nx": "401", "nt": 800}, "nx"),
+            ("bounds", {"sigma_lo": 0.5, "sigma_hi": "1.0", "horizon": 1.0}, "sigma_hi"),
+            ("tolerances", {"mean_af": "0.001", "equilibrium": 1e-10}, "mean_af"),
+            ("pricing_prior", {"sigma": "1.0"}, "sigma"),
+            (
+                "agents",
+                [
+                    {"name": "a1", "utility": {"kind": "power", "gamma": "2"}, "endowment": "0.5"},
+                    {"name": "a2", "utility": {"kind": "log"}, "endowment": "0.5"},
+                ],
+                "gamma",
+            ),
+        ],
+        ids=["paths", "steps", "seed", "nx", "sigma_hi", "mean_af", "prior-sigma", "gamma"],
+    )
+    def test_non_number_rejected(self, ws, capsys, section, values, field):
+        cfg = write_config(ws / f"typed_{section}.json", **{section: values})
+        code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 2
+        assert f"{field} must be a number" in err
+        assert out == ""
+
+    def test_over_budget_march_rejected_at_load(self, ws, capsys, monkeypatch):
+        # 3 nodes and 3,000,000 time steps fit the memory budget, but the
+        # march would run 3,000,000 sub-steps: minutes of work
+        grid = {"x_min": -6.0, "x_max": 6.0, "nx": 3, "nt": 3_000_000}
+        cfg = write_config(ws / "long_march.json", grid=grid)
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("the march started")
+
+        monkeypatch.setattr(gexp, "_march", no_march)
+        code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 2
+        assert "work budget" in err
+        assert "nt=3000000" in err and "nx=3" in err and "m=1" in err
         assert out == ""
 
     def test_out_directory_created(self, ws, capsys):

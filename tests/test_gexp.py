@@ -90,6 +90,16 @@ class TestValidation:
         with pytest.raises(CflError):
             expectation(EXAMPLE, BAND, g, UPPER)
 
+    def test_march_work_budget(self, monkeypatch):
+        # the 101 x 50 grid needs m = 2 sub-steps per time step: 100 sub-steps
+        g = GridSpec(-6.0, 6.0, 101, 50)
+        work = 50 * 2 * (101 + gexp._SUBSTEP_NODES)
+        monkeypatch.setattr(gexp, "WORK_BUDGET", work)
+        expectation(EXAMPLE, BAND, g, UPPER)
+        monkeypatch.setattr(gexp, "WORK_BUDGET", work - 1)
+        with pytest.raises(ValueError, match=r"nt=50 time steps x m=2 sub-steps on nx=101"):
+            expectation(EXAMPLE, BAND, g, UPPER)
+
     def test_terminal_shape_checked(self):
         g = GridSpec(-6.0, 6.0, 101, 50)
         with pytest.raises(ValueError):

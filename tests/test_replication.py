@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from knightian import replication
+from knightian import gexp, replication
 from knightian import (
     ControlSpec,
     GridFunction,
@@ -467,6 +468,75 @@ class TestStreaming:
             simulate_paths(ControlSpec.constant(0.5), BAND, 4, 4, seed=2**96)
 
 
+class TestRawWordDraw:
+    """Binary steps are read off raw Philox words; they must equal numpy's
+    integers(0, 2) on the same per-path substream."""
+
+    @staticmethod
+    def _draw(seed, start, stop, n_steps, kind):
+        gen = np.random.Generator(np.random.Philox(key=0))
+        return replication._draw_increments(
+            gen, gen.bit_generator.state, seed, start, stop, n_steps, kind
+        )
+
+    @staticmethod
+    def _reference(seed, i):
+        return np.random.Generator(np.random.Philox(key=(seed << 32) + i))
+
+    # the last two seeds set the upper 64-bit word of the Philox key
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**96 - 1])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 511, 512])
+    def test_binary_matches_integers(self, seed, n_steps):
+        for start, stop in ((0, 37), (2**32 - 4, 2**32 - 1)):
+            z = self._draw(seed, start, stop, n_steps, "binary")
+            assert z.dtype == np.int8 and z.flags.c_contiguous
+            assert z.shape == (n_steps, stop - start)
+            for row, i in enumerate(range(start, stop)):
+                expected = 2 * self._reference(seed, i).integers(0, 2, n_steps) - 1
+                assert np.array_equal(z[:, row], expected), (row, i)
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 512])
+    def test_gaussian_unchanged(self, n_steps):
+        seed, start, stop = 2**32 + 5, 2**32 - 4, 2**32 - 1
+        z = self._draw(seed, start, stop, n_steps, "gaussian")
+        assert z.dtype == np.float64 and z.flags.c_contiguous
+        for row, i in enumerate(range(start, stop)):
+            assert bits(z[:, row].copy()) == bits(self._reference(seed, i).standard_normal(n_steps))
+
+
+class TestChunkFootprint:
+    def test_replicate_peak_memory(self, example_hedge):
+        # three full chunks of the hedge workload's shape on the example grid
+        n_steps = 512
+        rows = replication._CHUNK_BYTES // (8 * n_steps)
+        paths = simulate_paths(ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1)
+        tracemalloc.start()
+        try:
+            replicate(EXAMPLE, example_hedge, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # while a chunk is drawn, three (rows, n_steps) byte arrays are alive:
+        # the drawn top bytes, their word transpose and the int8 steps, 6 MiB
+        # here; then the per-path statistics, and 32 float64 rows of a chunk
+        # (1 MiB) for the per-step arrays.  The peak measured 6.7 MiB; one more
+        # chunk kept alive reads 8.7 MiB, and 16 MiB float64 chunks 49.4 MiB.
+        bound = 3 * rows * n_steps + replication._PATH_BYTES * paths.n_paths + 32 * 8 * rows
+        assert peak <= bound, (peak, bound)
+
+    def test_hedge_field_holds_five_layers(self):
+        # MEMORY_BUDGET admits grids by gexp._FIELD_LAYERS float64 layers: the
+        # value surface and the four columns of the hedge table
+        tracemalloc.start()
+        try:
+            hedge_field(EXAMPLE, BAND, GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layer = 8 * (GRID.nt + 1) * GRID.nx
+        assert peak <= (gexp._FIELD_LAYERS + 0.25) * layer, peak / layer
+
+
 class TestGridFunctionInterp:
     @pytest.fixture(scope="class")
     def field(self):
@@ -510,7 +580,7 @@ class TestGridFunctionInterp:
     def test_sample_reads_the_layer_at_or_below(self, field):
         nodes = GRID.nodes
         x = np.random.default_rng(7).uniform(-6.5, 6.5, 200)
-        bracket = replication._bracket(GRID, nodes, x)
+        bracket = replication._bracket(GRID, replication._edges(GRID), x)
         for t in (0.0, 0.37, BAND.horizon):
             k = layer_at_or_below(t, BAND.horizon, GRID.nt)
             assert bits(field.sample(t, bracket)) == bits(np.interp(x, nodes, field.values[k]))
