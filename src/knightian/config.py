@@ -124,10 +124,14 @@ def _agent_from(obj: dict, index: int) -> Agent:
     for key in ("name", "utility", "endowment"):
         if key not in obj:
             raise ConfigError(f"{where} needs {key!r}")
-    name = str(obj["name"])
+    name, text = obj["name"], obj["endowment"]
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{where}.name must be a non-empty string, got {name!r}")
+    if not isinstance(text, str):
+        raise ConfigError(f"{where}.endowment must be a string, got {text!r}")
     utility = _utility_from(obj["utility"], f"{where}.utility")
     try:
-        endowment = parse(str(obj["endowment"]))
+        endowment = parse(text)
     except PayoffParseError as err:
         raise ConfigError(f"{where}.endowment: {err}") from err
     return Agent(name, utility, endowment)

@@ -10,7 +10,7 @@ weighted marginal utility.  Nothing is solved node by node.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -207,41 +207,54 @@ def solve_equilibrium(
     than CLEARING_TOL (relative to max(1, |e|)), and net trades
     shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`.
     """
-    (outcome,) = _solve_stack((economy,), prior, budget_tol)
-    if isinstance(outcome, NegishiError):
-        raise outcome
-    return outcome
+    if not economy.constant_aggregate:
+        raise NonConstantEndowmentError(
+            "aggregate endowment varies across the grid; constant-sum "
+            "endowments are required for an equilibrium"
+        )
+    utilities = tuple(agent.utility for agent in economy.agents)
+    prices, alpha, shadow, residual, _, (error,) = _solve_stack(
+        utilities, economy.endowment_values[None], economy.bounds, economy.grid, prior, budget_tol
+    )
+    if error is not None:
+        raise NegishiError(error)
+    return EquilibriumResult(
+        alpha[0], prices[0], float(shadow[0]), prior, economy.names, economy.grid, residual[0]
+    )
 
 
-def _solve_stack(economies, prior: PriorSpec, budget_tol: float) -> list:
-    """Solve economies that share their agents' utilities, band and grid.
+class _Stack(NamedTuple):
+    """What `_solve_stack` finds for a stack of s economies of n agents."""
 
-    Returns, per economy and in order, its EquilibriumResult or the
-    NegishiError that `solve_equilibrium` raises for it.  Two marches serve
-    the whole stack: one of every endowment, then one of every budget claim
-    of the economies that passed the price and weight checks.  Each check
-    runs on all economies at once, with the same arithmetic per economy as
-    a solve of that economy alone, so every value is bit-identical to it.
+    prices: np.ndarray  # (s, n) endowment prices
+    alpha: np.ndarray  # (s, n) planner weights
+    shadow: np.ndarray  # (s,) shadow values
+    residual: np.ndarray  # (s, n) PDE-priced budget surplus
+    claims: np.ndarray  # (solved, n, nx) net trades shadow * (p - e) of the solved economies
+    errors: list  # (s,) None for a solved economy, else its NegishiError text
+
+
+def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) -> _Stack:
+    """Solve s economies of agents with a tuple of n utilities, whose
+    endowments are an (s, n, nx) array on the band's grid with a constant
+    aggregate each.
+
+    Two marches serve the whole stack: one of every endowment, then one of
+    every budget claim of the economies that passed the price and weight
+    checks.  Each check runs on all economies at once, with the same
+    arithmetic per economy as a solve of that economy alone, so every value
+    is bit-identical to it.
     """
-    for economy in economies:
-        if not economy.constant_aggregate:
-            raise NonConstantEndowmentError(
-                "aggregate endowment varies across the grid; constant-sum "
-                "endowments are required for an equilibrium"
-            )
-    first = economies[0]
-    bounds, grid, mode = first.bounds, first.grid, prior.mode()
-    endowments = np.stack([e.endowment_values for e in economies])  # (s, n, nx)
+    mode = prior.mode()
     s, n, nx = endowments.shape
     prices = expectation(endowments.reshape(s * n, nx), bounds, grid, mode).reshape(s, n)
 
-    outcomes = [None] * s
+    errors = [None] * s
     ok = np.ones(s, dtype=bool)
 
     def check(passed, message, residual=None):
         for i in np.flatnonzero(ok & ~passed):
-            text = message if residual is None else f"{message} (residual {residual[i]:.3e})"
-            outcomes[i] = NegishiError(text)
+            errors[i] = message if residual is None else f"{message} (residual {residual[i]:.3e})"
         ok[:] &= passed
 
     check(
@@ -252,8 +265,8 @@ def _solve_stack(economies, prior: PriorSpec, budget_tol: float) -> list:
     # a marginal utility that underflows to zero has an infinite inverse, and
     # the weights are then not finite: the boundary check rejects them
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, agent in enumerate(first.agents):
-            inv_marginal[ok, j] = 1.0 / agent.utility.marginal(prices[ok, j])
+        for j, utility in enumerate(utilities):
+            inv_marginal[ok, j] = 1.0 / utility.marginal(prices[ok, j])
         total = inv_marginal.sum(axis=1)
         alpha = inv_marginal / total[:, None]
     # also catches weights that are not finite
@@ -266,27 +279,22 @@ def _solve_stack(economies, prior: PriorSpec, budget_tol: float) -> list:
     shadow = np.zeros(s)
     shadow[live] = 1.0 / total[live]
     residual = np.zeros((s, n))
+    claims = shadow[live, None, None] * (prices[live, :, None] - endowments[live])
     if live.size:
-        claims = shadow[live, None, None] * (prices[live, :, None] - endowments[live])
         residual[live] = expectation(claims.reshape(-1, nx), bounds, grid, mode).reshape(-1, n)
-    aggregates = np.stack([e.aggregate for e in economies])
+    aggregates = endowments.sum(axis=1)
     clearing = np.max(np.abs(prices.sum(axis=1)[:, None] - aggregates), axis=1)
-    scale = np.maximum(1.0, np.max(np.abs(aggregates), axis=1))
-    passed = ~(clearing > CLEARING_TOL * scale)
+    passed = ~(clearing > _clearing_tol(aggregates))
     check(passed, "endowment prices do not clear the aggregate", clearing)
     worst = np.max(np.abs(residual), axis=1)
     check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)
-    for i in np.flatnonzero(ok):
-        outcomes[i] = EquilibriumResult(
-            alpha=alpha[i],
-            consumption=prices[i],
-            shadow=float(shadow[i]),
-            prior=prior,
-            names=economies[i].names,
-            grid=grid,
-            budget_residual=residual[i],
-        )
-    return outcomes
+    return _Stack(prices, alpha, shadow, residual, claims[ok[live]], errors)
+
+
+def _clearing_tol(aggregate: np.ndarray):
+    """Largest gap allowed between summed consumption and an (nx,) aggregate,
+    or per row of an (s, nx) stack: CLEARING_TOL relative to max(1, |e|)."""
+    return CLEARING_TOL * np.maximum(1.0, np.max(np.abs(aggregate), axis=-1))
 
 
 def full_insurance_check(result: EquilibriumResult, economy: Economy) -> float:

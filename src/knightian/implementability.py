@@ -13,14 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .dsl import BinOp, Call, Lit, Neg, Pow, Var
 from .equilibrium import (
-    Agent,
-    ConvergenceError,
     Economy,
     EquilibriumResult,
     PriorSpec,
+    _clearing_tol,
     _solve_stack,
+    full_insurance_check,
 )
 from .gexp import MEMORY_BUDGET, mean_ambiguity_gap
 
@@ -46,15 +45,19 @@ class NetTradeSet:
 
 
 def net_trades(result: EquilibriumResult, economy: Economy) -> NetTradeSet:
-    """Net trade grid of each agent: shadow * (consumption - endowment)."""
+    """Net trade grid of each agent: shadow * (consumption - endowment).
+
+    Raises ValueError for a result that is not this economy's: other agents,
+    another grid, or consumption that misses its aggregate by more than the
+    solver's clearing check allows."""
     if result.names != economy.names:
         raise ValueError("result and economy list different agents")
     if result.grid != economy.grid:
         raise ValueError("result and economy use different grids")
-    values = result.shadow * (result.consumption[:, None] - economy.endowment_values)
-    clearing = float(np.max(np.abs(values.sum(axis=0))))
-    if clearing > 1e-10:
+    clearing = full_insurance_check(result, economy)
+    if clearing > _clearing_tol(economy.aggregate):
         raise ValueError(f"market clearing violated (residual {clearing:.3e})")
+    values = result.shadow * (result.consumption[:, None] - economy.endowment_values)
     return NetTradeSet(economy.names, values)
 
 
@@ -130,33 +133,33 @@ class ProbeResult:
     perturbation: Perturbation
 
 
-def _shifted_scaled(center: float, width: float):
-    # (x - center) / width
-    return BinOp("/", BinOp("-", Var(), Lit(center)), Lit(width))
-
-
-def _tilt_expr(family: str, center: float, width: float):
-    z = _shifted_scaled(center, width)
-    if family == "bump":
-        return Call("exp", (Neg(Pow(z, 2)),))
-    # ramp: clamp z to [0, 1]
-    return Call("min", (Call("max", (z, Lit(0.0))), Lit(1.0)))
-
-
-def _clamped_share(e_total: float, amplitude: float, tilt):
-    # e/2 + amplitude * tilt, clamped into [0.01 e, 0.99 e]
+def _splits(perturbation: Perturbation, e_total: float, nodes, centers, widths):
+    """Endowments of the probe's two agents, an (s, 2, nx) array: the first
+    agent holds e/2 + amplitude * tilt, clamped into [0.01 e, 0.99 e], the
+    second the rest.  The tilt of sample i is exp(-z^2) for a bump and z
+    clamped into [0, 1] for a ramp, z = (x - centers[i]) / widths[i].  These
+    are the ufuncs, in the same order, that evaluating the split's payoff
+    expression on the grid applies, so every value is bit-identical to it."""
+    z = (nodes - centers[:, None]) / widths[:, None]
+    if perturbation.family == "bump":
+        tilt = np.exp(-(z**2))
+    else:
+        tilt = np.minimum(np.maximum(z, 0.0), 1.0)
     eps = 0.01 * e_total
-    raw = BinOp("+", Lit(0.5 * e_total), BinOp("*", Lit(amplitude), tilt))
-    return Call("min", (Call("max", (raw, Lit(eps))), Lit(e_total - eps)))
+    out = np.empty((len(centers), 2, len(nodes)))
+    raw = 0.5 * e_total + perturbation.amplitude * tilt
+    np.minimum(np.maximum(raw, eps), e_total - eps, out=out[:, 0])
+    np.subtract(e_total, out[:, 0], out=out[:, 1])
+    return out
 
 
 # per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
-# nodes at once: the endowment (the economy's and the solver's stack), the
-# budget claim, the net trade, and the doubled [f; -f] stack and its march
-# output; on top come about _SAMPLE_BYTES of Python objects per sample
-# (measured: 7.8 rows at nx = 401, 4.3 kB of objects at nx = 11)
-_PROBE_ROWS = 8
-_SAMPLE_BYTES = 8192
+# nodes at once, at most while the net trades are marched: the trades, their
+# doubled [f; -f] stack and its march output; on top come about _SAMPLE_BYTES
+# of Python objects per sample (tracemalloc: 5.0 rows at nx = 401, 0.45 kB
+# of objects at nx = 11, for either family)
+_PROBE_ROWS = 6
+_SAMPLE_BYTES = 1024
 
 # two-sided 95 percent normal quantile, norm.ppf(0.975)
 _Z95 = 1.959963984540054
@@ -195,8 +198,8 @@ def genericity_probe(
     solve failures are tallied separately, never silently counted as either
     outcome.  Every sample gives what `solve_equilibrium` and
     `check_implementability` give it alone, but the whole probe takes three
-    marches: one of every endowment, one of every budget claim and one of
-    every net trade.
+    marches: one of every endowment, one of every budget claim, and one of
+    the claims of the solved samples, which are their net trades.
     """
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")
@@ -212,10 +215,8 @@ def genericity_probe(
 
     e_total = float(np.mean(economy.aggregate))
     scale = economy.bounds.sigma_hi * math.sqrt(economy.bounds.horizon)
-    a1, a2 = economy.agents
 
     draws = []
-    economies = []
     for k in range(n_samples):
         # one independent substream per sample; reproducible regardless of
         # how many samples precede it
@@ -224,41 +225,31 @@ def genericity_probe(
         center = float(rng.uniform(-1.5 * scale, 1.5 * scale))
         width = float(rng.uniform(0.3 * scale, 1.0 * scale))
         draws.append((k, sample_seed, center, width))
+    centers, widths = np.array([draw[2:] for draw in draws]).T
+    endowments = _splits(perturbation, e_total, economy.grid.nodes, centers, widths)
 
-        tilt = _tilt_expr(perturbation.family, center, width)
-        e1 = _clamped_share(e_total, perturbation.amplitude, tilt)
-        e2 = BinOp("-", Lit(e_total), e1)
-        perturbed = Economy(
-            (
-                Agent(a1.name, a1.utility, e1),
-                Agent(a2.name, a2.utility, e2),
-            ),
-            economy.bounds,
-            economy.grid,
-        )
-        economies.append(perturbed)
-
-    outcomes = _solve_stack(economies, prior, budget_tol)
-    solved = [k for k, out in enumerate(outcomes) if not isinstance(out, ConvergenceError)]
+    utilities = tuple(agent.utility for agent in economy.agents)
+    stack = _solve_stack(utilities, endowments, economy.bounds, economy.grid, prior, budget_tol)
+    del endowments  # not needed past the solve; keeps the peak at _PROBE_ROWS
+    n_solved = len(stack.claims)
     verdicts = iter(())
-    if solved:
-        trades = np.concatenate([net_trades(outcomes[k], economies[k]).values for k in solved])
+    if n_solved:
+        trades = stack.claims.reshape(-1, economy.grid.nx)
         res = mean_ambiguity_gap(trades, economy.bounds, economy.grid, tol)
-        per_sample = (c.reshape(len(solved), -1).tolist() for c in (res.gap, res.mean_af))
+        per_sample = (c.reshape(n_solved, -1).tolist() for c in (res.gap, res.mean_af))
         verdicts = zip(*per_sample)
 
     samples = []
     n_failing = 0
-    for draw, outcome in zip(draws, outcomes):
-        if isinstance(outcome, ConvergenceError):
-            samples.append(ProbeSample(*draw, None, None, str(outcome)))
+    for draw, error in zip(draws, stack.errors):
+        if error is not None:
+            samples.append(ProbeSample(*draw, None, None, error))
             continue
         gaps, mean_af = next(verdicts)
         if not all(mean_af):
             n_failing += 1
         samples.append(ProbeSample(*draw, max(gaps), all(mean_af)))
 
-    n_solved = len(solved)
     n_failed_solves = n_samples - n_solved
     if n_solved > 0:
         fraction = n_failing / n_solved

@@ -47,8 +47,9 @@ class SimulationError(RuntimeError):
 
 
 # increments are drawn for a chunk of _CHUNK_BYTES // (8 * n_steps) paths at a
-# time: this many bytes of float64 gaussian increments, an eighth of it of int8
-# binary ones (and while those are drawn, two more arrays of that size)
+# time: one array of this many bytes of float64 gaussian increments (plus one
+# path's buffer), or an eighth of it of int8 binary ones (and while those are
+# drawn, two more arrays of that size)
 _CHUNK_BYTES = 16 << 20
 # path i of a seed draws from the Philox key (seed << 32) + i; keys hold 128 bits
 _MAX_PATHS = 1 << 32
@@ -266,9 +267,9 @@ class PathBatch:
 
     No path is stored.  `replicate` and `strategy_gains` generate the paths
     chunk by chunk and consume each chunk as it is made, so whatever the
-    batch size they hold one chunk of increments: `_CHUNK_BYTES` of float64
-    gaussian ones, or an eighth of that of int8 binary ones (three such byte
-    arrays while a binary chunk is drawn).
+    batch size they hold one chunk of increments: one `_CHUNK_BYTES` array
+    of float64 gaussian ones, or an eighth of that of int8 binary ones (three
+    such byte arrays while a binary chunk is drawn).
     """
 
     control: ControlSpec
@@ -316,7 +317,9 @@ def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps
         width = -(-n_steps // 8) * 8
         tops = np.empty((rows, width), dtype=np.uint8)
     else:
-        raw = np.empty((rows, n_steps))
+        # drawn a path at a time into one buffer, each copied into its column
+        z = np.empty((n_steps, rows))
+        path = np.empty(n_steps)
     for row, i in enumerate(range(start, stop)):
         path_key = (seed << 32) + i
         key[0] = path_key & _MASK64
@@ -327,9 +330,10 @@ def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps
             words = bits.random_raw(width // 2).astype("<u8", copy=False)
             tops[row] = words.view(np.uint8)[3::4]
         else:
-            gen.standard_normal(n_steps, out=raw[row])
+            gen.standard_normal(n_steps, out=path)
+            z[:, row] = path
     if kind == "gaussian":
-        return np.ascontiguousarray(raw.T)
+        return z
     tops >>= 7  # the drawn bits, 0 or 1
     z = _transpose_bytes(tops)[:n_steps].view(np.int8)
     z += z

@@ -201,6 +201,43 @@ class TestConfigHandling:
         assert f"{field} must be a number" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("name", None),
+            ("name", 5),
+            ("name", True),
+            ("name", {}),
+            ("name", ""),
+            ("endowment", 1),
+            ("endowment", None),
+            ("endowment", [1]),
+        ],
+        ids=[
+            "name-null",
+            "name-5",
+            "name-true",
+            "name-object",
+            "name-empty",
+            "endowment-1",
+            "endowment-null",
+            "endowment-list",
+        ],
+    )
+    def test_non_string_agent_field_rejected(self, ws, capsys, key, value):
+        agents = [
+            {"name": "a1", "utility": {"kind": "log"}, "endowment": "min(exp(x), 1)"},
+            {"name": "a2", "utility": {"kind": "log"}, "endowment": "1 - min(exp(x), 1)"},
+        ]
+        agents[1][key] = value
+        cfg = write_config(ws / "typed_agent.json", agents=agents)
+        out_dir = ws / "typed_agent"
+        code, out, err = run(capsys, "--config", str(cfg), "--out", str(out_dir), "equilibrium")
+        assert code == 2
+        assert f"agents[1].{key} must be a" in err
+        assert out == ""
+        assert not (out_dir / "equilibrium.csv").exists()
+
     def test_over_budget_march_rejected_at_load(self, ws, capsys, monkeypatch):
         # 3 nodes and 3,000,000 time steps fit the memory budget, but the
         # march would run 3,000,000 sub-steps: minutes of work
@@ -338,6 +375,29 @@ class TestImplement:
         assert all(abs(float(r[3])) <= 1e-8 for r in rows[1:])
 
 
+    def test_large_aggregate_accepted(self, ws, capsys):
+        # an aggregate of 1e6: the prices miss it by one ulp, 1.164e-10, which
+        # the solver accepts, and so must the net trades
+        exp_agents = [
+            {"name": "a1", "utility": {"kind": "exp", "a": 1e-7}, "endowment": "1e6 * min(exp(x), 1)"},
+            {
+                "name": "a2",
+                "utility": {"kind": "exp", "a": 1e-7},
+                "endowment": "1e6 - 1e6 * min(exp(x), 1)",
+            },
+        ]
+        write_config(ws / "million.json", agents=exp_agents)
+        out_dir = ws / "impl_million"
+        code, out, err = run(
+            capsys,
+            "--config", str(ws / "million.json"), "--out", str(out_dir),
+            "implement",
+        )
+        assert code == 0, err
+        assert "IMPLEMENTABLE: no" in out
+        assert len(read_csv(out_dir / "implementability.csv")) == 3
+
+
 class TestReplicate:
     def test_payoff_mode_artifact(self, ws, capsys):
         out_dir = ws / "rep_payoff"
@@ -467,7 +527,7 @@ class TestProbe:
         def no_draws(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(implementability, "_tilt_expr", no_draws)
+        monkeypatch.setattr(implementability, "_splits", no_draws)
         code, _, err = run(capsys, "--config", probe_cfg, "probe", "--samples", str(10**7))
         assert code == 2
         assert "memory budget" in err

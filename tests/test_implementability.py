@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from knightian import (
@@ -17,13 +19,8 @@ from knightian import (
     solve_equilibrium,
 )
 from knightian import gexp
-from knightian.dsl import BinOp, Lit, parse
-from knightian.implementability import (
-    Perturbation,
-    _clamped_share,
-    _tilt_expr,
-    _wilson_interval,
-)
+from knightian.dsl import BinOp, Call, Lit, Neg, Pow, Var, evaluate, parse
+from knightian.implementability import Perturbation, _splits, _wilson_interval
 
 from helpers import (
     BAND,
@@ -76,6 +73,21 @@ class TestNetTrades:
         moved = example_economy(grid=GridSpec(-5.0, 5.0, GRID.nx, GRID.nt))
         with pytest.raises(ValueError, match="different grids"):
             net_trades(res, moved)
+
+    def test_other_endowments_rejected(self, example_solved):
+        # the same names and grid, but endowments summing to 2: the example's
+        # consumption, which clears an aggregate of 1, does not clear these
+        _, res = example_solved
+        doubled = Economy(
+            (
+                Agent("a1", Utility.log(), parse("2 * min(exp(x), 1)")),
+                Agent("a2", Utility.log(), parse("2 - 2 * min(exp(x), 1)")),
+            ),
+            BAND,
+            GRID,
+        )
+        with pytest.raises(ValueError, match="market clearing violated"):
+            net_trades(res, doubled)
 
 
 class TestCheckImplementability:
@@ -297,6 +309,48 @@ def test_failed_samples_leave_the_stack(monkeypatch):
     assert shapes == [(16, nx), (2 * res.n_solved, nx), (4 * res.n_solved, nx)]
 
 
+def shifted_scaled(center: float, width: float):
+    # (x - center) / width
+    return BinOp("/", BinOp("-", Var(), Lit(center)), Lit(width))
+
+
+def tilt_expr(family: str, center: float, width: float):
+    z = shifted_scaled(center, width)
+    if family == "bump":
+        return Call("exp", (Neg(Pow(z, 2)),))
+    # ramp: clamp z to [0, 1]
+    return Call("min", (Call("max", (z, Lit(0.0))), Lit(1.0)))
+
+
+def clamped_share(e_total: float, amplitude: float, tilt):
+    # e/2 + amplitude * tilt, clamped into [0.01 e, 0.99 e]
+    eps = 0.01 * e_total
+    raw = BinOp("+", Lit(0.5 * e_total), BinOp("*", Lit(amplitude), tilt))
+    return Call("min", (Call("max", (raw, Lit(eps))), Lit(e_total - eps)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    family=st.sampled_from(["bump", "ramp"]),
+    amplitude=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    e_total=st.floats(1e-3, 1e6),
+    draws=st.lists(
+        st.tuples(st.floats(-20.0, 20.0), st.floats(1e-3, 20.0)), min_size=1, max_size=4
+    ),
+)
+def test_splits_match_expression_trees(family, amplitude, e_total, draws):
+    """The probe's endowment array is, byte for byte, the split's payoff
+    expressions evaluated on the grid."""
+    nodes = PROBE_GRID.nodes
+    centers, widths = np.array(draws).T
+    got = _splits(Perturbation(family, amplitude), e_total, nodes, centers, widths)
+    assert got.shape == (len(draws), 2, PROBE_GRID.nx)
+    for (center, width), split in zip(draws, got):
+        e1 = clamped_share(e_total, amplitude, tilt_expr(family, center, width))
+        e2 = BinOp("-", Lit(e_total), e1)
+        assert split.tobytes() == np.stack([evaluate(e1, nodes), evaluate(e2, nodes)]).tobytes()
+
+
 def per_sample_probe(economy, n_samples, perturbation, seed, prior, tol, budget_tol):
     """Reference probe: draw each sample as `genericity_probe` does, then one
     solve_equilibrium and one check_implementability per sample."""
@@ -309,8 +363,8 @@ def per_sample_probe(economy, n_samples, perturbation, seed, prior, tol, budget_
         rng = np.random.default_rng(sample_seed)
         center = float(rng.uniform(-1.5 * scale, 1.5 * scale))
         width = float(rng.uniform(0.3 * scale, 1.0 * scale))
-        tilt = _tilt_expr(perturbation.family, center, width)
-        e1 = _clamped_share(e_total, perturbation.amplitude, tilt)
+        tilt = tilt_expr(perturbation.family, center, width)
+        e1 = clamped_share(e_total, perturbation.amplitude, tilt)
         agents = (Agent(a1.name, a1.utility, e1), Agent(a2.name, a2.utility, BinOp("-", Lit(e_total), e1)))
         perturbed = Economy(agents, economy.bounds, economy.grid)
         try:

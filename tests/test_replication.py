@@ -509,20 +509,28 @@ class TestChunkFootprint:
         # three full chunks of the hedge workload's shape on the example grid
         n_steps = 512
         rows = replication._CHUNK_BYTES // (8 * n_steps)
-        paths = simulate_paths(ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1)
-        tracemalloc.start()
-        try:
-            replicate(EXAMPLE, example_hedge, paths)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # while a chunk is drawn, three (rows, n_steps) byte arrays are alive:
-        # the drawn top bytes, their word transpose and the int8 steps, 6 MiB
-        # here; then the per-path statistics, and 32 float64 rows of a chunk
-        # (1 MiB) for the per-step arrays.  The peak measured 6.7 MiB; one more
-        # chunk kept alive reads 8.7 MiB, and 16 MiB float64 chunks 49.4 MiB.
-        bound = 3 * rows * n_steps + replication._PATH_BYTES * paths.n_paths + 32 * 8 * rows
-        assert peak <= bound, (peak, bound)
+        # while a binary chunk is drawn, three (rows, n_steps) byte arrays are
+        # alive: the drawn top bytes, their word transpose and the int8 steps,
+        # 6 MiB here.  A gaussian chunk is one (rows, n_steps) float64 array,
+        # 16 MiB, walked through its transposed view.  On top come the
+        # per-path statistics and 32 float64 rows of a chunk (1 MiB) for the
+        # per-step arrays.  The binary peak measured 6.7 MiB; one more chunk
+        # kept alive reads 8.7 MiB, and 16 MiB float64 chunks 49.4 MiB.  The
+        # gaussian peak measured 16.9 MiB, and 32.7 MiB with a contiguous copy
+        # of the transpose.
+        for increments, chunk_bytes in (("binary", 3), ("gaussian", 8)):
+            paths = simulate_paths(
+                ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1, increments=increments
+            )
+            tracemalloc.start()
+            try:
+                replicate(EXAMPLE, example_hedge, paths)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            chunk = chunk_bytes * rows * n_steps
+            bound = chunk + replication._PATH_BYTES * paths.n_paths + 32 * 8 * rows
+            assert peak <= bound, (increments, peak, bound)
 
     def test_hedge_field_holds_five_layers(self):
         # MEMORY_BUDGET admits grids by gexp._FIELD_LAYERS float64 layers: the
