@@ -15,7 +15,6 @@ from knightian import (
     PriorSpec,
     Utility,
     VolBounds,
-    full_insurance_check,
     parse,
     solve_equilibrium,
 )
@@ -51,7 +50,7 @@ print(f"\nconsumption shift across the band: {shift:+.6f}")
 # endowment, efficient consumption is constant across states. The printed
 # variation is how far the summed consumption misses the aggregate endowment.
 res = solve_equilibrium(economy, PriorSpec.constant(1.0))
-print(f"full-insurance variation at sigma=1.0: {full_insurance_check(res, economy):.2e}")
+print(f"full-insurance variation at sigma=1.0: {res.clearing:.2e}")
 
 # Agent one's equilibrium consumption equals the price of their endowment
 # under the chosen prior (log utility, unit aggregate): the whole effect is

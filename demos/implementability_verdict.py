@@ -27,7 +27,7 @@ grid = GridSpec(-6.0, 6.0, 401, 800)
 
 def verdict_for(economy, label):
     res = solve_equilibrium(economy, PriorSpec.constant(1.0))
-    v = check_implementability(res, economy)
+    v = check_implementability(res)
     print(f"{label}:")
     for a in v.agents:
         tag = "mean ambiguity-free" if a.mean_af else "ambiguous mean"

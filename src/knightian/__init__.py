@@ -11,7 +11,6 @@ from .equilibrium import (
     NonConstantEndowmentError,
     PriorSpec,
     Utility,
-    full_insurance_check,
     solve_equilibrium,
 )
 from .gexp import (
@@ -34,12 +33,10 @@ from .gexp import (
 )
 from .implementability import (
     ImplementabilityVerdict,
-    NetTradeSet,
     Perturbation,
     ProbeResult,
     check_implementability,
     genericity_probe,
-    net_trades,
 )
 from .replication import (
     ControlSpec,

@@ -17,13 +17,7 @@ from pathlib import Path
 
 from .config import Config, load_config
 from .dsl import BinOp, Lit, parse, pretty_print
-from .equilibrium import (
-    ConvergenceError,
-    NonConstantEndowmentError,
-    PriorSpec,
-    full_insurance_check,
-    solve_equilibrium,
-)
+from .equilibrium import ConvergenceError, NonConstantEndowmentError, solve_equilibrium
 from .gexp import LOWER, UPPER, Mode, expectation, mean_ambiguity_gap, tree_expectation
 from .implementability import Perturbation, check_implementability, genericity_probe
 from .replication import ControlSpec, SimulationError, hedge_field, replicate, simulate_paths
@@ -137,13 +131,19 @@ def cmd_eval(cfg: Config, args, out_dir: Path) -> int:
 
 def _solved_equilibrium(cfg: Config):
     economy = cfg.economy()
-    prior = cfg.require_prior()
-    result = solve_equilibrium(economy, prior, budget_tol=cfg.tolerances.equilibrium)
-    return economy, result
+    return solve_equilibrium(economy, cfg.require_prior(), budget_tol=cfg.tolerances.equilibrium)
+
+
+def _write_csv(path: Path, header: list, rows):
+    """Write one CSV artifact; every CSV the commands write has this dialect."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def cmd_equilibrium(cfg: Config, args, out_dir: Path) -> int:
-    economy, result = _solved_equilibrium(cfg)
+    result = _solved_equilibrium(cfg)
     if not cfg.bounds.degenerate:
         _say(
             args,
@@ -152,50 +152,44 @@ def cmd_equilibrium(cfg: Config, args, out_dir: Path) -> int:
             "different equilibrium allocation",
         )
     _say(args, f"shadow value: {result.shadow!r}")
-    _say(args, f"full-insurance variation: {full_insurance_check(result, economy)!r}")
+    _say(args, f"full-insurance variation: {result.clearing!r}")
     rows = []
-    for i, name in enumerate(result.names):
+    for i, name in enumerate(result.economy.names):
         c0 = float(result.consumption[i])
         a_i = float(result.alpha[i])
-        rows.append((name, a_i, c0, float(result.budget_residual[i])))
+        rows.append((name, repr(a_i), repr(c0), repr(float(result.budget_residual[i]))))
         _say(args, f"agent {name}: weight={a_i!r} consumption={c0!r}")
     path = out_dir / "equilibrium.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["agent", "weight", "consumption", "budget_residual"])
-        for name, a, c0, resid in rows:
-            w.writerow([name, repr(a), repr(c0), repr(resid)])
+    _write_csv(path, ["agent", "weight", "consumption", "budget_residual"], rows)
     _say(args, f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_implement(cfg: Config, args, out_dir: Path) -> int:
-    economy, result = _solved_equilibrium(cfg)
-    verdict = check_implementability(result, economy, tol=cfg.tolerances.mean_af)
+    verdict = check_implementability(_solved_equilibrium(cfg), tol=cfg.tolerances.mean_af)
     for v in verdict.agents:
         flag = "yes" if v.mean_af else "no"
         _say(args, f"agent {v.name}: gap={v.gap!r} mean-ambiguity-free: {flag}")
     _say(args, f"IMPLEMENTABLE: {'yes' if verdict.implementable else 'no'}")
+    rows = [
+        [v.name, repr(v.upper), repr(v.lower), repr(v.gap), "true" if v.mean_af else "false"]
+        for v in verdict.agents
+    ]
     path = out_dir / "implementability.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["agent", "upper", "lower", "gap", "mean_af"])
-        for v in verdict.agents:
-            w.writerow(
-                [v.name, repr(v.upper), repr(v.lower), repr(v.gap), "true" if v.mean_af else "false"]
-            )
+    _write_csv(path, ["agent", "upper", "lower", "gap", "mean_af"], rows)
     _say(args, f"wrote {path}")
     return EXIT_OK
 
 
 def _net_trade_expr(cfg: Config, agent_name: str):
     """Net trade of one agent as an exact expression: shadow * (c - endowment)."""
-    economy, result = _solved_equilibrium(cfg)
-    if agent_name not in result.names:
+    result = _solved_equilibrium(cfg)
+    names = result.economy.names
+    if agent_name not in names:
         raise ValueError(f"no agent named {agent_name!r} in the configuration")
-    i = result.names.index(agent_name)
+    i = names.index(agent_name)
     c0 = float(result.consumption[i])
-    endowment = economy.agents[i].endowment
+    endowment = result.economy.agents[i].endowment
     return BinOp("*", Lit(result.shadow), BinOp("-", Lit(c0), endowment))
 
 
@@ -278,25 +272,15 @@ def cmd_probe(cfg: Config, args, out_dir: Path) -> int:
     _say(args, f"failing implementability: {result.n_failing} of {result.n_solved}")
     _say(args, f"failing fraction: {result.fraction_failing!r}")
     _say(args, f"wilson 95% interval: [{result.wilson_low!r}, {result.wilson_high!r}]")
+    rows = []
+    for s in result.samples:
+        if s.error is not None:
+            outcome = ["", "error", s.error]
+        else:
+            outcome = [repr(s.gap_max), "true" if s.implementable else "false", ""]
+        rows.append([s.index, s.seed, repr(s.center), repr(s.width), *outcome])
     path = out_dir / "probe.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["index", "seed", "center", "width", "gap_max", "implementable", "error"])
-        for s in result.samples:
-            if s.error is not None:
-                w.writerow([s.index, s.seed, repr(s.center), repr(s.width), "", "error", s.error])
-            else:
-                w.writerow(
-                    [
-                        s.index,
-                        s.seed,
-                        repr(s.center),
-                        repr(s.width),
-                        repr(s.gap_max),
-                        "true" if s.implementable else "false",
-                        "",
-                    ]
-                )
+    _write_csv(path, ["index", "seed", "center", "width", "gap_max", "implementable", "error"], rows)
     _say(args, f"wrote {path}")
     return EXIT_OK
 

@@ -27,7 +27,6 @@ __all__ = [
     "NonConstantEndowmentError",
     "EquilibriumResult",
     "solve_equilibrium",
-    "full_insurance_check",
 ]
 
 # planner weights closer to the simplex boundary than this are treated as
@@ -185,13 +184,14 @@ class Economy:
 
 @dataclass(eq=False)
 class EquilibriumResult:
+    economy: Economy  # the economy solved
+    prior: PriorSpec
     alpha: np.ndarray  # (n_agents,) planner weights, summing to one
     consumption: np.ndarray  # (n_agents,) constant consumption: the endowment prices
     shadow: float  # common weighted marginal utility, the state-price density proxy
-    prior: PriorSpec
-    names: tuple
-    grid: GridSpec  # grid the prices were marched on
     budget_residual: np.ndarray  # PDE-priced budget surplus per agent
+    trades: np.ndarray  # (n_agents, nx) net trades shadow * (consumption - endowment)
+    clearing: float  # largest gap over the grid between summed consumption and aggregate
 
 
 def solve_equilibrium(
@@ -205,22 +205,29 @@ def solve_equilibrium(
     1 / sum_j 1 / u_j'(p_j), so alpha_i u_i'(p_i) equals it for every agent.
     Two checks raise NegishiError: prices that miss the aggregate by more
     than CLEARING_TOL (relative to max(1, |e|)), and net trades
-    shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`.
+    shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`.  The
+    result carries the net trades and the clearing gap it checked.
     """
-    if not economy.constant_aggregate:
-        raise NonConstantEndowmentError(
-            "aggregate endowment varies across the grid; constant-sum "
-            "endowments are required for an equilibrium"
-        )
+    require_constant_aggregate(economy)
     utilities = tuple(agent.utility for agent in economy.agents)
-    prices, alpha, shadow, residual, _, (error,) = _solve_stack(
+    prices, alpha, shadow, residual, clearing, trades, (error,) = _solve_stack(
         utilities, economy.endowment_values[None], economy.bounds, economy.grid, prior, budget_tol
     )
     if error is not None:
         raise NegishiError(error)
     return EquilibriumResult(
-        alpha[0], prices[0], float(shadow[0]), prior, economy.names, economy.grid, residual[0]
+        economy, prior, alpha[0], prices[0], float(shadow[0]), residual[0],
+        trades[0], float(clearing[0]),
     )
+
+
+def require_constant_aggregate(economy: Economy):
+    """Raise NonConstantEndowmentError unless the aggregate endowment is flat."""
+    if not economy.constant_aggregate:
+        raise NonConstantEndowmentError(
+            "aggregate endowment varies across the grid; constant-sum "
+            "endowments are required for an equilibrium"
+        )
 
 
 class _Stack(NamedTuple):
@@ -230,7 +237,8 @@ class _Stack(NamedTuple):
     alpha: np.ndarray  # (s, n) planner weights
     shadow: np.ndarray  # (s,) shadow values
     residual: np.ndarray  # (s, n) PDE-priced budget surplus
-    claims: np.ndarray  # (solved, n, nx) net trades shadow * (p - e) of the solved economies
+    clearing: np.ndarray  # (s,) largest gap between summed prices and the aggregate
+    trades: np.ndarray  # (solved, n, nx) net trades shadow * (p - e) of the solved economies
     errors: list  # (s,) None for a solved economy, else its NegishiError text
 
 
@@ -240,10 +248,10 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     aggregate each.
 
     Two marches serve the whole stack: one of every endowment, then one of
-    every budget claim of the economies that passed the price and weight
-    checks.  Each check runs on all economies at once, with the same
-    arithmetic per economy as a solve of that economy alone, so every value
-    is bit-identical to it.
+    the net trades of the economies that passed the price and weight checks,
+    which prices their budgets.  Each check runs on all economies at once,
+    with the same arithmetic per economy as a solve of that economy alone,
+    so every value is bit-identical to it.
     """
     mode = prior.mode()
     s, n, nx = endowments.shape
@@ -279,25 +287,13 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     shadow = np.zeros(s)
     shadow[live] = 1.0 / total[live]
     residual = np.zeros((s, n))
-    claims = shadow[live, None, None] * (prices[live, :, None] - endowments[live])
+    trades = shadow[live, None, None] * (prices[live, :, None] - endowments[live])
     if live.size:
-        residual[live] = expectation(claims.reshape(-1, nx), bounds, grid, mode).reshape(-1, n)
+        residual[live] = expectation(trades.reshape(-1, nx), bounds, grid, mode).reshape(-1, n)
     aggregates = endowments.sum(axis=1)
     clearing = np.max(np.abs(prices.sum(axis=1)[:, None] - aggregates), axis=1)
-    passed = ~(clearing > _clearing_tol(aggregates))
-    check(passed, "endowment prices do not clear the aggregate", clearing)
+    tol = CLEARING_TOL * np.maximum(1.0, np.max(np.abs(aggregates), axis=1))
+    check(~(clearing > tol), "endowment prices do not clear the aggregate", clearing)
     worst = np.max(np.abs(residual), axis=1)
     check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)
-    return _Stack(prices, alpha, shadow, residual, claims[ok[live]], errors)
-
-
-def _clearing_tol(aggregate: np.ndarray):
-    """Largest gap allowed between summed consumption and an (nx,) aggregate,
-    or per row of an (s, nx) stack: CLEARING_TOL relative to max(1, |e|)."""
-    return CLEARING_TOL * np.maximum(1.0, np.max(np.abs(aggregate), axis=-1))
-
-
-def full_insurance_check(result: EquilibriumResult, economy: Economy) -> float:
-    """Largest gap, over the grid, between the agents' summed consumption and
-    the aggregate endowment."""
-    return float(np.max(np.abs(result.consumption.sum() - economy.aggregate)))
+    return _Stack(prices, alpha, shadow, residual, clearing, trades[ok[live]], errors)

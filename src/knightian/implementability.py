@@ -17,48 +17,20 @@ from .equilibrium import (
     Economy,
     EquilibriumResult,
     PriorSpec,
-    _clearing_tol,
     _solve_stack,
-    full_insurance_check,
+    require_constant_aggregate,
 )
 from .gexp import MEMORY_BUDGET, mean_ambiguity_gap
 
 __all__ = [
-    "NetTradeSet",
     "AgentVerdict",
     "ImplementabilityVerdict",
     "Perturbation",
     "ProbeSample",
     "ProbeResult",
-    "net_trades",
     "check_implementability",
     "genericity_probe",
 ]
-
-
-@dataclass(eq=False)
-class NetTradeSet:
-    """Priced net trades on the grid, one row per agent; rows sum to zero."""
-
-    names: tuple
-    values: np.ndarray  # (n_agents, nx)
-
-
-def net_trades(result: EquilibriumResult, economy: Economy) -> NetTradeSet:
-    """Net trade grid of each agent: shadow * (consumption - endowment).
-
-    Raises ValueError for a result that is not this economy's: other agents,
-    another grid, or consumption that misses its aggregate by more than the
-    solver's clearing check allows."""
-    if result.names != economy.names:
-        raise ValueError("result and economy list different agents")
-    if result.grid != economy.grid:
-        raise ValueError("result and economy use different grids")
-    clearing = full_insurance_check(result, economy)
-    if clearing > _clearing_tol(economy.aggregate):
-        raise ValueError(f"market clearing violated (residual {clearing:.3e})")
-    values = result.shadow * (result.consumption[:, None] - economy.endowment_values)
-    return NetTradeSet(economy.names, values)
 
 
 @dataclass(eq=False)
@@ -83,14 +55,12 @@ class ImplementabilityVerdict:
         raise KeyError(name)
 
 
-def check_implementability(
-    result: EquilibriumResult, economy: Economy, tol: float = 1e-3
-) -> ImplementabilityVerdict:
+def check_implementability(result: EquilibriumResult, tol: float = 1e-3) -> ImplementabilityVerdict:
     """Equilibrium is implementable when every net trade is mean-ambiguity-free."""
-    trades = net_trades(result, economy)
-    res = mean_ambiguity_gap(trades.values, economy.bounds, economy.grid, tol)
+    economy = result.economy
+    res = mean_ambiguity_gap(result.trades, economy.bounds, economy.grid, tol)
     columns = (res.upper, res.lower, res.gap, res.mean_af)
-    verdicts = tuple(AgentVerdict(*row) for row in zip(trades.names, *(c.tolist() for c in columns)))
+    verdicts = tuple(AgentVerdict(*row) for row in zip(economy.names, *(c.tolist() for c in columns)))
     return ImplementabilityVerdict(verdicts, all(v.mean_af for v in verdicts), tol)
 
 
@@ -198,13 +168,14 @@ def genericity_probe(
     solve failures are tallied separately, never silently counted as either
     outcome.  Every sample gives what `solve_equilibrium` and
     `check_implementability` give it alone, but the whole probe takes three
-    marches: one of every endowment, one of every budget claim, and one of
-    the claims of the solved samples, which are their net trades.
+    marches: one of every endowment, one of every net trade to price the
+    budgets, and one of the net trades of the solved samples for their
+    ambiguity gaps.  Like `solve_equilibrium`, the probe raises
+    NonConstantEndowmentError for an economy whose aggregate is not flat.
     """
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")
-    if not economy.constant_aggregate:
-        raise ValueError("the probe requires a constant aggregate endowment")
+    require_constant_aggregate(economy)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     per_sample = 8 * _PROBE_ROWS * economy.n_agents * economy.grid.nx + _SAMPLE_BYTES
@@ -231,10 +202,10 @@ def genericity_probe(
     utilities = tuple(agent.utility for agent in economy.agents)
     stack = _solve_stack(utilities, endowments, economy.bounds, economy.grid, prior, budget_tol)
     del endowments  # not needed past the solve; keeps the peak at _PROBE_ROWS
-    n_solved = len(stack.claims)
+    n_solved = len(stack.trades)
     verdicts = iter(())
     if n_solved:
-        trades = stack.claims.reshape(-1, economy.grid.nx)
+        trades = stack.trades.reshape(-1, economy.grid.nx)
         res = mean_ambiguity_gap(trades, economy.bounds, economy.grid, tol)
         per_sample = (c.reshape(n_solved, -1).tolist() for c in (res.gap, res.mean_af))
         verdicts = zip(*per_sample)

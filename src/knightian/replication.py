@@ -446,12 +446,11 @@ class ReplicationReport:
         }
 
 
-def replicate(
-    expr: Expr, hedge: HedgeField, paths: PathBatch, upper_value: Optional[float] = None
-) -> ReplicationReport:
+def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationReport:
     """Run the hedging identity along a path batch.
 
     Per path: gap = [upper value + sum eta dB - K_T] - payoff(B_T), where the
+    upper value is the hedge field's value at the origin and the
     compensator K accrues (worst-case flux of twice the curvature minus
     curvature times realized variance) * dt, a nonnegative amount each step.
     Paths leaving the grid are excluded from the statistics.
@@ -462,8 +461,7 @@ def replicate(
     """
     if hedge.bounds != paths.bounds:
         raise ValueError("hedge field and paths use different bounds")
-    if upper_value is None:
-        upper_value = conditional_at(hedge.field, 0.0, 0.0)
+    upper_value = conditional_at(hedge.field, 0.0, 0.0)
 
     grid = hedge.grid
     n = paths.n_paths

@@ -22,7 +22,6 @@ from knightian import (
     default_grid,
     exp_martingale_transform,
     expectation,
-    full_insurance_check,
     genericity_probe,
     hedge_field,
     replicate,
@@ -107,8 +106,8 @@ def test_a3_allocation_indeterminacy():
     c_lo = float(res_lo.consumption[0])
     shift = abs(c_hi - c_lo)
     assert shift == pytest.approx(0.088, abs=0.01)
-    fi_hi = full_insurance_check(res_hi, econ)
-    fi_lo = full_insurance_check(res_lo, econ)
+    fi_hi = res_hi.clearing
+    fi_lo = res_lo.clearing
     assert fi_hi < 1e-8 and fi_lo < 1e-8
     print(
         f"PASS indeterminacy: c1 {c_hi:.5f} vs {c_lo:.5f} (shift {shift:.5f}), "

@@ -609,3 +609,43 @@ class TestDeterminism:
             assert code == 0
             blobs.append((out_dir / "replication.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_example_artifacts_pinned(self, ws, capsys):
+        out_dir = ws / "pinned"
+        base = ["--config", str(ws / "cfg.json"), "--out", str(out_dir)]
+        code, out, _ = run(capsys, *base, "equilibrium")
+        assert code == 0
+        assert "full-insurance variation: 0.0" in out.splitlines()
+        code, _, _ = run(capsys, *base, "implement")
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("equilibrium.csv", "implementability.csv")
+        }
+        assert digests == {
+            "equilibrium.csv": "3c7f7a25b85d8c27ba7bb5b93d6486e26b4ec33c0d1f759399133013565581ab",
+            "implementability.csv": "700b788c41f2c9d7f962e2e7849640f61dba0d3ed8e57446a78c917e19e0ba8a",
+        }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium"],
+        ["implement"],
+        ["replicate", "--agent", "a1", "--prior-sigma", "0.5"],
+        ["probe", "--samples", "2"],
+    ],
+    ids=["equilibrium", "implement", "replicate", "probe"],
+)
+def test_nonconstant_aggregate_exits_3(ws, capsys, argv):
+    write_config(
+        ws / "tilted.json",
+        agents=[
+            {"name": "a1", "utility": {"kind": "log"}, "endowment": "min(exp(x), 1)"},
+            {"name": "a2", "utility": {"kind": "log"}, "endowment": "1.5 - min(exp(x), 1)*0.5"},
+        ],
+    )
+    code, _, err = run(capsys, "--config", str(ws / "tilted.json"), "--out", str(ws / "tilted"), *argv)
+    assert code == 3
+    assert err.startswith("error: aggregate endowment varies across the grid")

@@ -12,7 +12,6 @@ from knightian import (
     PriorSpec,
     Utility,
     expectation,
-    full_insurance_check,
     solve_equilibrium,
 )
 from knightian.config import Tolerances
@@ -134,7 +133,7 @@ class TestEfficientAllocation:
         utils = [Utility.log(), Utility.power(3.0), Utility.exponential(0.5)]
         econ = _flat_economy([0.5, 1.0, 1.0], utils)
         res = solve_equilibrium(econ, PRIOR1)
-        assert full_insurance_check(res, econ) < 1e-12
+        assert res.clearing < 1e-12
         for i, u in enumerate(utils):
             weighted = res.alpha[i] * u.marginal(res.consumption[i])
             assert weighted == pytest.approx(res.shadow, rel=1e-12)
@@ -200,7 +199,7 @@ class TestSolveEquilibrium:
         res = solve_equilibrium(econ, PRIOR1)
         assert float(res.consumption[0]) == pytest.approx(capped_exp_value(1.0), abs=5e-4)
         assert res.alpha.sum() == pytest.approx(1.0, abs=1e-12)
-        assert full_insurance_check(res, econ) < 1e-8
+        assert res.clearing < 1e-8
         assert np.max(np.abs(res.budget_residual)) < 1e-8
 
     def test_example_prior_low_differs(self):
@@ -242,8 +241,20 @@ class TestSolveEquilibrium:
         weighted = [res.alpha[i] * a.utility.marginal(c[i]) for i, a in enumerate(econ.agents)]
         assert weighted == pytest.approx([res.shadow] * 3, rel=1e-12)
         assert np.all(res.alpha > 0.0)
-        assert full_insurance_check(res, econ) < 1e-12
+        assert res.clearing < 1e-12
         assert np.max(np.abs(res.budget_residual)) <= Tolerances().equilibrium
+
+    @pytest.mark.parametrize("prior", [PRIOR5, PRIOR1], ids=["sigma0.5", "sigma1.0"])
+    def test_result_carries_economy_trades_and_clearing(self, prior):
+        econ = _three_agent_economy(
+            [Utility.power(2.0), Utility.exponential(0.7), Utility.power(0.5)]
+        )
+        res = solve_equilibrium(econ, prior)
+        assert res.economy is econ
+        assert res.trades.shape == (econ.n_agents, GRID.nx)
+        # the gap the solver checked is the largest miss of the aggregate
+        expect = np.max(np.abs(res.consumption.sum() - econ.aggregate))
+        assert res.clearing == float(expect)
 
     def test_nonconstant_aggregate_rejected(self):
         agents = (
@@ -372,5 +383,5 @@ def test_closed_form_equilibrium_properties(econ, sigma):
     for i, agent in enumerate(econ.agents):
         price = expectation(agent.endowment, BAND, PROPERTY_GRID, prior.mode())
         assert c[i] == pytest.approx(price, rel=1e-12, abs=1e-12)
-    assert full_insurance_check(res, econ) < 1e-12
+    assert res.clearing < 1e-12
     assert np.max(np.abs(res.budget_residual)) <= Tolerances().equilibrium

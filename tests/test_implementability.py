@@ -11,11 +11,11 @@ from knightian import (
     ConvergenceError,
     Economy,
     GridSpec,
+    NonConstantEndowmentError,
     PriorSpec,
     Utility,
     check_implementability,
     genericity_probe,
-    net_trades,
     solve_equilibrium,
 )
 from knightian import gexp
@@ -36,64 +36,38 @@ PRIOR1 = PriorSpec.constant(1.0)
 
 @pytest.fixture(scope="module")
 def example_solved():
-    econ = example_economy(grid=GRID)
-    return econ, solve_equilibrium(econ, PRIOR1)
+    return solve_equilibrium(example_economy(grid=GRID), PRIOR1)
 
 
 class TestNetTrades:
     def test_rows_sum_to_zero(self, example_solved):
-        econ, res = example_solved
-        trades = net_trades(res, econ)
-        assert np.max(np.abs(trades.values.sum(axis=0))) < 1e-10
-        assert np.max(np.abs(trades.values[0] + trades.values[1])) < 1e-12
+        trades = example_solved.trades
+        assert np.max(np.abs(trades.sum(axis=0))) < 1e-10
+        assert np.max(np.abs(trades[0] + trades[1])) < 1e-12
 
     def test_example_shape(self, example_solved):
-        econ, res = example_solved
-        trades = net_trades(res, econ)
+        res = example_solved
         c_star = capped_exp_value(1.0)
         # shadow is one for log agents on unit endowment, so the first trade
         # is c* - min(exp(x), 1)
-        expect = c_star - econ.endowment_values[0]
-        assert np.max(np.abs(trades.values[0] - expect)) < 5e-4
+        expect = c_star - res.economy.endowment_values[0]
+        assert np.max(np.abs(res.trades[0] - expect)) < 5e-4
         mid = (GRID.nx - 1) // 2
-        assert trades.values[0][mid] == pytest.approx(c_star - 1.0, abs=5e-4)
+        assert res.trades[0][mid] == pytest.approx(c_star - 1.0, abs=5e-4)
 
     def test_symmetric_trades_vanish(self):
-        econ = symmetric_economy(grid=GRID)
-        res = solve_equilibrium(econ, PRIOR1)
-        trades = net_trades(res, econ)
-        assert np.max(np.abs(trades.values)) < 1e-9
+        res = solve_equilibrium(symmetric_economy(grid=GRID), PRIOR1)
+        assert np.max(np.abs(res.trades)) < 1e-9
 
-    def test_mismatched_economy_rejected(self, example_solved):
-        _, res = example_solved
-        other = symmetric_economy(grid=GRID)
-        with pytest.raises(ValueError):
-            net_trades(res, other)
-        # the same agents on another grid with as many nodes
-        moved = example_economy(grid=GridSpec(-5.0, 5.0, GRID.nx, GRID.nt))
-        with pytest.raises(ValueError, match="different grids"):
-            net_trades(res, moved)
-
-    def test_other_endowments_rejected(self, example_solved):
-        # the same names and grid, but endowments summing to 2: the example's
-        # consumption, which clears an aggregate of 1, does not clear these
-        _, res = example_solved
-        doubled = Economy(
-            (
-                Agent("a1", Utility.log(), parse("2 * min(exp(x), 1)")),
-                Agent("a2", Utility.log(), parse("2 - 2 * min(exp(x), 1)")),
-            ),
-            BAND,
-            GRID,
-        )
-        with pytest.raises(ValueError, match="market clearing violated"):
-            net_trades(res, doubled)
+    def test_trades_are_priced_consumption_minus_endowment(self, example_solved):
+        res = example_solved
+        expect = res.shadow * (res.consumption[:, None] - res.economy.endowment_values)
+        assert res.trades.tobytes() == expect.tobytes()
 
 
 class TestCheckImplementability:
     def test_example_not_implementable(self, example_solved):
-        econ, res = example_solved
-        verdict = check_implementability(res, econ)
+        verdict = check_implementability(example_solved)
         assert not verdict.implementable
         g1 = verdict.agent("a1").gap
         assert g1 >= 0.088
@@ -101,26 +75,23 @@ class TestCheckImplementability:
         assert verdict.agent("a2").gap == pytest.approx(g1, abs=1e-9)
 
     def test_upper_mean_matches_band_values(self, example_solved):
-        econ, res = example_solved
-        verdict = check_implementability(res, econ)
+        verdict = check_implementability(example_solved)
         v1 = verdict.agent("a1")
         # upper of c - e1 is c - lower of e1
-        c_star = float(res.consumption[0])
+        c_star = float(example_solved.consumption[0])
         assert v1.upper == pytest.approx(c_star - 0.7435, abs=2e-3)
         assert v1.lower == pytest.approx(c_star - 0.8626, abs=2e-3)
 
     def test_symmetric_implementable_exactly(self):
-        econ = symmetric_economy(grid=GRID)
-        res = solve_equilibrium(econ, PRIOR1)
-        verdict = check_implementability(res, econ)
+        res = solve_equilibrium(symmetric_economy(grid=GRID), PRIOR1)
+        verdict = check_implementability(res)
         assert verdict.implementable
         for v in verdict.agents:
             assert abs(v.gap) < 1e-9
 
     def test_linear_split_implementable(self):
-        econ = linear_split_economy(grid=GRID)
-        res = solve_equilibrium(econ, PRIOR1)
-        verdict = check_implementability(res, econ)
+        res = solve_equilibrium(linear_split_economy(grid=GRID), PRIOR1)
+        verdict = check_implementability(res)
         assert verdict.implementable
         for v in verdict.agents:
             assert abs(v.gap) < 1e-8
@@ -131,15 +102,14 @@ class TestCheckImplementability:
         bounds = VolBounds(1.0, 1.0, 1.0)
         econ = example_economy(grid=default_grid(bounds, nx=401, nt=800), bounds=bounds)
         res = solve_equilibrium(econ, PRIOR1)
-        verdict = check_implementability(res, econ)
+        verdict = check_implementability(res)
         assert verdict.implementable
         for v in verdict.agents:
             assert abs(v.gap) <= 1e-10
 
     def test_tolerance_monotone(self, example_solved):
-        econ, res = example_solved
-        tight = check_implementability(res, econ, tol=1e-6)
-        loose = check_implementability(res, econ, tol=10.0)
+        tight = check_implementability(example_solved, tol=1e-6)
+        loose = check_implementability(example_solved, tol=10.0)
         assert not tight.implementable
         assert loose.implementable
 
@@ -224,6 +194,22 @@ class TestGenericityProbe:
         with pytest.raises(ValueError):
             genericity_probe(three, 3)
 
+    def test_nonconstant_aggregate_rejected(self):
+        # the solver's error and message, so the command line exits 3 for both
+        econ = Economy(
+            (
+                Agent("a1", Utility.log(), parse("min(exp(x), 1)")),
+                Agent("a2", Utility.log(), parse("1.5 - min(exp(x), 1)*0.5")),
+            ),
+            BAND,
+            GRID,
+        )
+        with pytest.raises(NonConstantEndowmentError) as probe_err:
+            genericity_probe(econ, 3)
+        with pytest.raises(NonConstantEndowmentError) as solve_err:
+            solve_equilibrium(econ, PRIOR1)
+        assert str(probe_err.value) == str(solve_err.value)
+
 
 COUNT_ENDOWMENTS = {
     2: ("min(exp(x), 1)", "1 - min(exp(x), 1)"),
@@ -251,7 +237,7 @@ def test_one_march_per_batched_call(monkeypatch, n_agents):
     # endowment prices, then budget claims
     assert shapes == [(n_agents, grid.nx), (n_agents, grid.nx)]
     shapes.clear()
-    check_implementability(res, econ)
+    check_implementability(res)
     # one upper march of the net trades stacked over their negatives
     assert shapes == [(2 * n_agents, grid.nx)]
 
@@ -369,7 +355,7 @@ def per_sample_probe(economy, n_samples, perturbation, seed, prior, tol, budget_
         perturbed = Economy(agents, economy.bounds, economy.grid)
         try:
             result = solve_equilibrium(perturbed, prior, budget_tol)
-            verdict = check_implementability(result, perturbed, tol)
+            verdict = check_implementability(result, tol)
         except ConvergenceError as err:
             rows.append((k, sample_seed, center, width, None, None, str(err)))
             continue

@@ -19,7 +19,6 @@ from knightian import (
     exp_martingale_transform,
     expectation,
     hedge_field,
-    net_trades,
     replicate,
     simulate_paths,
     solve_equilibrium,
@@ -214,7 +213,7 @@ class TestNetTradeReplication:
         # pure-trading shortfall equal to the compensator mean
         econ = example_economy(grid=GRID)
         res = solve_equilibrium(econ, PriorSpec.constant(1.0))
-        trade = net_trades(res, econ).values[0]
+        trade = res.trades[0]
         from knightian.dsl import BinOp, Lit
 
         c0 = float(res.consumption[0])
