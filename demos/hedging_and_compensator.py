@@ -55,7 +55,7 @@ print(f"adversarial volatility: mean K_T {rep.mean_k:.1e}, gap {rep.mean_gap:+.2
 # position by the integrator's loading at the sample point reproduces the
 # original gains path by path, to machine precision.
 t = np.linspace(0.0, bounds.horizon, grid.nt + 1)
-loading = GridFunction(np.exp(grid.nodes[None, :] - 0.5 * t[:, None]), grid, bounds.horizon)
+loading = GridFunction.of(np.exp(grid.nodes[None, :] - 0.5 * t[:, None]), grid, bounds.horizon)
 rebased = exp_martingale_transform(hedge.eta, loading, floor=1e-8)
 sample = simulate_paths(ControlSpec.constant(0.8), bounds, 2000, 256, seed=5)
 direct = strategy_gains(hedge.eta, sample)

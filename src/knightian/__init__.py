@@ -18,11 +18,10 @@ from .gexp import (
     UPPER,
     CflError,
     GapResult,
+    GridFunction,
     GridSpec,
     Mode,
-    ValueField,
     VolBounds,
-    conditional_at,
     default_grid,
     expectation,
     mean_ambiguity_gap,
@@ -40,7 +39,6 @@ from .implementability import (
 )
 from .replication import (
     ControlSpec,
-    GridFunction,
     HedgeField,
     PathBatch,
     ReplicationReport,

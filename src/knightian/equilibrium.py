@@ -287,12 +287,16 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     shadow = np.zeros(s)
     shadow[live] = 1.0 / total[live]
     residual = np.zeros((s, n))
-    trades = shadow[live, None, None] * (prices[live, :, None] - endowments[live])
+    # the clearing gap first, so the aggregates are freed before the trades
+    aggregate = endowments.sum(axis=1)
+    clearing = np.max(np.abs(prices.sum(axis=1)[:, None] - aggregate), axis=1)
+    tol = CLEARING_TOL * np.maximum(1.0, np.max(np.abs(aggregate), axis=1))
+    del aggregate
+    trades = endowments[live]
+    np.subtract(prices[live, :, None], trades, out=trades)
+    np.multiply(shadow[live, None, None], trades, out=trades)
     if live.size:
         residual[live] = expectation(trades.reshape(-1, nx), bounds, grid, mode).reshape(-1, n)
-    aggregates = endowments.sum(axis=1)
-    clearing = np.max(np.abs(prices.sum(axis=1)[:, None] - aggregates), axis=1)
-    tol = CLEARING_TOL * np.maximum(1.0, np.max(np.abs(aggregates), axis=1))
     check(~(clearing > tol), "endowment prices do not clear the aggregate", clearing)
     worst = np.max(np.abs(residual), axis=1)
     check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)

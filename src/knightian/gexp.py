@@ -26,7 +26,7 @@ __all__ = [
     "Mode",
     "UPPER",
     "LOWER",
-    "ValueField",
+    "GridFunction",
     "CflError",
     "GapResult",
     "StrongProbeReport",
@@ -34,7 +34,6 @@ __all__ = [
     "solve_terminal_values",
     "solve_value_field",
     "expectation",
-    "conditional_at",
     "tree_expectation",
     "mean_ambiguity_gap",
     "strong_ambiguity_probe",
@@ -47,11 +46,12 @@ SUBSTEP_CAP = 1000
 MAX_TREE_STEPS = 14
 
 # memory one run may claim, checked before anything is allocated; hedging holds
-# _FIELD_LAYERS (nt + 1, nx) float64 layers at most: the value surface and the
-# hedge table, which packs delta, curvature and their interval slopes, written
-# in place (a tracemalloc peak of 5.08 layers on the 401 x 800 grid)
+# _FIELD_LAYERS (nt + 1, nx) float64 layers at most: the hedge table, which
+# packs delta, curvature and their interval slopes, each layer derived from the
+# march as it passes, so no value surface is kept (a tracemalloc peak of 4.08
+# layers on the 401 x 800 grid)
 MEMORY_BUDGET = 1 << 30
-_FIELD_LAYERS = 5
+_FIELD_LAYERS = 4
 
 # march work per payoff column, nt * m * (nx + _SUBSTEP_NODES), checked before
 # marching.  A sub-step costs up to 28 us of dispatch (at nx = 3) plus about
@@ -152,24 +152,6 @@ def default_grid(bounds: VolBounds, nx: int = 801, nt: int = 2000) -> GridSpec:
     return GridSpec(-span, span, nx, nt)
 
 
-@dataclass(frozen=True, eq=False)
-class ValueField:
-    """Solved value surface.
-
-    `values` has shape (nt + 1, nx); row k holds v(t_k, .) with
-    t_k = k * horizon / nt, so the last row is the terminal payoff.
-    """
-
-    values: np.ndarray
-    grid: GridSpec
-    bounds: VolBounds
-    mode: Mode
-
-    @property
-    def horizon(self) -> float:
-        return self.bounds.horizon
-
-
 def _substeps(bounds: VolBounds, grid: GridSpec) -> int:
     """Sub-steps per time step of a march on this band and grid; refuses one
     past SUBSTEP_CAP (CflError) or one whose work exceeds WORK_BUDGET."""
@@ -203,19 +185,25 @@ def _check_mode(mode: Mode, bounds: VolBounds):
 _MARCH_ROWS = 64
 
 
-def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode, layers=None):
+def _march(
+    term: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode, layer=None, both_signs=False
+):
     """March (nx,) or (k, nx) terminal node values back to t = 0 and return
-    them; with `layers`, an (nt + 1, nx) array and a vector payoff, also store
-    every time layer.
+    their values at the origin, read as np.interp reads them: a float, or a
+    (k,) array.  With `both_signs`, each row f is marched beside -f in its
+    block, and the result is a (2, k) array: the origin values of f, then of
+    -f.  With `layer`, a vector payoff's layers k = nt, ..., 0 are handed over
+    as the march reaches them, as `layer(k, values)` with an (nx,) array valid
+    only during the call.
 
     The scheme is explicit with central second differences; boundary nodes are
     frozen (zero curvature there).  Internally each user time step is split
     into enough sub-steps to keep the update monotone.  The flux is the band's
     `bounds.g` or a fixed sigma's; the lower value is lower(f) = -upper(-f).
 
-    A stack is marched _MARCH_ROWS rows at a time, each block node-major as a
-    contiguous (nx, rows) array: the shifted slices v[2:], v[1:-1] and v[:-2]
-    are then contiguous, and every sub-step runs in place through two
+    A stack is marched _MARCH_ROWS columns at a time, each block node-major as
+    a contiguous (nx, columns) array: the shifted slices v[2:], v[1:-1] and
+    v[:-2] are then contiguous, and every sub-step runs in place through two
     buffers.  Each operation is one that the update
     v += dtau * flux((v+ - 2 v + v-) / dx^2) performs, in the same order, so
     every row is bit-identical to that update of it alone, signed zeros
@@ -234,25 +222,29 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode, laye
     fixed = 0.5 * mode.sigma**2 if mode.kind == "fixed" else None
     hi2, lo2 = bounds.sigma_hi**2, bounds.sigma_lo**2
     lower = mode.kind == "lower"
+    nodes = grid.nodes
 
     stack = np.atleast_2d(term)
-    out = np.empty_like(stack)
-    for start in range(0, len(stack), _MARCH_ROWS):
-        block = stack[start : start + _MARCH_ROWS].T
-        v = np.empty(block.shape)
+    signs = 2 if both_signs else 1
+    rows = max(1, _MARCH_ROWS // signs)
+    out = np.empty((signs, len(stack)))
+    for start in range(0, len(stack), rows):
+        block = stack[start : start + rows].T
+        width = block.shape[1]
+        v = np.empty((grid.nx, signs * width))
         if lower:
-            np.negative(block, out=v)
+            np.negative(block, out=v[:, :width])
         else:
-            np.copyto(v, block)
+            np.copyto(v[:, :width], block)
+        if both_signs:
+            np.negative(v[:, :width], out=v[:, width:])
         up, mid, down = v[2:], v[1:-1], v[:-2]
         a = np.empty_like(mid)
         b = np.empty_like(mid)
-        if layers is not None:
-            layers[grid.nt] = v[:, 0]
         # ufuncs take their output positionally (cheaper per call), except
         # np.maximum, which deprecates that form
-        for k in range(grid.nt, 0, -1):
-            for _ in range(m):
+        for k in range(grid.nt, -1, -1):
+            for _ in range(m if k < grid.nt else 0):  # layer nt is the payoff
                 np.multiply(mid, 2.0, a)
                 np.subtract(up, a, a)
                 np.add(a, down, a)
@@ -270,35 +262,69 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode, laye
                     np.multiply(a, 0.5, a)
                 np.multiply(a, dtau, a)
                 np.add(mid, a, mid)
-            if layers is not None:
-                layers[k - 1] = v[:, 0]
+            if layer is not None:
+                values = v[:, 0]
+                if lower:
+                    # what the lower march does to its result, layer by layer
+                    values = -values
+                    if k < grid.nt:
+                        values[1:-1] += 0.0
+                layer(k, values)
         if lower:
             # negation is exact but for marched zeros coming back as -0.0: adding
             # 0.0 to the marched interior restores +0.0; boundaries keep the
             # payoff's zeros
             np.negative(v, out=v)
             mid += 0.0
-            if layers is not None:
-                np.negative(layers, out=layers)
-                layers[:-1, 1:-1] += 0.0
-        out[start : start + _MARCH_ROWS] = v.T
-    return out[0] if term.ndim == 1 else out
+        out[:, start : start + width] = _at_origin(v, nodes).reshape(signs, width)
+    if both_signs:
+        return out
+    return float(out[0, 0]) if term.ndim == 1 else out[0]
+
+
+def _at_origin(v: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Each column's value at x = 0 of an (nx, columns) block of node values,
+    by np.interp's rule, signed zeros included: the node value if 0 is a
+    node, else slope * (0 - left node) + left value; if that is NaN, the same
+    from the right end, and if that is NaN too, the value of two equal ends."""
+    j = int(np.searchsorted(nodes, 0.0, side="right")) - 1
+    if nodes[j] == 0.0:
+        return v[j]
+    slope = (v[j + 1] - v[j]) / (nodes[j + 1] - nodes[j])
+    value = slope * (0.0 - nodes[j]) + v[j]
+    again = slope * (0.0 - nodes[j + 1]) + v[j + 1]
+    again = np.where(np.isnan(again) & (v[j] == v[j + 1]), v[j], again)
+    return np.where(np.isnan(value), again, value)
 
 
 def solve_terminal_values(
     terminal: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode
-) -> ValueField:
-    """Backward-solve from explicit (nx,) terminal node values, keeping every layer."""
+) -> "GridFunction":
+    """Backward-solve from explicit (nx,) terminal node values, keeping every
+    layer: the march writes each one into the field's table as it passes."""
     if np.shape(terminal) != (grid.nx,):
         raise ValueError(f"terminal values must have shape ({grid.nx},)")
-    values = np.empty((grid.nt + 1, grid.nx))
-    _march(terminal, bounds, grid, mode, values)
-    return ValueField(values, grid, bounds, mode)
+    table = np.empty((grid.nt + 1, grid.nx, 2))
+    # layer k lands in row k of the value column
+    _march(terminal, bounds, grid, mode, table[..., 1].__setitem__)
+    return GridFunction(table, grid, bounds.horizon)
 
 
-def solve_value_field(expr: Expr, bounds: VolBounds, grid: GridSpec, mode: Mode) -> ValueField:
+def solve_value_field(expr: Expr, bounds: VolBounds, grid: GridSpec, mode: Mode) -> "GridFunction":
     """Backward-solve the value surface of a payoff expression."""
     return solve_terminal_values(evaluate(expr, grid.nodes), bounds, grid, mode)
+
+
+def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Mode):
+    """Expectation at the origin of an expression or of node values on the
+    grid: an (nx,) vector gives a float, a (k, nx) stack, marched at once, a
+    (k,) array.  The march reads only the origin, as np.interp reads it, and
+    builds no field and no (k, nx) output."""
+    return _march(_terminal_of(payoff, grid), bounds, grid, mode)
+
+
+# ---------------------------------------------------------------------------
+# fields on the grid
 
 
 def layer_at_or_below(t: float, horizon: float, nt: int) -> int:
@@ -309,26 +335,91 @@ def layer_at_or_below(t: float, horizon: float, nt: int) -> int:
     return min(nt, int(math.floor(t / (horizon / nt) + 1e-9)))
 
 
-def conditional_at(field: ValueField, t: float, x: float) -> float:
-    """Value surface sampled at (t, x): nearest stored layer at or below t,
-    linear interpolation in x."""
-    g = field.grid
-    k = layer_at_or_below(t, field.horizon, g.nt)
-    if not g.x_min <= x <= g.x_max:
-        raise ValueError(f"query point {x} off the grid [{g.x_min}, {g.x_max}]")
-    return float(np.interp(x, g.nodes, field.values[k]))
-
-
-def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Mode):
-    """Expectation at the origin of an expression or of node values on the
-    grid: an (nx,) vector gives a float, a (k, nx) stack, marched at once, a
-    (k,) array.  No field is stored; the origin is interpolated exactly as
-    `conditional_at(field, 0, 0)` does."""
-    v = _march(_terminal_of(payoff, grid), bounds, grid, mode)
+def _edges(grid: GridSpec) -> np.ndarray:
+    """(nx, 2) table whose row j holds nodes[j] and nodes[j + 1] (the last
+    row repeats x_max), so one gather reads both ends of an interval."""
     nodes = grid.nodes
-    if v.ndim == 1:
-        return float(np.interp(0.0, nodes, v))
-    return np.array([np.interp(0.0, nodes, row) for row in v])
+    return np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
+
+
+def _bracket(grid: GridSpec, edges: np.ndarray, x: np.ndarray):
+    """Grid interval of each query point, clamped to the grid.
+
+    Returns j and x - nodes[j] with nodes[j] <= x < nodes[j + 1] (j = nx - 1
+    only at x_max).  The uniform-grid guess is corrected against both ends of
+    its interval, read from `edges` (`_edges(grid)`) in one gather, so the
+    bracket is the one np.interp's search finds.
+    """
+    x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
+    # fmin also sends NaN to a valid index; its d stays NaN, as np.interp's value
+    j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
+    ends = np.take(edges, j, axis=0)
+    # the guess is off by at most one, and never in both directions
+    j -= ends[:, 0] > x
+    j += ends[:, 1] <= x
+    return j, x - np.take(edges[:, 0], j)
+
+
+def _sample(table: np.ndarray, k: int, bracket) -> list:
+    """Every field of an (nt + 1, nx, 2 f) table of f fields, each a column of
+    slopes and one of node values, at layer k and the points of a `_bracket`,
+    by np.interp's formula; one gather reads all of them."""
+    j, d = bracket
+    near = np.take(table[k], j, axis=0)
+    return [near[:, i] * d + near[:, i + 1] for i in range(0, near.shape[1], 2)]
+
+
+@dataclass(eq=False)
+class GridFunction:
+    """Space-time field sampled like the solver stores it: the time layer at
+    or below t, linear interpolation in x (clamped at the grid edges).
+
+    `table` is an (nt + 1, nx, 2) array, possibly a block of a wider one:
+    its builder fills in the node values (column 1), and construction the
+    slope of the grid interval right of each node (column 0, 0 past the last
+    node), in place.  Sampling matches np.interp bit for bit, except that a
+    stored -0.0 can come back as 0.0.
+    """
+
+    table: np.ndarray
+    grid: GridSpec
+    horizon: float
+
+    def __post_init__(self):
+        shape = (self.grid.nt + 1, self.grid.nx, 2)
+        if np.shape(self.table) != shape:
+            raise ValueError(f"a table of shape {np.shape(self.table)} does not fit a {shape} grid")
+        slope, value = self.table[..., 0], self.table[..., 1]
+        np.subtract(value[:, 1:], value[:, :-1], slope[:, :-1])
+        np.divide(slope[:, :-1], np.diff(self.grid.nodes), slope[:, :-1])
+        slope[:, -1] = 0.0
+        self.edges = _edges(self.grid)
+
+    @classmethod
+    def of(cls, values, grid: GridSpec, horizon: float) -> "GridFunction":
+        """The field of (nt + 1, nx) node values, copied into a new table."""
+        shape = (grid.nt + 1, grid.nx)
+        if np.shape(values) != shape:
+            raise ValueError(f"values of shape {np.shape(values)} do not fit a {shape} grid")
+        table = np.empty(shape + (2,))
+        table[..., 1] = values
+        return cls(table, grid, horizon)
+
+    @property
+    def values(self) -> np.ndarray:
+        """(nt + 1, nx) node values; row k is the layer at t_k = k * horizon / nt."""
+        return self.table[..., 1]
+
+    def sample(self, t: float, bracket) -> np.ndarray:
+        """The layer at or below t at the points of a `_bracket` on this grid."""
+        (out,) = _sample(self.table, layer_at_or_below(t, self.horizon, self.grid.nt), bracket)
+        return out
+
+    def at(self, t: float, x):
+        xa = np.asarray(x, dtype=float)
+        bracket = _bracket(self.grid, self.edges, xa.reshape(-1))
+        out = self.sample(t, bracket).reshape(xa.shape)
+        return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +521,13 @@ def mean_ambiguity_gap(
 
     `payoff` may be an expression, a vector of node values on the grid, or a
     (k, nx) stack of them, which gives every field as a (k,) array.  One upper
-    march of [f; -f] yields both bounds.  A gap within `tol` classifies the
-    payoff as mean-ambiguity-free.
+    march yields both bounds: each block of the march takes f and -f side by
+    side, with no doubled copy of the stack, and lower(f) = -upper(-f).  A
+    gap within `tol` classifies the payoff as mean-ambiguity-free.
     """
     term = _terminal_of(payoff, grid)
-    rows = np.atleast_2d(term)
-    both = expectation(np.concatenate([rows, -rows]), bounds, grid, UPPER)
-    up, lo = both[: len(rows)], -both[len(rows) :] + 0.0
+    up, negated = _march(term, bounds, grid, UPPER, both_signs=True)
+    lo = -negated + 0.0
     gap = up - lo
     res = GapResult(gap, gap <= tol, up, lo)
     return GapResult(*(a.item() for a in res)) if term.ndim == 1 else res

@@ -110,25 +110,26 @@ def _splits(perturbation: Perturbation, e_total: float, nodes, centers, widths):
     clamped into [0, 1] for a ramp, z = (x - centers[i]) / widths[i].  These
     are the ufuncs, in the same order, that evaluating the split's payoff
     expression on the grid applies, so every value is bit-identical to it."""
-    z = (nodes - centers[:, None]) / widths[:, None]
-    if perturbation.family == "bump":
-        tilt = np.exp(-(z**2))
-    else:
-        tilt = np.minimum(np.maximum(z, 0.0), 1.0)
-    eps = 0.01 * e_total
     out = np.empty((len(centers), 2, len(nodes)))
-    raw = 0.5 * e_total + perturbation.amplitude * tilt
-    np.minimum(np.maximum(raw, eps), e_total - eps, out=out[:, 0])
-    np.subtract(e_total, out[:, 0], out=out[:, 1])
+    first = out[:, 0]  # z, the tilt and the raw split, each built in place
+    np.divide(np.subtract(nodes, centers[:, None], out=first), widths[:, None], out=first)
+    if perturbation.family == "bump":
+        np.exp(np.negative(np.square(first, out=first), out=first), out=first)
+    else:
+        np.minimum(np.maximum(first, 0.0, out=first), 1.0, out=first)
+    np.add(0.5 * e_total, np.multiply(perturbation.amplitude, first, out=first), out=first)
+    eps = 0.01 * e_total
+    np.minimum(np.maximum(first, eps, out=first), e_total - eps, out=first)
+    np.subtract(e_total, first, out=out[:, 1])
     return out
 
 
 # per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
-# nodes at once, at most while the net trades are marched: the trades, their
-# doubled [f; -f] stack and its march output; on top come about _SAMPLE_BYTES
-# of Python objects per sample (tracemalloc: 5.0 rows at nx = 401, 0.45 kB
-# of objects at nx = 11, for either family)
-_PROBE_ROWS = 6
+# nodes at once, at most as `_solve_stack` returns: the endowments, the net
+# trades and the solved samples' copy of them; on top come about
+# _SAMPLE_BYTES of Python objects per sample (tracemalloc, 200 samples: 3.05
+# rows at nx = 401, 0.26 kB of objects at nx = 11, for either family)
+_PROBE_ROWS = 4
 _SAMPLE_BYTES = 1024
 
 # two-sided 95 percent normal quantile, norm.ppf(0.975)
@@ -201,7 +202,7 @@ def genericity_probe(
 
     utilities = tuple(agent.utility for agent in economy.agents)
     stack = _solve_stack(utilities, endowments, economy.bounds, economy.grid, prior, budget_tol)
-    del endowments  # not needed past the solve; keeps the peak at _PROBE_ROWS
+    del endowments  # not needed past the solve
     n_solved = len(stack.trades)
     verdicts = iter(())
     if n_solved:

@@ -17,13 +17,15 @@ import numpy as np
 from .dsl import Expr, evaluate
 from .gexp import (
     MEMORY_BUDGET,
-    GridSpec,
     UPPER,
-    ValueField,
+    GridFunction,
+    GridSpec,
     VolBounds,
-    conditional_at,
+    _bracket,
+    _edges,
+    _march,
+    _sample,
     layer_at_or_below,
-    solve_value_field,
 )
 
 __all__ = [
@@ -75,125 +77,25 @@ def _check_batch(n_paths: int, n_steps: int, seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**96), got {seed}")
 
 
-def _edges(grid: GridSpec) -> np.ndarray:
-    """(nx, 2) table whose row j holds nodes[j] and nodes[j + 1] (the last
-    row repeats x_max), so one gather reads both ends of an interval."""
-    nodes = grid.nodes
-    return np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
-
-
-def _bracket(grid: GridSpec, edges: np.ndarray, x: np.ndarray):
-    """Grid interval of each query point, clamped to the grid.
-
-    Returns j and x - nodes[j] with nodes[j] <= x < nodes[j + 1] (j = nx - 1
-    only at x_max).  The uniform-grid guess is corrected against both ends of
-    its interval, read from `edges` (`_edges(grid)`) in one gather, so the
-    bracket is the one np.interp's search finds.
-    """
-    x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
-    # fmin also sends NaN to a valid index; its d stays NaN, as np.interp's value
-    j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
-    ends = np.take(edges, j, axis=0)
-    # the guess is off by at most one, and never in both directions
-    j -= ends[:, 0] > x
-    j += ends[:, 1] <= x
-    return j, x - np.take(edges[:, 0], j)
-
-
-def _tabulate(grid: GridSpec, table: np.ndarray) -> np.ndarray:
-    """Fill in and return a field table: (nt + 1, nx, 2 f) for f fields, each
-    a column of slopes, then one of node values.  The slopes are computed
-    here, in place, from the filled value columns: the slope of the grid
-    interval right of each node, 0 past the last node."""
-    gaps = np.diff(grid.nodes)
-    for i in range(0, table.shape[-1], 2):
-        slope, value = table[..., i], table[..., i + 1]
-        np.subtract(value[:, 1:], value[:, :-1], slope[:, :-1])
-        np.divide(slope[:, :-1], gaps, slope[:, :-1])
-        slope[:, -1] = 0.0
-    return table
-
-
-def _sample(table: np.ndarray, k: int, bracket) -> list:
-    """Every field of a `_tabulate` table at layer k and the points of a
-    `_bracket`, by np.interp's formula; one gather reads all of them."""
-    j, d = bracket
-    near = np.take(table[k], j, axis=0)
-    return [near[:, i] * d + near[:, i + 1] for i in range(0, near.shape[1], 2)]
-
-
-@dataclass(eq=False)
-class GridFunction:
-    """Space-time field sampled like the solver stores it: the time layer at
-    or below t, linear interpolation in x (clamped at the grid edges).
-
-    The field lives in `table`, an (nt + 1, nx, 2) `_tabulate` table of
-    interval slopes and node values, built once at construction; `values`
-    views its value column.  `GridFunction.over` views a block of a wider
-    table without copying it, which lets `hedge_field` keep delta and
-    curvature in one table.  Sampling matches np.interp bit for bit, except
-    that a stored -0.0 can come back as 0.0.
-    """
-
-    values: np.ndarray  # (nt + 1, nx)
-    grid: GridSpec
-    horizon: float
-
-    def __post_init__(self):
-        shape = (self.grid.nt + 1, self.grid.nx)
-        if np.shape(self.values) != shape:
-            raise ValueError(f"values of shape {np.shape(self.values)} do not fit a {shape} grid")
-        table = np.empty(shape + (2,))
-        table[..., 1] = self.values
-        self._view(_tabulate(self.grid, table))
-
-    def _view(self, table: np.ndarray):
-        self.table = table
-        self.values = table[..., 1]
-        self.edges = _edges(self.grid)
-
-    @classmethod
-    def over(cls, table: np.ndarray, grid: GridSpec, horizon: float) -> "GridFunction":
-        """The field held by a (nt + 1, nx, 2) block of a `_tabulate` table,
-        sharing its memory."""
-        out = cls.__new__(cls)
-        out.grid, out.horizon = grid, horizon
-        out._view(table)
-        return out
-
-    def sample(self, t: float, bracket) -> np.ndarray:
-        """The layer at or below t at the points of a `_bracket` on this grid."""
-        (out,) = _sample(self.table, layer_at_or_below(t, self.horizon, self.grid.nt), bracket)
-        return out
-
-    def at(self, t: float, x):
-        xa = np.asarray(x, dtype=float)
-        bracket = _bracket(self.grid, self.edges, xa.reshape(-1))
-        out = self.sample(t, bracket).reshape(xa.shape)
-        return float(out) if out.ndim == 0 else out
-
-
 @dataclass(eq=False)
 class HedgeField:
-    """Delta and curvature of the upper value surface of a payoff.
+    """Delta and curvature of the upper value surface of a payoff, and that
+    surface's value at the origin.
 
-    Both live in `table`, one (nt + 1, nx, 4) `_tabulate` table (slope and
-    value of delta, then of curvature) that `eta` and `phi_hat` view, so
+    Both fields live in `table`, one (nt + 1, nx, 4) array: slope and value
+    of delta, then of curvature.  `eta` and `phi_hat` are its two halves, so
     `sample` reads both with one gather.
     """
 
     eta: GridFunction  # delta: first space derivative
     phi_hat: GridFunction  # half the second space derivative
-    field: ValueField
+    bounds: VolBounds
+    upper_value: float  # upper expectation of the payoff, at the origin
     table: np.ndarray
 
     @property
-    def bounds(self) -> VolBounds:
-        return self.field.bounds
-
-    @property
     def grid(self) -> GridSpec:
-        return self.field.grid
+        return self.eta.grid
 
     def sample(self, t: float, bracket):
         """Delta and curvature at the layer at or below t and the points of a
@@ -205,35 +107,38 @@ def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
     """Differentiate the upper value surface by central differences.
 
     Boundary columns copy their interior neighbors; paths that wander that
-    far are excluded from replication statistics anyway.  Delta and
-    curvature are written straight into their table, so besides the value
-    surface nothing of (nt + 1, nx) size is allocated.
+    far are excluded from replication statistics anyway.  Each time layer of
+    the upper march is differentiated as the march passes it, straight into
+    the hedge table, so the value surface itself is never stored: the table
+    is all of (nt + 1, nx) size that is allocated.
     """
-    field = solve_value_field(expr, bounds, grid, UPPER)
-    v = field.values
-    up, mid, down = v[:, 2:], v[:, 1:-1], v[:, :-2]
     dx = grid.dx
     table = np.empty((grid.nt + 1, grid.nx, 4))
-    eta, phi = table[..., 1], table[..., 3]
-    # eta = (v+ - v-) / (2 dx)
-    inner = eta[:, 1:-1]
-    np.subtract(up, down, inner)
-    np.divide(inner, 2.0 * dx, inner)
-    # phi = 0.5 * (v+ - 2 v + v-) / dx^2
-    inner = phi[:, 1:-1]
-    np.multiply(mid, 2.0, inner)
-    np.subtract(up, inner, inner)
-    np.add(inner, down, inner)
-    np.multiply(inner, 0.5, inner)
-    np.divide(inner, dx**2, inner)
-    for col in (eta, phi):
-        col[:, 0] = col[:, 1]
-        col[:, -1] = col[:, -2]
-    _tabulate(grid, table)
+
+    def differentiate(k, v):
+        up, mid, down = v[2:], v[1:-1], v[:-2]
+        eta, phi = table[k, :, 1], table[k, :, 3]
+        # eta = (v+ - v-) / (2 dx)
+        inner = eta[1:-1]
+        np.subtract(up, down, inner)
+        np.divide(inner, 2.0 * dx, inner)
+        # phi = 0.5 * (v+ - 2 v + v-) / dx^2
+        inner = phi[1:-1]
+        np.multiply(mid, 2.0, inner)
+        np.subtract(up, inner, inner)
+        np.add(inner, down, inner)
+        np.multiply(inner, 0.5, inner)
+        np.divide(inner, dx**2, inner)
+        for col in (eta, phi):
+            col[0] = col[1]
+            col[-1] = col[-2]
+
+    upper_value = _march(evaluate(expr, grid.nodes), bounds, grid, UPPER, differentiate)
     return HedgeField(
-        GridFunction.over(table[..., 0:2], grid, bounds.horizon),
-        GridFunction.over(table[..., 2:4], grid, bounds.horizon),
-        field,
+        GridFunction(table[..., 0:2], grid, bounds.horizon),
+        GridFunction(table[..., 2:4], grid, bounds.horizon),
+        bounds,
+        upper_value,
         table,
     )
 
@@ -461,7 +366,6 @@ def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationRep
     """
     if hedge.bounds != paths.bounds:
         raise ValueError("hedge field and paths use different bounds")
-    upper_value = conditional_at(hedge.field, 0.0, 0.0)
 
     grid = hedge.grid
     n = paths.n_paths
@@ -490,7 +394,7 @@ def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationRep
         chunk_in = (b_min >= grid.x_min) & (b_max <= grid.x_max)
         if chunk_in.any():
             min_inc = min(min_inc, float(low[chunk_in].min()))
-        gap[rows] = (upper_value + gain - comp) - evaluate(expr, b_next)
+        gap[rows] = (hedge.upper_value + gain - comp) - evaluate(expr, b_next)
         gains[rows] = gain
         k_acc[rows] = comp
         inside[rows] = chunk_in
@@ -511,7 +415,7 @@ def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationRep
         n_steps=paths.n_steps,
         n_excluded=n_excluded,
         seed=paths.seed,
-        upper_value=float(upper_value),
+        upper_value=hedge.upper_value,
         mean_gap=float(gap_in.mean()),
         se_gap=se_gap,
         mean_gains=float(gains[inside].mean()),

@@ -205,7 +205,7 @@ def test_a6_martingale_representation(example_hedge):
 def test_a7_strategy_transform(example_hedge):
     """Rescaled strategy against the rescaled integrator, path by path."""
     t = np.linspace(0.0, BAND.horizon, GRID.nt + 1)
-    load = GridFunction(
+    load = GridFunction.of(
         np.exp(GRID.nodes[None, :] - 0.5 * t[:, None]), GRID, BAND.horizon
     )
     transformed = exp_martingale_transform(example_hedge.eta, load, floor=1e-8)

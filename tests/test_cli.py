@@ -295,18 +295,6 @@ class TestEquilibrium:
         assert out == ""
         assert (out_dir / "equilibrium.csv").exists()
 
-    def test_nonconstant_aggregate_exit(self, ws, capsys):
-        write_config(
-            ws / "nonconst.json",
-            agents=[
-                {"name": "a1", "utility": {"kind": "log"}, "endowment": "exp(tanh(x))"},
-                {"name": "a2", "utility": {"kind": "log"}, "endowment": "1"},
-            ],
-        )
-        code, _, err = run(capsys, "--config", str(ws / "nonconst.json"), "equilibrium")
-        assert code == 3
-        assert "error:" in err
-
     def test_boundary_attraction_exit(self, ws, capsys):
         write_config(
             ws / "boundary.json",
@@ -628,22 +616,26 @@ class TestDeterminism:
         }
 
 
+TILTED = ("min(exp(x), 1)", "1.5 - min(exp(x), 1)*0.5")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, endowments",
     [
-        ["equilibrium"],
-        ["implement"],
-        ["replicate", "--agent", "a1", "--prior-sigma", "0.5"],
-        ["probe", "--samples", "2"],
+        (["equilibrium"], TILTED),
+        (["equilibrium"], ("exp(tanh(x))", "1")),
+        (["implement"], TILTED),
+        (["replicate", "--agent", "a1", "--prior-sigma", "0.5"], TILTED),
+        (["probe", "--samples", "2"], TILTED),
     ],
-    ids=["equilibrium", "implement", "replicate", "probe"],
+    ids=["equilibrium", "equilibrium-tanh", "implement", "replicate", "probe"],
 )
-def test_nonconstant_aggregate_exits_3(ws, capsys, argv):
+def test_nonconstant_aggregate_exits_3(ws, capsys, argv, endowments):
     write_config(
         ws / "tilted.json",
         agents=[
-            {"name": "a1", "utility": {"kind": "log"}, "endowment": "min(exp(x), 1)"},
-            {"name": "a2", "utility": {"kind": "log"}, "endowment": "1.5 - min(exp(x), 1)*0.5"},
+            {"name": name, "utility": {"kind": "log"}, "endowment": e}
+            for name, e in zip(("a1", "a2"), endowments)
         ],
     )
     code, _, err = run(capsys, "--config", str(ws / "tilted.json"), "--out", str(ws / "tilted"), *argv)

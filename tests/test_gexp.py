@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from knightian import (
     GridSpec,
     Mode,
     VolBounds,
-    conditional_at,
     default_grid,
     expectation,
     mean_ambiguity_gap,
@@ -65,8 +65,8 @@ class TestValidation:
             GridSpec(-6.0, 6.0, 2, 100)
 
     def test_grid_memory_budget(self):
-        # five stored (nt + 1, nx) float64 layers must fit in MEMORY_BUDGET
-        nodes = MEMORY_BUDGET // (5 * 8)
+        # _FIELD_LAYERS stored (nt + 1, nx) float64 layers must fit in MEMORY_BUDGET
+        nodes = MEMORY_BUDGET // (gexp._FIELD_LAYERS * 8)
         GridSpec(-6.0, 6.0, nodes // 1000, 999)
         with pytest.raises(ValueError, match="budget"):
             GridSpec(-6.0, 6.0, nodes // 1000 + 1, 999)
@@ -172,30 +172,30 @@ class TestUpperLower:
 class TestConditional:
     def test_linear_field_values(self):
         field = solve_value_field(parse("x"), BAND, default_grid(BAND), UPPER)
-        assert conditional_at(field, 0.5, 0.3) == pytest.approx(0.3, abs=1e-10)
+        assert field.at(0.5, 0.3) == pytest.approx(0.3, abs=1e-10)
 
     def test_terminal_layer_exact(self):
         g = default_grid(BAND)
         field = solve_value_field(EXAMPLE, BAND, g, UPPER)
         x = float(g.nodes[123])
-        assert conditional_at(field, BAND.horizon, x) == evaluate(EXAMPLE, x)
+        assert field.at(BAND.horizon, x) == evaluate(EXAMPLE, x)
 
     def test_mid_horizon_against_restarted_tree(self):
         g = default_grid(BAND)
         field = solve_value_field(parse("x^2"), BAND, g, UPPER)
-        v = conditional_at(field, 0.5, 0.0)
+        v = field.at(0.5, 0.0)
         half = VolBounds(BAND.sigma_lo, BAND.sigma_hi, 0.5)
         t = tree_expectation(parse("x^2"), half, 10, UPPER, start=0.0)
         assert v == pytest.approx(t, abs=2e-3)
 
     def test_off_grid_rejected(self):
+        # times off the grid are refused; points off it read its edge, as
+        # TestGridFunctionInterp checks against np.interp
         field = solve_value_field(EXAMPLE, BAND, default_grid(BAND), UPPER)
         with pytest.raises(ValueError):
-            conditional_at(field, 0.5, 100.0)
+            field.at(-0.5, 0.0)
         with pytest.raises(ValueError):
-            conditional_at(field, -0.5, 0.0)
-        with pytest.raises(ValueError):
-            conditional_at(field, 2.0, 0.0)
+            field.at(2.0, 0.0)
 
 
 class TestTree:
@@ -411,7 +411,7 @@ def check_lower_against_reference(term, bounds, grid):
     assert same_bits(field.values, ref)
     origin = float(np.interp(0.0, grid.nodes, ref[0]))
     assert same_bits(expectation(term, bounds, grid, LOWER), origin)
-    assert same_bits(conditional_at(field, 0.0, 0.0), origin)
+    assert same_bits(field.at(0.0, 0.0), origin)
 
 
 @st.composite
@@ -462,6 +462,24 @@ class TestBatchedMarch:
         assert all(f.shape == (2,) for f in batched)
         assert batched.mean_af.tolist() == [False, True]
 
+    def test_stack_origins_allocate_no_stack_output(self):
+        # origin-only marches keep per block only its buffers and its origins:
+        # neither a (k, nx) march output nor a doubled [f; -f] stack
+        g = GridSpec(-6.0, 6.0, 101, 10)
+        stack = np.random.default_rng(3).normal(size=(2048, g.nx))
+        for run in (
+            lambda: expectation(stack, BAND, g, UPPER),
+            lambda: mean_ambiguity_gap(stack, BAND, g),
+        ):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < stack.nbytes / 4, peak / stack.nbytes
+
 
 
 # ---------------------------------------------------------------------------
@@ -507,35 +525,58 @@ def modes_of(bounds):
     return (UPPER, LOWER, Mode.fixed(0.5 * (bounds.sigma_lo + bounds.sigma_hi)))
 
 
+# a grid whose origin is no node, so the origin is interpolated
+OFFSET_GRID = GridSpec(-3.7, 4.3, 41, 15)
+
+
 @st.composite
 def march_cases(draw):
     """A stack of random and signed-zero payoffs in random order, a band, a
-    mode and a row-chunk size."""
+    mode, a grid and a row-chunk size."""
     rows = list(draw(payoff_stacks()))
     zeros = draw(st.lists(st.sampled_from(ZERO_PAYOFFS), max_size=3))
     rows += [evaluate(parse(text), MARCH_GRID.nodes) for text in zeros]
     order = draw(st.permutations(range(len(rows))))
     bounds = draw(st.sampled_from([BAND, DEGENERATE]))
     mode = draw(st.sampled_from(modes_of(bounds)))
+    grid = draw(st.sampled_from([MARCH_GRID, OFFSET_GRID]))
     chunk = draw(st.integers(1, 8))
-    return np.stack([rows[i] for i in order]), bounds, mode, chunk
+    return np.stack([rows[i] for i in order]), bounds, mode, grid, chunk
+
+
+def origins(values, grid):
+    """np.interp's reading of the origin of each row of node values."""
+    return np.array([np.interp(0.0, grid.nodes, row) for row in np.atleast_2d(values)])
+
+
+def hooked_march(row, bounds, grid, mode):
+    """The origin a vector march returns and every layer it hands its hook."""
+    layers = np.full((grid.nt + 1, grid.nx), np.nan)
+
+    def store(k, values):
+        layers[k] = values
+
+    return gexp._march(row, bounds, grid, mode, store), layers
 
 
 class TestNodeMajorMarch:
     @settings(max_examples=60, deadline=None, database=None)
     @given(case=march_cases())
     def test_matches_row_major_reference(self, case):
-        stack, bounds, mode, chunk = case
-        g = MARCH_GRID
+        stack, bounds, mode, g, chunk = case
         with mock.patch.object(gexp, "_MARCH_ROWS", chunk):
             marched = gexp._march(stack, bounds, g, mode)
-        assert same_bits(marched, row_major_march(stack, bounds, g, mode))
+            paired = gexp._march(stack, bounds, g, mode, both_signs=True)
+        assert same_bits(marched, origins(row_major_march(stack, bounds, g, mode), g))
+        doubled = row_major_march(np.concatenate([stack, -stack]), bounds, g, mode)
+        assert same_bits(paired, origins(doubled, g).reshape(2, -1))
         for row in stack:
-            assert same_bits(gexp._march(row, bounds, g, mode), row_major_march(row, bounds, g, mode))
-            got, ref = np.empty((g.nt + 1, g.nx)), np.empty((g.nt + 1, g.nx))
-            gexp._march(row, bounds, g, mode, got)
+            ref = np.empty((g.nt + 1, g.nx))
             row_major_march(row, bounds, g, mode, ref)
-            assert same_bits(got, ref)
+            origin, layers = hooked_march(row, bounds, g, mode)
+            assert same_bits(layers, ref)
+            assert same_bits(origin, origins(ref[0], g)[0])
+            assert same_bits(gexp._march(row, bounds, g, mode), origin)
 
     @pytest.mark.parametrize("rows", [1, 7, "default", "whole"])
     def test_chunk_size_invariance(self, monkeypatch, rows):
@@ -546,14 +587,39 @@ class TestNodeMajorMarch:
         stack = np.stack(stack)
         if rows != "default":
             monkeypatch.setattr(gexp, "_MARCH_ROWS", len(stack) if rows == "whole" else rows)
-        for mode in modes_of(BAND):
-            marched = gexp._march(stack, BAND, MARCH_GRID, mode)
-            assert same_bits(marched, row_major_march(stack, BAND, MARCH_GRID, mode))
+        for g in (MARCH_GRID, OFFSET_GRID):
+            for mode in modes_of(BAND):
+                marched = gexp._march(stack, BAND, g, mode)
+                assert same_bits(marched, origins(row_major_march(stack, BAND, g, mode), g))
+            paired = gexp._march(stack, BAND, g, UPPER, both_signs=True)
+            doubled = row_major_march(np.concatenate([stack, -stack]), BAND, g, UPPER)
+            assert same_bits(paired, origins(doubled, g).reshape(2, -1))
 
     def test_input_untouched(self):
         stack = np.stack([MARCH_GRID.nodes**2, -MARCH_GRID.nodes])
         before = stack.copy()
         for mode in modes_of(BAND):
             gexp._march(stack, BAND, MARCH_GRID, mode)
-            gexp._march(stack[0], BAND, MARCH_GRID, mode)
+            gexp._march(stack, BAND, MARCH_GRID, mode, both_signs=True)
+            hooked_march(stack[0], BAND, MARCH_GRID, mode)
         assert same_bits(stack, before)
+
+    @pytest.mark.parametrize(
+        "x_min, x_max, spikes",
+        [(-5.0, 7.0, (1,)), (-5.0, 7.0, (1, 2)), (-6.0, 6.0, (3,))],
+        ids=["one-end", "both-ends", "next-to-node"],
+    )
+    def test_origin_read_past_overflow_as_np_interp(self, x_min, x_max, spikes):
+        # a spike of 1e308 overflows in one sub-step to -inf: the origin's
+        # interval then ends at -inf and a finite value, or at -inf twice, and
+        # np.interp falls back to the right end, or to the common value; an
+        # origin on a node takes that node's value whatever its neighbours
+        g = GridSpec(x_min, x_max, 5, 1)
+        term = np.zeros(g.nx)
+        term[list(spikes)] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = row_major_march(term, BAND, g, UPPER)
+            value = gexp._march(term, BAND, g, UPPER)
+            expected = float(np.interp(0.0, g.nodes, ref))
+        assert np.isinf(ref).any() and not np.isnan(expected)
+        assert same_bits(value, expected)

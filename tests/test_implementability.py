@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from knightian import (
     genericity_probe,
     solve_equilibrium,
 )
-from knightian import gexp
+from knightian import gexp, implementability
 from knightian.dsl import BinOp, Call, Lit, Neg, Pow, Var, evaluate, parse
 from knightian.implementability import Perturbation, _splits, _wilson_interval
 
@@ -238,8 +239,8 @@ def test_one_march_per_batched_call(monkeypatch, n_agents):
     assert shapes == [(n_agents, grid.nx), (n_agents, grid.nx)]
     shapes.clear()
     check_implementability(res)
-    # one upper march of the net trades stacked over their negatives
-    assert shapes == [(2 * n_agents, grid.nx)]
+    # one upper march of the net trades, each block marching f beside -f
+    assert shapes == [(n_agents, grid.nx)]
 
 
 def counting_marches(monkeypatch):
@@ -267,7 +268,26 @@ def test_probe_marches_three_times(monkeypatch, n_samples):
     res = genericity_probe(econ, n_samples, Perturbation("bump", 0.1), seed=5)
     assert res.n_solved == n_samples
     nx = PROBE_GRID.nx
-    assert shapes == [(2 * n_samples, nx), (2 * n_samples, nx), (4 * n_samples, nx)]
+    assert shapes == [(2 * n_samples, nx), (2 * n_samples, nx), (2 * n_samples, nx)]
+
+
+@pytest.mark.parametrize("family", ["bump", "ramp"])
+def test_probe_peak_within_its_row_budget(family):
+    """The probe's tracemalloc peak, in float64 rows of nx per sample and
+    agent, stays under the figure its memory budget charges (a wide grid
+    keeps the march short)."""
+    econ = example_economy(grid=GridSpec(-60.0, 60.0, 401, 10))
+    n_samples, n_agents, nx = 200, 2, 401
+    genericity_probe(econ, 2, Perturbation(family, 0.1))
+    tracemalloc.start()
+    try:
+        genericity_probe(econ, n_samples, Perturbation(family, 0.1), seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = peak / (8 * n_samples * n_agents * nx)
+    assert rows <= 3.25, rows
+    assert rows < implementability._PROBE_ROWS
 
 
 def exp_economy(a: float, grid: GridSpec) -> Economy:
@@ -292,7 +312,7 @@ def test_failed_samples_leave_the_stack(monkeypatch):
         "planner weights at the simplex boundary; no interior equilibrium at this prior",
     }
     nx = PROBE_GRID.nx
-    assert shapes == [(16, nx), (2 * res.n_solved, nx), (4 * res.n_solved, nx)]
+    assert shapes == [(16, nx), (2 * res.n_solved, nx), (2 * res.n_solved, nx)]
 
 
 def shifted_scaled(center: float, width: float):

@@ -15,6 +15,7 @@ from knightian import (
     Mode,
     PriorSpec,
     SimulationError,
+    UPPER,
     VolBounds,
     exp_martingale_transform,
     expectation,
@@ -22,11 +23,12 @@ from knightian import (
     replicate,
     simulate_paths,
     solve_equilibrium,
+    solve_value_field,
     strategy_gains,
 )
 from knightian.cli import main
 from knightian.dsl import evaluate, parse
-from knightian.gexp import conditional_at, layer_at_or_below
+from knightian.gexp import layer_at_or_below
 
 from helpers import BAND, example_economy, linear_split_economy
 
@@ -273,7 +275,7 @@ class TestTransform:
     def _loading(self, fn):
         t = np.linspace(0.0, BAND.horizon, GRID.nt + 1)
         vals = fn(t[:, None], GRID.nodes[None, :])
-        return GridFunction(np.asarray(vals, dtype=float), GRID, BAND.horizon)
+        return GridFunction.of(np.asarray(vals, dtype=float), GRID, BAND.horizon)
 
     def test_unit_loading_identity(self, example_hedge):
         load = self._loading(lambda t, x: np.ones_like(x + t))
@@ -300,13 +302,13 @@ class TestTransform:
     def test_non_finite_loading_rejected(self, example_hedge, bad):
         values = np.ones((GRID.nt + 1, GRID.nx))
         values[3, 7] = bad
-        load = GridFunction(values, GRID, BAND.horizon)
+        load = GridFunction.of(values, GRID, BAND.horizon)
         with pytest.raises(ValueError, match="not finite"):
             exp_martingale_transform(example_hedge.eta, load, floor=1e-6)
 
     def test_grid_mismatch_rejected(self, example_hedge):
         coarse = GridSpec(-6.0, 6.0, 201, 800)
-        load = GridFunction(np.ones((coarse.nt + 1, coarse.nx)), coarse, BAND.horizon)
+        load = GridFunction.of(np.ones((coarse.nt + 1, coarse.nx)), coarse, BAND.horizon)
         with pytest.raises(ValueError, match="different grids"):
             exp_martingale_transform(example_hedge.eta, load)
 
@@ -377,7 +379,7 @@ def reference_replicate(expr, hedge, b, sigmas):
         inc = (BAND.g(2.0 * phi_k) - phi_k * sigmas[:, k] ** 2) * dt
         k_acc += inc
         min_inc = min(min_inc, float(inc[inside].min()))
-    upper = conditional_at(hedge.field, 0.0, 0.0)
+    upper = float(np.interp(0.0, grid.nodes, solve_value_field(expr, BAND, grid, UPPER).values[0]))
     gap = (upper + gains - k_acc) - evaluate(expr, b[:, -1])
     return {
         "n_excluded": int(b.shape[0] - inside.sum()),
@@ -531,9 +533,10 @@ class TestChunkFootprint:
             bound = chunk + replication._PATH_BYTES * paths.n_paths + 32 * 8 * rows
             assert peak <= bound, (increments, peak, bound)
 
-    def test_hedge_field_holds_five_layers(self):
+    def test_hedge_field_holds_four_layers(self):
         # MEMORY_BUDGET admits grids by gexp._FIELD_LAYERS float64 layers: the
-        # value surface and the four columns of the hedge table
+        # four columns of the hedge table, and no value surface
+        assert gexp._FIELD_LAYERS == 4
         tracemalloc.start()
         try:
             hedge_field(EXAMPLE, BAND, GRID)
@@ -541,14 +544,14 @@ class TestChunkFootprint:
         finally:
             tracemalloc.stop()
         layer = 8 * (GRID.nt + 1) * GRID.nx
-        assert peak <= (gexp._FIELD_LAYERS + 0.25) * layer, peak / layer
+        assert peak <= 4.25 * layer, peak / layer
 
 
 class TestGridFunctionInterp:
     @pytest.fixture(scope="class")
     def field(self):
         rng = np.random.default_rng(5)
-        return GridFunction(rng.normal(size=(GRID.nt + 1, GRID.nx)), GRID, BAND.horizon)
+        return GridFunction.of(rng.normal(size=(GRID.nt + 1, GRID.nx)), GRID, BAND.horizon)
 
     def test_bitwise_np_interp(self, field):
         rng = np.random.default_rng(6)
@@ -582,7 +585,7 @@ class TestGridFunctionInterp:
     @pytest.mark.parametrize("shape", [(3, 41), (41, 42), (41, 40), (42, 41), (41,), (41, 41, 1)])
     def test_values_must_fit_the_grid(self, shape):
         with pytest.raises(ValueError, match="do not fit"):
-            GridFunction(np.zeros(shape), GridSpec(-6.0, 6.0, 41, 40), 1.0)
+            GridFunction.of(np.zeros(shape), GridSpec(-6.0, 6.0, 41, 40), 1.0)
 
     def test_sample_reads_the_layer_at_or_below(self, field):
         nodes = GRID.nodes
