@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dsl import Expr, evaluate
-from .gexp import GridSpec, Mode, VolBounds, expectation
+from .gexp import GridSpec, Mode, VolBounds, check_tolerance, expectation
 
 __all__ = [
     "Utility",
@@ -205,8 +205,9 @@ def solve_equilibrium(
     1 / sum_j 1 / u_j'(p_j), so alpha_i u_i'(p_i) equals it for every agent.
     Two checks raise NegishiError: prices that miss the aggregate by more
     than CLEARING_TOL (relative to max(1, |e|)), and net trades
-    shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`.  The
-    result carries the net trades and the clearing gap it checked.
+    shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`, which
+    must be finite and positive (ValueError).  The result carries the net
+    trades and the clearing gap it checked.
     """
     require_constant_aggregate(economy)
     utilities = tuple(agent.utility for agent in economy.agents)
@@ -253,6 +254,7 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     with the same arithmetic per economy as a solve of that economy alone,
     so every value is bit-identical to it.
     """
+    check_tolerance("budget_tol", budget_tol)
     mode = prior.mode()
     s, n, nx = endowments.shape
     prices = expectation(endowments.reshape(s * n, nx), bounds, grid, mode).reshape(s, n)
@@ -300,4 +302,5 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     check(~(clearing > tol), "endowment prices do not clear the aggregate", clearing)
     worst = np.max(np.abs(residual), axis=1)
     check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)
-    return _Stack(prices, alpha, shadow, residual, clearing, trades[ok[live]], errors)
+    solved = trades if ok[live].all() else trades[ok[live]]  # no copy when all are solved
+    return _Stack(prices, alpha, shadow, residual, clearing, solved, errors)

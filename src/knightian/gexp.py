@@ -54,10 +54,10 @@ MEMORY_BUDGET = 1 << 30
 _FIELD_LAYERS = 4
 
 # march work per payoff column, nt * m * (nx + _SUBSTEP_NODES), checked before
-# marching.  A sub-step costs up to 28 us of dispatch (at nx = 3) plus about
-# 8 ns per node in upper mode (2-core Xeon VM, numpy 2.4), so its dispatch is
-# worth about 3500 node updates and the costliest march the budget admits runs
-# for about a minute.
+# marching.  Sized from a sub-step cost of up to 28 us of dispatch (nx = 3) plus
+# 8 ns per node, so dispatch counts as 3500 node updates; with one flux for
+# every mode a sub-step costs 11-14 us at nx = 3 plus 3.5 ns per node (2-core
+# Xeon VM, numpy 2.4), so the costliest march admitted takes about 30 s.
 WORK_BUDGET = 7_500_000_000
 _SUBSTEP_NODES = 3500
 
@@ -81,11 +81,11 @@ class VolBounds:
             raise ValueError("horizon must be positive")
 
     def g(self, a):
-        """Worst-case diffusion flux: half the band-suprema of s^2 * a."""
+        """Worst-case diffusion flux, Peng's generator
+        G(a) = max(a sigma_hi^2 / 2, a sigma_lo^2 / 2): half the band-supremum
+        of s^2 * a, in the form the march computes it."""
         a = np.asarray(a, dtype=float)
-        hi2 = self.sigma_hi**2
-        lo2 = self.sigma_lo**2
-        out = 0.5 * (hi2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
+        out = np.maximum(a * (0.5 * self.sigma_hi**2), a * (0.5 * self.sigma_lo**2))
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -172,6 +172,12 @@ def _substeps(bounds: VolBounds, grid: GridSpec) -> int:
     return m
 
 
+def check_tolerance(name: str, tol: float):
+    """Reject a tolerance that is not finite and positive (NaN fails every comparison)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+
+
 def _check_mode(mode: Mode, bounds: VolBounds):
     if mode.kind == "fixed" and not (bounds.sigma_lo <= mode.sigma <= bounds.sigma_hi):
         raise ValueError(
@@ -185,31 +191,35 @@ def _check_mode(mode: Mode, bounds: VolBounds):
 _MARCH_ROWS = 64
 
 
-def _march(
-    term: np.ndarray, bounds: VolBounds, grid: GridSpec, mode: Mode, layer=None, both_signs=False
-):
-    """March (nx,) or (k, nx) terminal node values back to t = 0 and return
-    their values at the origin, read as np.interp reads them: a float, or a
-    (k,) array.  With `both_signs`, each row f is marched beside -f in its
-    block, and the result is a (2, k) array: the origin values of f, then of
-    -f.  With `layer`, a vector payoff's layers k = nt, ..., 0 are handed over
-    as the march reaches them, as `layer(k, values)` with an (nx,) array valid
-    only during the call.
+def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, layer=None):
+    """March (nx,) or (k, nx) terminal node values back to t = 0 in each of
+    `modes`, which must share a band, and return their values at the origin,
+    read as np.interp reads them, one entry per mode: a float, or a (k,)
+    array.  With `layer`, the first mode's layers k = nt, ..., 0 of a vector
+    payoff are handed over as the march reaches them, as `layer(k, values)`
+    with an (nx,) array valid only during the call.
 
     The scheme is explicit with central second differences; boundary nodes are
     frozen (zero curvature there).  Internally each user time step is split
-    into enough sub-steps to keep the update monotone.  The flux is the band's
-    `bounds.g` or a fixed sigma's; the lower value is lower(f) = -upper(-f).
+    into enough sub-steps to keep the update monotone.  There is one flux,
+    `VolBounds.g`'s max(a sigma_hi^2 / 2, a sigma_lo^2 / 2): a fixed sigma
+    marches the band [sigma, sigma], where it is a * sigma^2 / 2 exactly, and
+    a lower value is a negated column of the same march, lower(f) = -upper(-f).
 
-    A stack is marched _MARCH_ROWS columns at a time, each block node-major as
-    a contiguous (nx, columns) array: the shifted slices v[2:], v[1:-1] and
-    v[:-2] are then contiguous, and every sub-step runs in place through two
-    buffers.  Each operation is one that the update
+    A stack is marched in blocks of _MARCH_ROWS columns, each row times each
+    mode's sign, mode-major, as a contiguous (nx, columns) array: the slices
+    v[2:], v[1:-1] and v[:-2] are then contiguous, and every sub-step runs in
+    place through two buffers.  Each operation is one that the update
     v += dtau * flux((v+ - 2 v + v-) / dx^2) performs, in the same order, so
-    every row is bit-identical to that update of it alone, signed zeros
-    included.
+    every row is bit-identical to that update of it alone, signed zeros too.
     """
-    _check_mode(mode, bounds)
+    for mode in modes:
+        _check_mode(mode, bounds)
+    band = (bounds.sigma_lo, bounds.sigma_hi)
+    bands = {(m.sigma,) * 2 if m.kind == "fixed" else band for m in modes}
+    if len(bands) != 1:
+        raise ValueError("modes marched together must share a band")
+    ((lo, hi),) = bands
     term = np.asarray(term, dtype=float)
     if term.ndim not in (1, 2) or term.shape[-1] != grid.nx:
         raise ValueError(f"terminal values must have shape ({grid.nx},) or (k, {grid.nx})")
@@ -219,25 +229,19 @@ def _march(
     m = _substeps(bounds, grid)
     dtau = bounds.horizon / grid.nt / m
     inv_dx2 = 1.0 / grid.dx**2
-    fixed = 0.5 * mode.sigma**2 if mode.kind == "fixed" else None
-    hi2, lo2 = bounds.sigma_hi**2, bounds.sigma_lo**2
-    lower = mode.kind == "lower"
+    c_lo, c_hi = 0.5 * lo**2, 0.5 * hi**2
+    signs = np.array([-1.0 if mode.kind == "lower" else 1.0 for mode in modes])
     nodes = grid.nodes
 
     stack = np.atleast_2d(term)
-    signs = 2 if both_signs else 1
-    rows = max(1, _MARCH_ROWS // signs)
-    out = np.empty((signs, len(stack)))
+    rows = max(1, _MARCH_ROWS // len(modes))
+    out = np.empty((len(modes), len(stack)))
     for start in range(0, len(stack), rows):
         block = stack[start : start + rows].T
         width = block.shape[1]
-        v = np.empty((grid.nx, signs * width))
-        if lower:
-            np.negative(block, out=v[:, :width])
-        else:
-            np.copyto(v[:, :width], block)
-        if both_signs:
-            np.negative(v[:, :width], out=v[:, width:])
+        v = np.empty((grid.nx, len(modes), width))
+        np.multiply(block[:, None], signs[:, None], out=v)
+        v = v.reshape(grid.nx, -1)
         up, mid, down = v[2:], v[1:-1], v[:-2]
         a = np.empty_like(mid)
         b = np.empty_like(mid)
@@ -249,37 +253,27 @@ def _march(
                 np.subtract(up, a, a)
                 np.add(a, down, a)
                 np.multiply(a, inv_dx2, a)
-                if fixed is not None:
-                    np.multiply(a, fixed, a)
-                else:
-                    # VolBounds.g: 0.5 * (hi2 * max(d2, 0) - lo2 * max(-d2, 0))
-                    np.negative(a, b)
-                    np.maximum(b, 0.0, out=b)
-                    np.multiply(b, lo2, b)
-                    np.maximum(a, 0.0, out=a)
-                    np.multiply(a, hi2, a)
-                    np.subtract(a, b, a)
-                    np.multiply(a, 0.5, a)
+                np.multiply(a, c_lo, b)
+                np.multiply(a, c_hi, a)
+                np.maximum(a, b, out=a)
                 np.multiply(a, dtau, a)
                 np.add(mid, a, mid)
             if layer is not None:
-                values = v[:, 0]
-                if lower:
-                    # what the lower march does to its result, layer by layer
-                    values = -values
-                    if k < grid.nt:
-                        values[1:-1] += 0.0
-                layer(k, values)
-        if lower:
-            # negation is exact but for marched zeros coming back as -0.0: adding
-            # 0.0 to the marched interior restores +0.0; boundaries keep the
-            # payoff's zeros
-            np.negative(v, out=v)
-            mid += 0.0
-        out[:, start : start + width] = _at_origin(v, nodes).reshape(signs, width)
-    if both_signs:
-        return out
-    return float(out[0, 0]) if term.ndim == 1 else out[0]
+                layer(k, _signed(v[:, 0], signs[0], k < grid.nt))
+        for i, sign in enumerate(signs):
+            values = _signed(v[:, i * width : (i + 1) * width], sign, True)
+            out[i, start : start + width] = _at_origin(values, nodes)
+    return out[:, 0].tolist() if term.ndim == 1 else out
+
+
+def _signed(values: np.ndarray, sign: float, marched: bool) -> np.ndarray:
+    """March columns times their mode's sign, as a new array: -upper(-f) back
+    to lower(f).  Negation is exact but turns marched zeros into -0.0; adding
+    0.0 to the marched interior restores +0.0, boundaries keep the payoff's."""
+    values = values * sign
+    if sign < 0.0 and marched:
+        values[1:-1] += 0.0
+    return values
 
 
 def _at_origin(v: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -306,7 +300,7 @@ def solve_terminal_values(
         raise ValueError(f"terminal values must have shape ({grid.nx},)")
     table = np.empty((grid.nt + 1, grid.nx, 2))
     # layer k lands in row k of the value column
-    _march(terminal, bounds, grid, mode, table[..., 1].__setitem__)
+    _march(terminal, bounds, grid, (mode,), table[..., 1].__setitem__)
     return GridFunction(table, grid, bounds.horizon)
 
 
@@ -320,7 +314,8 @@ def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Mode):
     grid: an (nx,) vector gives a float, a (k, nx) stack, marched at once, a
     (k,) array.  The march reads only the origin, as np.interp reads it, and
     builds no field and no (k, nx) output."""
-    return _march(_terminal_of(payoff, grid), bounds, grid, mode)
+    (value,) = _march(_terminal_of(payoff, grid), bounds, grid, (mode,))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +515,16 @@ def mean_ambiguity_gap(
     """Gap between the upper and lower expectations of a payoff.
 
     `payoff` may be an expression, a vector of node values on the grid, or a
-    (k, nx) stack of them, which gives every field as a (k,) array.  One upper
-    march yields both bounds: each block of the march takes f and -f side by
-    side, with no doubled copy of the stack, and lower(f) = -upper(-f).  A
-    gap within `tol` classifies the payoff as mean-ambiguity-free.
+    (k, nx) stack of them, which gives every field as a (k,) array.  One
+    march yields both bounds: each of its blocks takes f and -f side by side,
+    with no doubled copy of the stack, and lower(f) = -upper(-f).  A gap
+    within `tol`, which must be finite and positive, classifies the payoff
+    as mean-ambiguity-free.
     """
-    term = _terminal_of(payoff, grid)
-    up, negated = _march(term, bounds, grid, UPPER, both_signs=True)
-    lo = -negated + 0.0
+    check_tolerance("tol", tol)
+    up, lo = _march(_terminal_of(payoff, grid), bounds, grid, (UPPER, LOWER))
     gap = up - lo
-    res = GapResult(gap, gap <= tol, up, lo)
-    return GapResult(*(a.item() for a in res)) if term.ndim == 1 else res
+    return GapResult(gap, gap <= tol, up, lo)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from .equilibrium import (
     _solve_stack,
     require_constant_aggregate,
 )
-from .gexp import MEMORY_BUDGET, mean_ambiguity_gap
+from .gexp import MEMORY_BUDGET, check_tolerance, mean_ambiguity_gap
 
 __all__ = [
     "AgentVerdict",
@@ -125,10 +125,11 @@ def _splits(perturbation: Perturbation, e_total: float, nodes, centers, widths):
 
 
 # per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
-# nodes at once, at most as `_solve_stack` returns: the endowments, the net
-# trades and the solved samples' copy of them; on top come about
-# _SAMPLE_BYTES of Python objects per sample (tracemalloc, 200 samples: 3.05
-# rows at nx = 401, 0.26 kB of objects at nx = 11, for either family)
+# nodes at once: the endowments and the net trades while the budgets are
+# marched, plus a copy of the solved samples' trades when some sample fails;
+# on top come about _SAMPLE_BYTES of Python objects per sample (tracemalloc,
+# 200 samples, all solved: 2.91 rows at nx = 401, about 0.8 of them the
+# march's block buffers; 0.26 kB of objects at nx = 11, for either family)
 _PROBE_ROWS = 4
 _SAMPLE_BYTES = 1024
 
@@ -179,6 +180,7 @@ def genericity_probe(
     require_constant_aggregate(economy)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    check_tolerance("tol", tol)
     per_sample = 8 * _PROBE_ROWS * economy.n_agents * economy.grid.nx + _SAMPLE_BYTES
     if n_samples * per_sample > MEMORY_BUDGET:
         raise ValueError(f"{n_samples} samples exceed the memory budget of {MEMORY_BUDGET} bytes")

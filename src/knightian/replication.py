@@ -133,7 +133,7 @@ def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
             col[0] = col[1]
             col[-1] = col[-2]
 
-    upper_value = _march(evaluate(expr, grid.nodes), bounds, grid, UPPER, differentiate)
+    (upper_value,) = _march(evaluate(expr, grid.nodes), bounds, grid, (UPPER,), differentiate)
     return HedgeField(
         GridFunction(table[..., 0:2], grid, bounds.horizon),
         GridFunction(table[..., 2:4], grid, bounds.horizon),

@@ -446,7 +446,8 @@ class TestReplicate:
     def test_all_paths_excluded_exit(self, ws, capsys):
         write_config(
             ws / "tiny.json",
-            grid={"x_min": -0.01, "x_max": 0.01, "nx": 11, "nt": 800},
+            # every first step, of length at least 1/8, leaves the grid
+            grid={"x_min": -0.05, "x_max": 0.05, "nx": 5, "nt": 16},
             mc={"paths": 50, "steps": 16, "seed": 1, "increments": "binary"},
         )
         code, _, err = run(
@@ -455,7 +456,7 @@ class TestReplicate:
             "replicate", "--payoff", "x", "--prior-sigma", "1.0",
         )
         assert code == 5
-        assert "error:" in err
+        assert "error: every path left the grid" in err
 
 
 @pytest.fixture(scope="module")

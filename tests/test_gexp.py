@@ -154,6 +154,16 @@ class TestUpperLower:
         assert np.max(np.abs(up - lo)) <= 1e-10
         assert np.max(np.abs(up - mid)) <= 1e-10
 
+    @pytest.mark.parametrize("text", ["min(exp(x), 1)", "x^2 - x", "1e-310 * x^2", "1e-315 * abs(x)"])
+    def test_degenerate_band_collapse_bit_exact(self, text):
+        # a fixed sigma marches the band [sigma, sigma], so a degenerate band's
+        # upper, lower and fixed fields agree exactly, subnormal payoffs too
+        bounds = VolBounds(0.7, 0.7, 1.0)
+        g = GridSpec(-3.7, 4.3, 41, 15)
+        fixed = solve_value_field(parse(text), bounds, g, Mode.fixed(0.7)).values
+        for mode in (UPPER, LOWER):
+            assert np.array_equal(solve_value_field(parse(text), bounds, g, mode).values, fixed)
+
     def test_quadratic_upper_lower_variance(self):
         # constant convexity pins the optimizer at one edge of the band
         g = default_grid(BAND)
@@ -167,6 +177,23 @@ class TestUpperLower:
         assert BAND.g(2.0) == 0.5 * BAND.sigma_hi**2 * 2.0
         assert BAND.g(-2.0) == -0.5 * BAND.sigma_lo**2 * 2.0
         assert BAND.g(0.0) == 0.0
+
+
+class TestVolBounds:
+    def test_flux_on_signed_zeros_subnormals_and_infinities(self):
+        # G(a) = max(a sigma_hi^2 / 2, a sigma_lo^2 / 2) on BAND (sigma_hi^2 / 2
+        # = 1/2, sigma_lo^2 / 2 = 1/8): it keeps the sign of a zero, and a
+        # subnormal product rounds to even in units of 5e-324
+        unit = 5e-324
+        cases = [
+            (0.0, 0.0), (-0.0, -0.0), (math.inf, math.inf), (-math.inf, -math.inf),
+            (unit, 0.0), (3 * unit, 2 * unit), (-3 * unit, -0.0), (-5 * unit, -unit),
+            (-8 * unit, -unit), (1e-310, 5e-311), (-1e-310, -1.25e-311),
+        ]
+        for a, flux in cases:
+            assert same_bits(BAND.g(a), flux), (a, BAND.g(a))
+        a, flux = np.array(cases).T
+        assert same_bits(BAND.g(a), flux)
 
 
 class TestConditional:
@@ -488,8 +515,8 @@ class TestBatchedMarch:
 
 def row_major_march(term, bounds, grid, mode, layers=None):
     """Reference march: the row-major update of a (nx,) vector or a (k, nx)
-    stack, one allocating ufunc expression per sub-step, with the flux taken
-    from `VolBounds.g`."""
+    stack, one allocating ufunc expression per sub-step, with the textbook
+    flux written out here rather than taken from the code under test."""
     dt = bounds.horizon / grid.nt
     m = max(1, math.ceil(bounds.sigma_hi**2 * dt / grid.dx**2 - 1e-12))
     dtau = dt / m
@@ -498,7 +525,10 @@ def row_major_march(term, bounds, grid, mode, layers=None):
         def flux(d2):
             return np.multiply(0.5 * mode.sigma**2, d2)
     else:
-        flux = bounds.g
+        hi2, lo2 = bounds.sigma_hi**2, bounds.sigma_lo**2
+
+        def flux(d2):
+            return 0.5 * (hi2 * np.maximum(d2, 0.0) - lo2 * np.maximum(-d2, 0.0))
     lower = mode.kind == "lower"
     v = -term if lower else np.array(term, dtype=float)
     if layers is not None:
@@ -556,7 +586,8 @@ def hooked_march(row, bounds, grid, mode):
     def store(k, values):
         layers[k] = values
 
-    return gexp._march(row, bounds, grid, mode, store), layers
+    (origin,) = gexp._march(row, bounds, grid, (mode,), store)
+    return origin, layers
 
 
 class TestNodeMajorMarch:
@@ -564,19 +595,21 @@ class TestNodeMajorMarch:
     @given(case=march_cases())
     def test_matches_row_major_reference(self, case):
         stack, bounds, mode, g, chunk = case
+        # every mode of a degenerate band shares its one volatility
+        shared = modes_of(bounds) if bounds.degenerate else (UPPER, LOWER)
         with mock.patch.object(gexp, "_MARCH_ROWS", chunk):
-            marched = gexp._march(stack, bounds, g, mode)
-            paired = gexp._march(stack, bounds, g, mode, both_signs=True)
+            (marched,) = gexp._march(stack, bounds, g, (mode,))
+            together = gexp._march(stack, bounds, g, shared)
         assert same_bits(marched, origins(row_major_march(stack, bounds, g, mode), g))
-        doubled = row_major_march(np.concatenate([stack, -stack]), bounds, g, mode)
-        assert same_bits(paired, origins(doubled, g).reshape(2, -1))
+        for each, values in zip(shared, together, strict=True):
+            assert same_bits(values, origins(row_major_march(stack, bounds, g, each), g))
         for row in stack:
             ref = np.empty((g.nt + 1, g.nx))
             row_major_march(row, bounds, g, mode, ref)
             origin, layers = hooked_march(row, bounds, g, mode)
             assert same_bits(layers, ref)
             assert same_bits(origin, origins(ref[0], g)[0])
-            assert same_bits(gexp._march(row, bounds, g, mode), origin)
+            assert same_bits(gexp._march(row, bounds, g, (mode,)), [origin])
 
     @pytest.mark.parametrize("rows", [1, 7, "default", "whole"])
     def test_chunk_size_invariance(self, monkeypatch, rows):
@@ -589,20 +622,43 @@ class TestNodeMajorMarch:
             monkeypatch.setattr(gexp, "_MARCH_ROWS", len(stack) if rows == "whole" else rows)
         for g in (MARCH_GRID, OFFSET_GRID):
             for mode in modes_of(BAND):
-                marched = gexp._march(stack, BAND, g, mode)
+                (marched,) = gexp._march(stack, BAND, g, (mode,))
                 assert same_bits(marched, origins(row_major_march(stack, BAND, g, mode), g))
-            paired = gexp._march(stack, BAND, g, UPPER, both_signs=True)
-            doubled = row_major_march(np.concatenate([stack, -stack]), BAND, g, UPPER)
-            assert same_bits(paired, origins(doubled, g).reshape(2, -1))
+            both = gexp._march(stack, BAND, g, (UPPER, LOWER))
+            for mode, values in zip((UPPER, LOWER), both, strict=True):
+                assert same_bits(values, origins(row_major_march(stack, BAND, g, mode), g))
 
     def test_input_untouched(self):
         stack = np.stack([MARCH_GRID.nodes**2, -MARCH_GRID.nodes])
         before = stack.copy()
         for mode in modes_of(BAND):
-            gexp._march(stack, BAND, MARCH_GRID, mode)
-            gexp._march(stack, BAND, MARCH_GRID, mode, both_signs=True)
+            gexp._march(stack, BAND, MARCH_GRID, (mode,))
             hooked_march(stack[0], BAND, MARCH_GRID, mode)
+        gexp._march(stack, BAND, MARCH_GRID, (UPPER, LOWER))
         assert same_bits(stack, before)
+
+    @pytest.mark.parametrize("bounds", [BAND, DEGENERATE], ids=["band", "degenerate"])
+    def test_subnormal_payoffs_near_the_textbook_flux(self, bounds):
+        # max(a sigma_hi^2 / 2, a sigma_lo^2 / 2) and the textbook
+        # 0.5 (sigma_hi^2 max(a, 0) - sigma_lo^2 max(-a, 0)) round differently
+        # only where a product is subnormal; measured here: at most 1e-323
+        rng = np.random.default_rng(5)
+        for g in (MARCH_GRID, OFFSET_GRID):
+            stack = [evaluate(parse(text), g.nodes) for text in ("1e-310 * x^2", "1e-315 * abs(x)")]
+            stack += [1e-320 * evaluate(random_payoff(rng), g.nodes) for _ in range(8)]
+            stack = np.stack(stack)
+            for mode in modes_of(bounds):
+                (marched,) = gexp._march(stack, bounds, g, (mode,))
+                ref = origins(row_major_march(stack, bounds, g, mode), g)
+                assert np.max(np.abs(marched - ref)) <= 2e-323
+                for row in stack:
+                    layers = np.empty((g.nt + 1, g.nx))
+                    row_major_march(row, bounds, g, mode, layers)
+                    assert np.max(np.abs(hooked_march(row, bounds, g, mode)[1] - layers)) <= 2e-323
+
+    def test_modes_must_share_a_band(self):
+        with pytest.raises(ValueError, match="share a band"):
+            gexp._march(MARCH_GRID.nodes, BAND, MARCH_GRID, (UPPER, Mode.fixed(0.75)))
 
     @pytest.mark.parametrize(
         "x_min, x_max, spikes",
@@ -619,7 +675,7 @@ class TestNodeMajorMarch:
         term[list(spikes)] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             ref = row_major_march(term, BAND, g, UPPER)
-            value = gexp._march(term, BAND, g, UPPER)
+            (value,) = gexp._march(term, BAND, g, (UPPER,))
             expected = float(np.interp(0.0, g.nodes, ref))
         assert np.isinf(ref).any() and not np.isnan(expected)
         assert same_bits(value, expected)

@@ -193,10 +193,11 @@ class TestReplicate:
         assert rep.gaps.size == 500 - rep.n_excluded
 
     def test_all_paths_excluded_raises(self):
-        tiny = GridSpec(-0.01, 0.01, 11, 800)
+        # every first step, of length 1/8, leaves the grid; m = 100 sub-steps
+        tiny = GridSpec(-0.05, 0.05, 5, 16)
         h = hedge_field(parse("x"), BAND, tiny)
         p = simulate_paths(ControlSpec.constant(1.0), BAND, 50, 64, seed=6)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="every path left the grid"):
             replicate(parse("x"), h, p)
 
     def test_report_dict_serializable(self, example_hedge):
@@ -376,7 +377,10 @@ def reference_replicate(expr, hedge, b, sigmas):
         eta_k = np.interp(bk, grid.nodes, hedge.eta.values[layer])
         phi_k = np.interp(bk, grid.nodes, hedge.phi_hat.values[layer])
         gains += eta_k * (b[:, k + 1] - bk)
-        inc = (BAND.g(2.0 * phi_k) - phi_k * sigmas[:, k] ** 2) * dt
+        # the textbook worst-case flux, written out rather than taken from BAND.g
+        a = 2.0 * phi_k
+        flux = 0.5 * (BAND.sigma_hi**2 * np.maximum(a, 0.0) - BAND.sigma_lo**2 * np.maximum(-a, 0.0))
+        inc = (flux - phi_k * sigmas[:, k] ** 2) * dt
         k_acc += inc
         min_inc = min(min_inc, float(inc[inside].min()))
     upper = float(np.interp(0.0, grid.nodes, solve_value_field(expr, BAND, grid, UPPER).values[0]))
