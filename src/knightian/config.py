@@ -7,7 +7,7 @@ from typing import Optional
 
 from .dsl import PayoffParseError, parse
 from .equilibrium import Agent, Economy, PriorSpec, Utility
-from .gexp import GridSpec, VolBounds, _substeps, default_grid
+from .gexp import GridSpec, VolBounds, _substeps, check_tolerance, default_grid
 from .replication import _check_batch
 
 __all__ = ["ConfigError", "McSpec", "Tolerances", "Config", "load_config"]
@@ -40,8 +40,11 @@ class Tolerances:
     equilibrium: float = 1e-10
 
     def __post_init__(self):
-        if not (self.mean_af > 0.0 and self.equilibrium > 0.0):
-            raise ConfigError("tolerances must be positive")
+        try:
+            check_tolerance("mean_af", self.mean_af)
+            check_tolerance("equilibrium", self.equilibrium)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
 
 @dataclass(eq=False)

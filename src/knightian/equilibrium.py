@@ -190,8 +190,12 @@ class EquilibriumResult:
     consumption: np.ndarray  # (n_agents,) constant consumption: the endowment prices
     shadow: float  # common weighted marginal utility, the state-price density proxy
     budget_residual: np.ndarray  # PDE-priced budget surplus per agent
-    trades: np.ndarray  # (n_agents, nx) net trades shadow * (consumption - endowment)
     clearing: float  # largest gap over the grid between summed consumption and aggregate
+
+    @property
+    def trades(self) -> np.ndarray:
+        """(n_agents, nx) net trades shadow * (consumption - endowment), built when read."""
+        return self.shadow * (self.consumption[:, None] - self.economy.endowment_values)
 
 
 def solve_equilibrium(
@@ -206,19 +210,17 @@ def solve_equilibrium(
     Two checks raise NegishiError: prices that miss the aggregate by more
     than CLEARING_TOL (relative to max(1, |e|)), and net trades
     shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`, which
-    must be finite and positive (ValueError).  The result carries the net
-    trades and the clearing gap it checked.
+    must be finite and positive (ValueError).
     """
     require_constant_aggregate(economy)
     utilities = tuple(agent.utility for agent in economy.agents)
-    prices, alpha, shadow, residual, clearing, trades, (error,) = _solve_stack(
+    prices, alpha, shadow, residual, clearing, (error,) = _solve_stack(
         utilities, economy.endowment_values[None], economy.bounds, economy.grid, prior, budget_tol
     )
     if error is not None:
         raise NegishiError(error)
     return EquilibriumResult(
-        economy, prior, alpha[0], prices[0], float(shadow[0]), residual[0],
-        trades[0], float(clearing[0]),
+        economy, prior, alpha[0], prices[0], float(shadow[0]), residual[0], float(clearing[0])
     )
 
 
@@ -239,7 +241,6 @@ class _Stack(NamedTuple):
     shadow: np.ndarray  # (s,) shadow values
     residual: np.ndarray  # (s, n) PDE-priced budget surplus
     clearing: np.ndarray  # (s,) largest gap between summed prices and the aggregate
-    trades: np.ndarray  # (solved, n, nx) net trades shadow * (p - e) of the solved economies
     errors: list  # (s,) None for a solved economy, else its NegishiError text
 
 
@@ -250,9 +251,9 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
 
     Two marches serve the whole stack: one of every endowment, then one of
     the net trades of the economies that passed the price and weight checks,
-    which prices their budgets.  Each check runs on all economies at once,
-    with the same arithmetic per economy as a solve of that economy alone,
-    so every value is bit-identical to it.
+    which prices their budgets; the trades live only for that march.  Each
+    check runs on all economies at once, with the same arithmetic per economy
+    as a solve of that economy alone, so every value is bit-identical to it.
     """
     check_tolerance("budget_tol", budget_tol)
     mode = prior.mode()
@@ -302,5 +303,4 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     check(~(clearing > tol), "endowment prices do not clear the aggregate", clearing)
     worst = np.max(np.abs(residual), axis=1)
     check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)
-    solved = trades if ok[live].all() else trades[ok[live]]  # no copy when all are solved
-    return _Stack(prices, alpha, shadow, residual, clearing, solved, errors)
+    return _Stack(prices, alpha, shadow, residual, clearing, errors)

@@ -262,7 +262,8 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
                 layer(k, _signed(v[:, 0], signs[0], k < grid.nt))
         for i, sign in enumerate(signs):
             values = _signed(v[:, i * width : (i + 1) * width], sign, True)
-            out[i, start : start + width] = _at_origin(values, nodes)
+            out[i, start : start + width] = [np.interp(0.0, nodes, col) for col in values.T]
+        del v, up, mid, down, a, b, values  # freed before the next block's are made
     return out[:, 0].tolist() if term.ndim == 1 else out
 
 
@@ -274,21 +275,6 @@ def _signed(values: np.ndarray, sign: float, marched: bool) -> np.ndarray:
     if sign < 0.0 and marched:
         values[1:-1] += 0.0
     return values
-
-
-def _at_origin(v: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Each column's value at x = 0 of an (nx, columns) block of node values,
-    by np.interp's rule, signed zeros included: the node value if 0 is a
-    node, else slope * (0 - left node) + left value; if that is NaN, the same
-    from the right end, and if that is NaN too, the value of two equal ends."""
-    j = int(np.searchsorted(nodes, 0.0, side="right")) - 1
-    if nodes[j] == 0.0:
-        return v[j]
-    slope = (v[j + 1] - v[j]) / (nodes[j + 1] - nodes[j])
-    value = slope * (0.0 - nodes[j]) + v[j]
-    again = slope * (0.0 - nodes[j + 1]) + v[j + 1]
-    again = np.where(np.isnan(again) & (v[j] == v[j + 1]), v[j], again)
-    return np.where(np.isnan(value), again, value)
 
 
 def solve_terminal_values(

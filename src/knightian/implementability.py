@@ -1,10 +1,11 @@
 """Whether equilibrium trades can be carried by linear hedging alone.
 
-The net trade of an agent is the priced difference between equilibrium
-consumption and endowment.  A net trade is implementable without ambiguity
-premia exactly when its upper and lower expectations agree; the genericity
-probe measures how rarely that happens under random endowment
-perturbations.
+Under full insurance the net trade of agent i is shadow * (p_i - e_i), and
+it is implementable without ambiguity premia exactly when its upper and
+lower expectations agree.  Translation and positive homogeneity of the upper
+expectation give gap(trade_i) = shadow * gap(e_i), so the verdict is one
+march of the endowments.  The genericity probe measures how rarely it holds
+under random endowment perturbations.
 """
 
 import math
@@ -20,7 +21,7 @@ from .equilibrium import (
     _solve_stack,
     require_constant_aggregate,
 )
-from .gexp import MEMORY_BUDGET, check_tolerance, mean_ambiguity_gap
+from .gexp import MEMORY_BUDGET, GapResult, check_tolerance, mean_ambiguity_gap
 
 __all__ = [
     "AgentVerdict",
@@ -30,6 +31,7 @@ __all__ = [
     "ProbeResult",
     "check_implementability",
     "genericity_probe",
+    "implementability",
 ]
 
 
@@ -55,12 +57,26 @@ class ImplementabilityVerdict:
         raise KeyError(name)
 
 
+def implementability(endowments, prices, shadow, bounds, grid, tol: float) -> GapResult:
+    """Upper and lower expectations of the net trades shadow * (p - e) of s
+    full-insurance economies, their gaps and verdicts, as (s, n) arrays, from
+    (s, n, nx) endowments, (s, n) prices and (s,) shadow values: one march of
+    the endowments, upper = shadow (p - lower(e)), lower = shadow (p - upper(e))."""
+    s, n, nx = endowments.shape
+    res = mean_ambiguity_gap(endowments.reshape(s * n, nx), bounds, grid, tol)
+    upper = shadow[:, None] * (prices - res.lower.reshape(s, n))
+    lower = shadow[:, None] * (prices - res.upper.reshape(s, n))
+    gap = upper - lower
+    return GapResult(gap, gap <= tol, upper, lower)
+
+
 def check_implementability(result: EquilibriumResult, tol: float = 1e-3) -> ImplementabilityVerdict:
     """Equilibrium is implementable when every net trade is mean-ambiguity-free."""
     economy = result.economy
-    res = mean_ambiguity_gap(result.trades, economy.bounds, economy.grid, tol)
-    columns = (res.upper, res.lower, res.gap, res.mean_af)
-    verdicts = tuple(AgentVerdict(*row) for row in zip(economy.names, *(c.tolist() for c in columns)))
+    stacked = (economy.endowment_values[None], result.consumption[None], np.array([result.shadow]))
+    res = implementability(*stacked, economy.bounds, economy.grid, tol)
+    columns = (c[0].tolist() for c in (res.upper, res.lower, res.gap, res.mean_af))
+    verdicts = tuple(AgentVerdict(*row) for row in zip(economy.names, *columns))
     return ImplementabilityVerdict(verdicts, all(v.mean_af for v in verdicts), tol)
 
 
@@ -125,11 +141,11 @@ def _splits(perturbation: Perturbation, e_total: float, nodes, centers, widths):
 
 
 # per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
-# nodes at once: the endowments and the net trades while the budgets are
-# marched, plus a copy of the solved samples' trades when some sample fails;
-# on top come about _SAMPLE_BYTES of Python objects per sample (tracemalloc,
-# 200 samples, all solved: 2.91 rows at nx = 401, about 0.8 of them the
-# march's block buffers; 0.26 kB of objects at nx = 11, for either family)
+# nodes at once: the endowments, plus the net trades during the budget march
+# and then the solved samples' copy of the endowments during the gap march,
+# and one march block's buffers; on top come about _SAMPLE_BYTES of Python
+# objects per sample (tracemalloc, 200 samples, all solved: 2.75 rows at
+# nx = 401, 0.7 of them block buffers; 0.26 kB of objects at nx = 11)
 _PROBE_ROWS = 4
 _SAMPLE_BYTES = 1024
 
@@ -165,15 +181,15 @@ def genericity_probe(
 
     Each sample redraws the first agent's endowment as a clamped tilt of the
     fifty-fifty split, re-solves the equilibrium (`budget_tol` as in
-    `solve_equilibrium`), and tests the net trades.  The failing fraction
-    over successful solves is reported with a 95 percent Wilson interval;
-    solve failures are tallied separately, never silently counted as either
-    outcome.  Every sample gives what `solve_equilibrium` and
+    `solve_equilibrium`), and tests it with `implementability`.  The failing
+    fraction over successful solves is reported with a 95 percent Wilson
+    interval; solve failures are tallied separately, never silently counted
+    as either outcome.  Every sample gives what `solve_equilibrium` and
     `check_implementability` give it alone, but the whole probe takes three
     marches: one of every endowment, one of every net trade to price the
-    budgets, and one of the net trades of the solved samples for their
-    ambiguity gaps.  Like `solve_equilibrium`, the probe raises
-    NonConstantEndowmentError for an economy whose aggregate is not flat.
+    budgets, and one of the solved samples' endowments for their gaps.  Like
+    `solve_equilibrium`, the probe raises NonConstantEndowmentError for an
+    economy whose aggregate is not flat.
     """
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")
@@ -204,37 +220,30 @@ def genericity_probe(
 
     utilities = tuple(agent.utility for agent in economy.agents)
     stack = _solve_stack(utilities, endowments, economy.bounds, economy.grid, prior, budget_tol)
-    del endowments  # not needed past the solve
-    n_solved = len(stack.trades)
-    verdicts = iter(())
-    if n_solved:
-        trades = stack.trades.reshape(-1, economy.grid.nx)
-        res = mean_ambiguity_gap(trades, economy.bounds, economy.grid, tol)
-        per_sample = (c.reshape(n_solved, -1).tolist() for c in (res.gap, res.mean_af))
-        verdicts = zip(*per_sample)
-
+    solved = np.array([error is None for error in stack.errors])
+    res = implementability(
+        endowments[solved], stack.prices[solved], stack.shadow[solved],
+        economy.bounds, economy.grid, tol,
+    )
+    verdicts = zip(res.gap.tolist(), res.mean_af.tolist())
     samples = []
-    n_failing = 0
     for draw, error in zip(draws, stack.errors):
-        if error is not None:
+        if error is None:
+            gaps, mean_af = next(verdicts)
+            samples.append(ProbeSample(*draw, max(gaps), all(mean_af)))
+        else:
             samples.append(ProbeSample(*draw, None, None, error))
-            continue
-        gaps, mean_af = next(verdicts)
-        if not all(mean_af):
-            n_failing += 1
-        samples.append(ProbeSample(*draw, max(gaps), all(mean_af)))
 
-    n_failed_solves = n_samples - n_solved
-    if n_solved > 0:
-        fraction = n_failing / n_solved
-        low, high = _wilson_interval(n_failing, n_solved)
-    else:
-        fraction, low, high = math.nan, math.nan, math.nan
+    n_solved = int(solved.sum())
+    n_failing = sum(sample.implementable is False for sample in samples)
+    fraction, low, high = math.nan, math.nan, math.nan
+    if n_solved:
+        fraction, (low, high) = n_failing / n_solved, _wilson_interval(n_failing, n_solved)
     return ProbeResult(
         samples=tuple(samples),
         n_samples=n_samples,
         n_solved=n_solved,
-        n_failed_solves=n_failed_solves,
+        n_failed_solves=n_samples - n_solved,
         n_failing=n_failing,
         fraction_failing=fraction,
         wilson_low=low,

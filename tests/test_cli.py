@@ -3,10 +3,11 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
-from knightian import gexp, implementability
+from knightian import ConfigError, Tolerances, gexp, implementability
 from knightian.cli import main
 
 from helpers import capped_exp_value, write_config
@@ -128,6 +129,8 @@ class TestConfigHandling:
             ("mc", {"paths": 50.7, "steps": 16, "seed": 1}, "paths"),
             ("bounds", {"sigma_lo": 0.5, "sigma_hi": 1.0, "horizon": float("inf")}, "horizon"),
             ("tolerances", {"mean_af": float("inf"), "equilibrium": 1e-10}, "mean_af"),
+            ("tolerances", {"mean_af": 0, "equilibrium": 1e-10}, "mean_af"),
+            ("tolerances", {"mean_af": 0.001, "equilibrium": -1e-10}, "equilibrium"),
         ],
     )
     def test_non_integral_or_non_finite_rejected(self, ws, capsys, section, values, field):
@@ -136,6 +139,13 @@ class TestConfigHandling:
         assert code == 2
         assert field in err
         assert "gap" not in out
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("field", ["mean_af", "equilibrium"])
+    def test_tolerances_built_in_code_checked(self, field, bad):
+        """The library's tolerance rule holds for a Tolerances built in code too."""
+        with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
+            Tolerances(**{field: bad})
 
     def test_integral_floats_accepted(self, ws, capsys):
         cfg = write_config(
@@ -564,7 +574,7 @@ class TestProbe:
         assert blob.count(b"planner weights at the simplex boundary") == 3
         assert (
             hashlib.sha256(blob).hexdigest()
-            == "88e98006ea3126c30b3a62ae971d78788bd9de4694246e855fdff68de62774e8"
+            == "838b492755674b79739082175dd6b38593b260ca76dc7fd2edc75387c9597830"
         )
 
 
@@ -613,7 +623,7 @@ class TestDeterminism:
         }
         assert digests == {
             "equilibrium.csv": "3c7f7a25b85d8c27ba7bb5b93d6486e26b4ec33c0d1f759399133013565581ab",
-            "implementability.csv": "700b788c41f2c9d7f962e2e7849640f61dba0d3ed8e57446a78c917e19e0ba8a",
+            "implementability.csv": "dfc4aad5e186866ac02334742230a8b0b9bada910c6d8837d7569200de9ced96",
         }
 
 

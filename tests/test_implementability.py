@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from knightian import (
     Agent,
     ConvergenceError,
     Economy,
+    EquilibriumResult,
     GridSpec,
     NonConstantEndowmentError,
     PriorSpec,
@@ -65,6 +67,11 @@ class TestNetTrades:
         res = example_solved
         expect = res.shadow * (res.consumption[:, None] - res.economy.endowment_values)
         assert res.trades.tobytes() == expect.tobytes()
+
+    def test_result_stores_no_node_arrays(self, example_solved):
+        # the trades are derived from the economy on demand, not stored
+        stored = [getattr(example_solved, f.name) for f in dataclasses.fields(example_solved)]
+        assert all(np.ndim(value) <= 1 for value in stored)
 
 
 class TestCheckImplementability:
@@ -240,7 +247,7 @@ def test_one_march_per_batched_call(monkeypatch, n_agents):
     assert shapes == [(n_agents, grid.nx), (n_agents, grid.nx)]
     shapes.clear()
     check_implementability(res)
-    # one march of the net trades, each block marching their upper and lower
+    # one march of the endowments, each block marching their upper and lower
     # columns side by side
     assert shapes == [(n_agents, grid.nx)]
 
@@ -287,8 +294,8 @@ def test_nonsense_tolerance_rejected_before_any_march(monkeypatch, call, bad):
 
 @pytest.mark.parametrize("n_samples", [1, 3, 17])
 def test_probe_marches_three_times(monkeypatch, n_samples):
-    """Endowment prices, budget claims and net trades: one march each, for
-    any number of samples."""
+    """Endowment prices, budget claims and the endowments' ambiguity gaps:
+    one march each, for any number of samples."""
     shapes = counting_marches(monkeypatch)
     econ = example_economy(grid=PROBE_GRID)
     res = genericity_probe(econ, n_samples, Perturbation("bump", 0.1), seed=5)
@@ -432,3 +439,69 @@ def test_batched_probe_matches_per_sample_solves(utility_a, family, seed, budget
     # repr tells signed zeros apart, so the rows must match bit for bit
     assert repr(got) == repr(per_sample_probe(econ, 8, perturbation, seed, prior, 1e-3, budget_tol))
     assert res.n_solved == sum(row[-1] is None for row in got)
+
+
+def three_agent_economy(grid: GridSpec) -> Economy:
+    endowments = COUNT_ENDOWMENTS[3]
+    agents = tuple(Agent(f"a{i}", Utility.log(), parse(e)) for i, e in enumerate(endowments))
+    return Economy(agents, BAND, grid)
+
+
+def unequal_utility_economy(grid: GridSpec) -> Economy:
+    """Twice the example endowments, held by power and exp agents: the
+    shadow value is not one, as it is for log agents sharing one unit."""
+    agents = (
+        Agent("p1", Utility.power(2.0), parse("2 * min(exp(x), 1)")),
+        Agent("p2", Utility.exponential(1.5), parse("2 - 2 * min(exp(x), 1)")),
+    )
+    return Economy(agents, BAND, grid)
+
+
+IDENTITY_ECONOMIES = {
+    "example": example_economy,
+    "symmetric": symmetric_economy,
+    "linear-split": linear_split_economy,
+    "three-agent": three_agent_economy,
+    "unequal-utility": unequal_utility_economy,
+}
+
+# the verdict read off the endowments against a march of the net trades: at
+# most 2.2e-16 apart on these economies and 3.0e-16 on these probe samples
+# (9.9e-16 over 200-sample probes of the example economy at nx = 401)
+IDENTITY_BOUND = 1e-15
+
+
+def assert_gaps_match_marched_trades(result: EquilibriumResult, tol: float = 1e-3):
+    """check_implementability against mean_ambiguity_gap of result.trades:
+    upper(shadow (p - e)) = shadow (p - lower(e)) by translation and positive
+    homogeneity, so gap(trade) = shadow gap(e), up to rounding."""
+    verdict = check_implementability(result, tol)
+    economy = result.economy
+    marched = mean_ambiguity_gap(result.trades, economy.bounds, economy.grid, tol)
+    for field in ("upper", "lower", "gap"):
+        got = np.array([getattr(v, field) for v in verdict.agents])
+        assert np.max(np.abs(got - getattr(marched, field))) <= IDENTITY_BOUND, field
+    assert [v.mean_af for v in verdict.agents] == marched.mean_af.tolist()
+    return verdict
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("name", IDENTITY_ECONOMIES)
+def test_gaps_from_endowments_match_marched_trades(name, sigma):
+    res = solve_equilibrium(IDENTITY_ECONOMIES[name](grid=GRID), PriorSpec.constant(sigma))
+    assert_gaps_match_marched_trades(res)
+
+
+@pytest.mark.parametrize("family, seed", [("bump", 3), ("ramp", 5)])
+def test_probe_samples_match_marched_trades(family, seed):
+    """The same identity on the probe's samples, rebuilt from their draws."""
+    econ = example_economy(grid=PROBE_GRID)
+    probe = genericity_probe(econ, 10, Perturbation(family, 0.1), seed)
+    e_total = float(np.mean(econ.aggregate))
+    a1, a2 = econ.agents
+    for sample in probe.samples:
+        e1 = clamped_share(e_total, 0.1, tilt_expr(family, sample.center, sample.width))
+        e2 = BinOp("-", Lit(e_total), e1)
+        perturbed = Economy((Agent("a1", a1.utility, e1), Agent("a2", a2.utility, e2)), BAND, econ.grid)
+        verdict = assert_gaps_match_marched_trades(solve_equilibrium(perturbed, PRIOR1))
+        assert verdict.implementable == sample.implementable
