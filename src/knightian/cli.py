@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import Config, load_config
 from .dsl import BinOp, Lit, parse, pretty_print
 from .equilibrium import ConvergenceError, NonConstantEndowmentError, solve_equilibrium
@@ -260,7 +262,7 @@ def cmd_probe(cfg: Config, args, out_dir: Path) -> int:
         n_samples=args.samples,
         perturbation=perturbation,
         seed=cfg.mc.seed,
-        prior=cfg.pricing_prior,
+        prior=cfg.require_prior(),
         tol=cfg.tolerances.mean_af,
         budget_tol=cfg.tolerances.equilibrium,
     )
@@ -306,7 +308,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args, out_dir)
+        # inputs whose values or marches leave the float range are bad input,
+        # not inf or nan in a report
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](cfg, args, out_dir)
     except NonConstantEndowmentError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NONCONSTANT

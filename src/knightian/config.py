@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .dsl import PayoffParseError, parse
@@ -94,6 +94,16 @@ def _finite(value, where: str) -> float:
     return number
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+# how a field's annotated type is read from JSON; every other field is a finite number
+_READERS = {int: _integer, str: _string}
+
+
 def _require_keys(obj: dict, allowed, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -102,37 +112,38 @@ def _require_keys(obj: dict, allowed, where: str):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(extra))}")
 
 
-def _utility_from(obj: dict, where: str) -> Utility:
-    _require_keys(obj, {"kind", "gamma", "a"}, where)
-    kind = obj.get("kind")
+def _section(cls, obj, where: str, **defaults):
+    """Build the dataclass `cls` from the JSON object `obj`.
+
+    Its keys are the fields of `cls`, each value is read as its field's
+    annotated kind, and an absent key takes `defaults` or the field's own
+    default.  The range rules are those of `cls` itself."""
+    members = fields(cls)
+    _require_keys(obj, [f.name for f in members], where)
+    kwargs = dict(defaults)
+    for f in members:
+        if f.name in obj:
+            kwargs[f.name] = _READERS.get(f.type, _finite)(obj[f.name], f"{where}.{f.name}")
+        elif f.name not in kwargs and f.default is MISSING:
+            raise ConfigError(f"{where} needs {f.name!r}")
     try:
-        if kind == "log":
-            return Utility.log()
-        if kind == "power":
-            if "gamma" not in obj:
-                raise ConfigError(f"{where}: power utility needs gamma")
-            return Utility.power(_finite(obj["gamma"], "gamma"))
-        if kind == "exp":
-            if "a" not in obj:
-                raise ConfigError(f"{where}: exp utility needs a")
-            return Utility.exponential(_finite(obj["a"], "a"))
+        return cls(**kwargs)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
-    raise ConfigError(f"{where}: unknown utility kind {kind!r}")
 
 
 def _agent_from(obj: dict, index: int) -> Agent:
     where = f"agents[{index}]"
-    _require_keys(obj, {"name", "utility", "endowment"}, where)
-    for key in ("name", "utility", "endowment"):
+    keys = [f.name for f in fields(Agent)]
+    _require_keys(obj, keys, where)
+    for key in keys:
         if key not in obj:
             raise ConfigError(f"{where} needs {key!r}")
-    name, text = obj["name"], obj["endowment"]
+    name = obj["name"]
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{where}.name must be a non-empty string, got {name!r}")
-    if not isinstance(text, str):
-        raise ConfigError(f"{where}.endowment must be a string, got {text!r}")
-    utility = _utility_from(obj["utility"], f"{where}.utility")
+    text = _string(obj["endowment"], f"{where}.endowment")
+    utility = _section(Utility, obj["utility"], f"{where}.utility")
     try:
         endowment = parse(text)
     except PayoffParseError as err:
@@ -151,39 +162,12 @@ def load_config(path) -> Config:
         raise ConfigError(f"configuration is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    _require_keys(
-        raw,
-        {"bounds", "grid", "agents", "pricing_prior", "mc", "tolerances"},
-        "configuration",
-    )
+    _require_keys(raw, [f.name for f in fields(Config)], "configuration")
 
     if "bounds" not in raw:
-        raise ConfigError("configuration needs a bounds section")
-    b = raw["bounds"]
-    _require_keys(b, {"sigma_lo", "sigma_hi", "horizon"}, "bounds")
-    try:
-        bounds = VolBounds(
-            _finite(b.get("sigma_lo", 0.0), "sigma_lo"),
-            _finite(b.get("sigma_hi", 0.0), "sigma_hi"),
-            _finite(b.get("horizon", 1.0), "horizon"),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bounds: {err}") from err
-
-    if "grid" in raw:
-        g = raw["grid"]
-        _require_keys(g, {"x_min", "x_max", "nx", "nt"}, "grid")
-        try:
-            grid = GridSpec(
-                _finite(g["x_min"], "x_min"),
-                _finite(g["x_max"], "x_max"),
-                _integer(g["nx"], "nx"),
-                _integer(g["nt"], "nt"),
-            )
-        except (TypeError, KeyError, ValueError) as err:
-            raise ConfigError(f"grid: {err}") from err
-    else:
-        grid = default_grid(bounds)
+        raise ConfigError("configuration needs 'bounds'")
+    bounds = _section(VolBounds, raw["bounds"], "bounds", horizon=1.0)
+    grid = _section(GridSpec, raw["grid"], "grid") if "grid" in raw else default_grid(bounds)
     # checked here so an over-budget march fails at load, before any work
     try:
         _substeps(bounds, grid)
@@ -197,40 +181,13 @@ def load_config(path) -> Config:
 
     prior = None
     if "pricing_prior" in raw:
-        p = raw["pricing_prior"]
-        _require_keys(p, {"sigma"}, "pricing_prior")
-        try:
-            prior = PriorSpec.constant(_finite(p["sigma"], "sigma"))
-        except (TypeError, KeyError, ValueError) as err:
-            raise ConfigError(f"pricing_prior: {err}") from err
+        prior = _section(PriorSpec, raw["pricing_prior"], "pricing_prior")
         if not bounds.sigma_lo <= prior.sigma <= bounds.sigma_hi:
             raise ConfigError(
                 f"pricing_prior sigma {prior.sigma} outside the band "
                 f"[{bounds.sigma_lo}, {bounds.sigma_hi}]"
             )
 
-    mc_raw = raw.get("mc", {})
-    _require_keys(mc_raw, {"paths", "steps", "seed", "increments"}, "mc")
-    try:
-        mc = McSpec(
-            paths=_integer(mc_raw.get("paths", McSpec.paths), "paths"),
-            steps=_integer(mc_raw.get("steps", McSpec.steps), "steps"),
-            seed=_integer(mc_raw.get("seed", McSpec.seed), "seed"),
-            increments=str(mc_raw.get("increments", McSpec.increments)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"mc: {err}") from err
-
-    tol_raw = raw.get("tolerances", {})
-    _require_keys(tol_raw, {"mean_af", "equilibrium"}, "tolerances")
-    try:
-        tolerances = Tolerances(
-            mean_af=_finite(tol_raw.get("mean_af", Tolerances.mean_af), "mean_af"),
-            equilibrium=_finite(
-                tol_raw.get("equilibrium", Tolerances.equilibrium), "equilibrium"
-            ),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"tolerances: {err}") from err
-
+    mc = _section(McSpec, raw.get("mc", {}), "mc")
+    tolerances = _section(Tolerances, raw.get("tolerances", {}), "tolerances")
     return Config(bounds, grid, agents, prior, mc, tolerances)

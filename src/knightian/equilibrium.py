@@ -61,17 +61,16 @@ class Utility:
     a: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == "log":
-            if self.gamma is not None or self.a is not None:
-                raise ValueError("log utility takes no parameters")
-        elif self.kind == "power":
-            if self.a is not None or self.gamma is None or not self.gamma > 0 or self.gamma == 1:
-                raise ValueError("power utility needs gamma > 0, gamma != 1")
-        elif self.kind == "exp":
-            if self.gamma is not None or self.a is None or not self.a > 0:
-                raise ValueError("exp utility needs a > 0")
-        else:
+        takes = {"log": (), "power": ("gamma",), "exp": ("a",)}.get(self.kind)
+        if takes is None:
             raise ValueError(f"unknown utility kind {self.kind!r}")
+        for name in ("gamma", "a"):
+            if name not in takes and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} utility takes no {name}")
+        if self.kind == "power" and (self.gamma is None or not self.gamma > 0 or self.gamma == 1):
+            raise ValueError("power utility needs gamma > 0, gamma != 1")
+        if self.kind == "exp" and (self.a is None or not self.a > 0):
+            raise ValueError("exp utility needs a > 0")
 
     @classmethod
     def log(cls) -> "Utility":
@@ -273,9 +272,10 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
         "an endowment has no positive price; no interior equilibrium at this prior",
     )
     inv_marginal = np.ones((s, n))
-    # a marginal utility that underflows to zero has an infinite inverse, and
-    # the weights are then not finite: the boundary check rejects them
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a marginal utility that underflows to zero has an infinite inverse, one
+    # that overflows a zero inverse, and the weights are then not finite or
+    # zero: the boundary check rejects them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j, utility in enumerate(utilities):
             inv_marginal[ok, j] = 1.0 / utility.marginal(prices[ok, j])
         total = inv_marginal.sum(axis=1)

@@ -190,6 +190,7 @@ def genericity_probe(
     budgets, and one of the solved samples' endowments for their gaps.  Like
     `solve_equilibrium`, the probe raises NonConstantEndowmentError for an
     economy whose aggregate is not flat.
+    Without a `prior` the samples are priced at a constant `sigma_hi`.
     """
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")

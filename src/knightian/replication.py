@@ -9,7 +9,7 @@ vanishes along extremal paths.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -336,18 +336,11 @@ class ReplicationReport:
     k_terminal: np.ndarray  # per included path
 
     def to_dict(self) -> dict:
+        """Every field but the per-path arrays `gaps` and `k_terminal`."""
         return {
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "n_excluded": self.n_excluded,
-            "seed": self.seed,
-            "upper_value": self.upper_value,
-            "mean_gap": self.mean_gap,
-            "se_gap": self.se_gap,
-            "mean_gains": self.mean_gains,
-            "mean_k": self.mean_k,
-            "se_k": self.se_k,
-            "min_k_increment": self.min_k_increment,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("gaps", "k_terminal")
         }
 
 

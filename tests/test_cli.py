@@ -1,11 +1,15 @@
 """End-to-end command-line checks, run in process via main()."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knightian import ConfigError, Tolerances, gexp, implementability
 from knightian.cli import main
@@ -262,6 +266,48 @@ class TestConfigHandling:
         assert code == 2
         assert "work budget" in err
         assert "nt=3000000" in err and "nx=3" in err and "m=1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "utility",
+        [
+            {"kind": "log", "gamma": 2.0},
+            {"kind": "power", "gamma": 2.0, "a": 1.0},
+            {"kind": "exp", "a": 1.0, "gamma": 3.0},
+        ],
+        ids=["log-gamma", "power-a", "exp-gamma"],
+    )
+    def test_parameter_foreign_to_utility_kind_rejected(self, ws, capsys, utility):
+        agents = [
+            {"name": "a1", "utility": {"kind": "log"}, "endowment": "min(exp(x), 1)"},
+            {"name": "a2", "utility": utility, "endowment": "1 - min(exp(x), 1)"},
+        ]
+        cfg = write_config(ws / "foreign_parameter.json", agents=agents)
+        out_dir = ws / "foreign_parameter"
+        code, out, err = run(capsys, "--config", str(cfg), "--out", str(out_dir), "equilibrium")
+        assert code == 2
+        assert f"agents[1].utility: {utility['kind']} utility takes no" in err
+        assert out == ""
+        assert not (out_dir / "equilibrium.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, where",
+        [
+            ("bounds", "sigma_lo", "bounds"),
+            ("grid", "nx", "grid"),
+            ("pricing_prior", "sigma", "pricing_prior"),
+            ("agents", "kind", "agents[0].utility"),
+        ],
+    )
+    def test_missing_key_named(self, ws, capsys, section, key, where):
+        raw = json.loads(write_config(ws / "missing_key.json").read_text())
+        values = raw[section][0]["utility"] if section == "agents" else raw[section]
+        del values[key]
+        cfg = ws / "missing_key.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 2
+        assert f"{where} needs '{key}'" in err
         assert out == ""
 
     def test_out_directory_created(self, ws, capsys):
@@ -652,3 +698,108 @@ def test_nonconstant_aggregate_exits_3(ws, capsys, argv, endowments):
     code, _, err = run(capsys, "--config", str(ws / "tilted.json"), "--out", str(ws / "tilted"), *argv)
     assert code == 3
     assert err.startswith("error: aggregate endowment varies across the grid")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium"],
+        ["implement"],
+        ["replicate", "--agent", "a1", "--prior-sigma", "0.5"],
+        ["probe", "--samples", "2"],
+    ],
+    ids=["equilibrium", "implement", "replicate", "probe"],
+)
+def test_pricing_commands_need_prior(ws, capsys, argv):
+    raw = json.loads(write_config(ws / "no_prior.json").read_text())
+    del raw["pricing_prior"]
+    cfg = ws / "no_prior.json"
+    cfg.write_text(json.dumps(raw))
+    out_dir = ws / "no_prior"
+    code, out, err = run(capsys, "--config", str(cfg), "--out", str(out_dir), *argv)
+    assert code == 2
+    assert "this command needs a pricing_prior" in err
+    assert out == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+# a config small enough that every command runs in milliseconds
+FUZZ_CONFIG = {
+    "bounds": {"sigma_lo": 0.5, "sigma_hi": 1.0, "horizon": 1.0},
+    "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 21, "nt": 10},
+    "agents": [
+        {"name": "a1", "utility": {"kind": "power", "gamma": 2.0}, "endowment": "min(exp(x), 1)"},
+        {"name": "a2", "utility": {"kind": "exp", "a": 1.0}, "endowment": "1 - min(exp(x), 1)"},
+    ],
+    "pricing_prior": {"sigma": 0.75},
+    "mc": {"paths": 50, "steps": 8, "seed": 1, "increments": "binary"},
+    "tolerances": {"mean_af": 0.001, "equilibrium": 1e-10},
+}
+# every JSON object of FUZZ_CONFIG, as a path of keys from the root
+FUZZ_SECTIONS = [
+    (),
+    ("bounds",),
+    ("grid",),
+    ("pricing_prior",),
+    ("mc",),
+    ("tolerances",),
+    ("agents", 0),
+    ("agents", 1),
+    ("agents", 0, "utility"),
+    ("agents", 1, "utility"),
+]
+PAYOFFS = st.builds(
+    "{} {} {}".format,
+    st.sampled_from(["x", "-x", "0.5", "0", "exp(x)", "min(exp(x), 1)", "abs(x)", "1e308"]),
+    st.sampled_from(["+", "-", "*", "/", "^"]),
+    st.sampled_from(["x", "2", "0", "max(x, 0)", "tanh(x)", "1e308"]),
+)
+BAD_VALUES = st.one_of(
+    st.sampled_from([True, False, None, [], [1], {}, {"junk": 1}, 0, -1, -0.5, 1e300, 10**30]),
+    PAYOFFS,
+)
+COMMANDS = st.one_of(
+    st.builds(lambda p: ["eval", p], PAYOFFS),
+    st.just(["equilibrium"]),
+    st.just(["implement"]),
+    st.just(["probe", "--samples", "2"]),
+    st.builds(lambda p: ["replicate", "--payoff", p, "--prior-sigma", "0.75"], PAYOFFS),
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """FUZZ_CONFIG as it is, or with one key of one section dropped, added or
+    given a bad value."""
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    section = cfg
+    for key in draw(st.sampled_from(FUZZ_SECTIONS)):
+        section = section[key]
+    how = draw(st.sampled_from(["keep", "drop", "add", "swap"]))
+    if how == "keep":
+        return cfg
+    if how == "add":
+        section["junk"] = draw(BAD_VALUES)
+        return cfg
+    keys = sorted(section)
+    if section is cfg and how == "drop":
+        # a dropped grid or mc falls back to the full-size default: valid, but
+        # seconds of work per command
+        keys = [k for k in keys if k not in ("grid", "mc")]
+    key = draw(st.sampled_from(keys))
+    if how == "drop":
+        del section[key]
+    else:
+        section[key] = draw(BAD_VALUES)
+    return cfg
+
+
+class TestFuzz:
+    @settings(max_examples=200)
+    @given(cfg=fuzzed_configs(), argv=COMMANDS)
+    def test_every_run_exits_with_a_documented_code(self, ws, cfg, argv):
+        path = ws / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(path), "--out", str(ws / "fuzz"), *argv])
+        assert code in (0, 2, 3, 4, 5)

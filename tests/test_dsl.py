@@ -259,7 +259,7 @@ class TestPrettyPrint:
         with pytest.raises(PayoffParseError):
             parse("1e999")
 
-    @settings(max_examples=200, database=None)
+    @settings(max_examples=200)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_roundtrip_any_finite_literal(self, value):
         tree = BinOp("*", Lit(value), Var())

@@ -370,7 +370,7 @@ def constant_aggregate_economies(draw):
     return Economy(tuple(agents), BAND, PROPERTY_GRID)
 
 
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(econ=constant_aggregate_economies(), sigma=st.sampled_from([0.5, 0.75, 1.0]))
 def test_closed_form_equilibrium_properties(econ, sigma):
     assert econ.constant_aggregate

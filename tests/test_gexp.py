@@ -450,7 +450,7 @@ def payoff_stacks(draw):
 
 
 class TestBatchedMarch:
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(stack=payoff_stacks())
     def test_stack_matches_single_solves_and_lower_reference(self, stack):
         for mode in (UPPER, LOWER, Mode.fixed(0.75)):
@@ -591,7 +591,7 @@ def hooked_march(row, bounds, grid, mode):
 
 
 class TestNodeMajorMarch:
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(case=march_cases())
     def test_matches_row_major_reference(self, case):
         stack, bounds, mode, g, chunk = case
@@ -679,3 +679,66 @@ class TestNodeMajorMarch:
             expected = float(np.interp(0.0, g.nodes, ref))
         assert np.isinf(ref).any() and not np.isnan(expected)
         assert same_bits(value, expected)
+
+
+# ---------------------------------------------------------------------------
+# Peng's axioms of the discrete expectations
+
+
+EPS = np.finfo(float).eps
+# translation, fixed-sigma linearity and the sublinearity slack of upper stay
+# within this many ulps of the payoffs' sup norm; over 3000 payoffs on each
+# grid the largest measured were 2.4, 1.9 and 2.3
+AXIOM_ULPS = 4
+
+
+@st.composite
+def axiom_cases(draw):
+    """Two (k, nx) stacks of random payoffs, k constants, a grid and a mode."""
+    g = draw(st.sampled_from([MARCH_GRID, OFFSET_GRID]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    f, h = (np.stack([evaluate(random_payoff(rng), g.nodes) for _ in range(k)]) for _ in range(2))
+    c = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k)))
+    return f, h, c, g, draw(st.sampled_from(modes_of(BAND)))
+
+
+def sup(stack):
+    return np.max(np.abs(stack), axis=1)
+
+
+class TestMarchAxioms:
+    @settings(max_examples=60)
+    @given(case=axiom_cases())
+    def test_exact_axioms(self, case):
+        f, h, c, g, mode = case
+
+        def e(stack):
+            return expectation(stack, BAND, g, mode)
+
+        ef = e(f)
+        # equal, not same bits: a constant -0.0 marches to +0.0
+        assert np.array_equal(e(np.repeat(c[:, None], g.nx, axis=1)), c)
+        assert same_bits(e(2.0 * f), 2.0 * ef)
+        assert same_bits(e(0.5 * f), 0.5 * ef)
+        assert np.all(f.min(axis=1) <= ef) and np.all(ef <= f.max(axis=1))
+        assert np.all(ef <= e(np.maximum(f, h)))
+        assert np.all(ef <= e(f + np.abs(h)))
+
+    @settings(max_examples=60)
+    @given(case=axiom_cases())
+    def test_translation_linearity_sublinearity(self, case):
+        f, h, c, g, mode = case
+
+        def e(stack):
+            return expectation(stack, BAND, g, mode)
+
+        ef, eh = e(f), e(h)
+        translation = e(f + c[:, None]) - ef - c
+        assert np.all(np.abs(translation) <= AXIOM_ULPS * EPS * (sup(f) + np.abs(c)))
+        if mode.kind == "fixed":
+            linearity = e(1.5 * f - 0.75 * h) - (1.5 * ef - 0.75 * eh)
+            assert np.all(np.abs(linearity) <= AXIOM_ULPS * EPS * (1.5 * sup(f) + 0.75 * sup(h)))
+        if mode == UPPER:
+            slack = e(f + h) - (ef + eh)
+            assert np.all(slack <= AXIOM_ULPS * EPS * (sup(f) + sup(h)))

@@ -368,7 +368,7 @@ def clamped_share(e_total: float, amplitude: float, tilt):
     return Call("min", (Call("max", (raw, Lit(eps))), Lit(e_total - eps)))
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(
     family=st.sampled_from(["bump", "ramp"]),
     amplitude=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
