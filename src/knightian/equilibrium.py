@@ -15,7 +15,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dsl import Expr, evaluate
-from .gexp import GridSpec, Mode, VolBounds, check_tolerance, expectation
+from . import gexp
+from .gexp import GridSpec, Mode, VolBounds, check_tolerance
 
 __all__ = [
     "Utility",
@@ -206,10 +207,11 @@ def solve_equilibrium(
     fixed-volatility price of their endowment; the weights are alpha_i
     proportional to 1 / u_i'(p_i) and the shadow value is
     1 / sum_j 1 / u_j'(p_j), so alpha_i u_i'(p_i) equals it for every agent.
-    Two checks raise NegishiError: prices that miss the aggregate by more
-    than CLEARING_TOL (relative to max(1, |e|)), and net trades
-    shadow * (p_i - e_i) whose PDE-priced value exceeds `budget_tol`, which
-    must be finite and positive (ValueError).
+    Prices and budgets come from one fixed-sigma kernel w, with no march:
+    p_i = w . e_i.  Two checks raise NegishiError: prices that miss the
+    aggregate by more than CLEARING_TOL (relative to max(1, |e|)), and net
+    trades shadow * (p_i - e_i) whose value w . trade exceeds `budget_tol`,
+    which must be finite and positive (ValueError).
     """
     require_constant_aggregate(economy)
     utilities = tuple(agent.utility for agent in economy.agents)
@@ -248,16 +250,18 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     endowments are an (s, n, nx) array on the band's grid with a constant
     aggregate each.
 
-    Two marches serve the whole stack: one of every endowment, then one of
-    the net trades of the economies that passed the price and weight checks,
-    which prices their budgets; the trades live only for that march.  Each
-    check runs on all economies at once, with the same arithmetic per economy
-    as a solve of that economy alone, so every value is bit-identical to it.
+    Nothing is marched.  At the prior's fixed volatility the march is linear,
+    so one kernel `w` (`gexp._fixed_kernel`) prices the whole stack: every
+    endowment as w . e, then the net trades of the economies that passed the
+    price and weight checks as w . trade, which prices their budgets; the
+    trades live only for that product.  Each check runs on all economies at
+    once, with the same arithmetic per economy as a solve of that economy
+    alone, so every value is bit-identical to it.
     """
     check_tolerance("budget_tol", budget_tol)
-    mode = prior.mode()
     s, n, nx = endowments.shape
-    prices = expectation(endowments.reshape(s * n, nx), bounds, grid, mode).reshape(s, n)
+    weights = gexp._fixed_kernel(prior.sigma, bounds, grid)
+    prices = gexp._priced(endowments.reshape(s * n, nx), weights).reshape(s, n)
 
     errors = [None] * s
     ok = np.ones(s, dtype=bool)
@@ -298,8 +302,7 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     trades = endowments[live]
     np.subtract(prices[live, :, None], trades, out=trades)
     np.multiply(shadow[live, None, None], trades, out=trades)
-    if live.size:
-        residual[live] = expectation(trades.reshape(-1, nx), bounds, grid, mode).reshape(-1, n)
+    residual[live] = gexp._priced(trades.reshape(-1, nx), weights).reshape(-1, n)
     check(~(clearing > tol), "endowment prices do not clear the aggregate", clearing)
     worst = np.max(np.abs(residual), axis=1)
     check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)

@@ -77,6 +77,9 @@ class VolBounds:
     def __post_init__(self):
         if not (0.0 < self.sigma_lo <= self.sigma_hi):
             raise ValueError("need 0 < sigma_lo <= sigma_hi")
+        # `*`, not `**`: a float power past the range raises OverflowError
+        if not math.isfinite(self.sigma_hi * self.sigma_hi):
+            raise ValueError(f"sigma_hi {self.sigma_hi!r} squared overflows a float")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
 
@@ -134,6 +137,8 @@ class GridSpec:
             raise ValueError("nx must be at least 3")
         if self.nt < 1:
             raise ValueError("nt must be at least 1")
+        if not 0.0 < self.dx * self.dx < math.inf:
+            raise ValueError(f"node spacing {self.dx!r} and its square must be finite and positive")
         if _FIELD_LAYERS * 8 * (self.nt + 1) * self.nx > MEMORY_BUDGET:
             raise ValueError(f"a {self.nx} x {self.nt} grid exceeds the memory budget")
 
@@ -158,7 +163,7 @@ def _substeps(bounds: VolBounds, grid: GridSpec) -> int:
     # sub-step count depends only on sigma_hi so that upper/lower/fixed runs
     # of a degenerate band walk bit-identical schedules
     dt = bounds.horizon / grid.nt
-    m = max(1, math.ceil(bounds.sigma_hi**2 * dt / grid.dx**2 - 1e-12))
+    m = max(1, math.ceil(bounds.sigma_hi * bounds.sigma_hi * dt / (grid.dx * grid.dx) - 1e-12))
     if m > SUBSTEP_CAP:
         raise CflError(
             f"grid needs {m} sub-steps per time step (cap {SUBSTEP_CAP}); "
@@ -302,6 +307,53 @@ def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Mode):
     builds no field and no (k, nx) output."""
     (value,) = _march(_terminal_of(payoff, grid), bounds, grid, (mode,))
     return value
+
+
+def _fixed_kernel(sigma: float, bounds: VolBounds, grid: GridSpec) -> np.ndarray:
+    """(nx,) weights w of the fixed-sigma march, so that w . f is its origin
+    value of terminal node values f, up to rounding (`_priced`).
+
+    At a fixed sigma one sub-step of the march is linear, v <- A v, with
+    frozen boundary rows and interior rows lam v[i-1] + (1 - 2 lam) v[i] +
+    lam v[i+1], lam = sigma^2 / 2 * dtau / dx^2.  The origin value is
+    e0 . A^(nt m) f, where e0 holds the origin's np.interp weights, so
+    w = (A^T)^(nt m) e0: the discrete forward equation, exactly adjoint to
+    the march.  Each sub-step moves lam of every interior node's weight to
+    each neighbour, and a boundary node keeps what it receives.  The checks
+    of a march run first: sigma must lie in the band, and its work budget
+    applies.
+    """
+    _check_mode(Mode.fixed(sigma), bounds)
+    m = _substeps(bounds, grid)
+    lam = 0.5 * sigma * sigma * (bounds.horizon / grid.nt / m) / (grid.dx * grid.dx)
+    edges = _edges(grid)
+    (j,), (d,) = _bracket(grid, edges, np.zeros(1))
+    t = d / (edges[j, 1] - edges[j, 0])
+    w = np.zeros(grid.nx)
+    w[j + 1] = t
+    w[j] = 1.0 - t
+    inner, left, right = w[1:-1], w[:-2], w[2:]
+    flow = np.empty_like(inner)
+    for _ in range(grid.nt * m):
+        np.multiply(inner, lam, flow)
+        np.subtract(inner, flow, inner)
+        np.subtract(inner, flow, inner)
+        np.add(left, flow, left)
+        np.add(right, flow, right)
+    return w
+
+
+def _priced(term: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights . row for each row of a (k, nx) stack, as a (k,) array, by one
+    einsum: its sum over a row runs the same way whatever the stack's height,
+    the row's position or the array's alignment, so a row's price does not
+    depend on what it is stacked with (BLAS's dot splits its sums by row
+    count).  A price that is not finite raises ValueError, as a march does
+    for such a row."""
+    values = np.einsum("ij,j->i", term, weights)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("priced values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------

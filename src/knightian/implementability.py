@@ -4,7 +4,8 @@ Under full insurance the net trade of agent i is shadow * (p_i - e_i), and
 it is implementable without ambiguity premia exactly when its upper and
 lower expectations agree.  Translation and positive homogeneity of the upper
 expectation give gap(trade_i) = shadow * gap(e_i), so the verdict is one
-march of the endowments.  The genericity probe measures how rarely it holds
+march of the endowments; the equilibrium itself is priced by a fixed-sigma
+kernel, with no march.  The genericity probe measures how rarely it holds
 under random endowment perturbations.
 """
 
@@ -141,11 +142,12 @@ def _splits(perturbation: Perturbation, e_total: float, nodes, centers, widths):
 
 
 # per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
-# nodes at once: the endowments, plus the net trades during the budget march
-# and then the solved samples' copy of the endowments during the gap march,
-# and one march block's buffers; on top come about _SAMPLE_BYTES of Python
-# objects per sample (tracemalloc, 200 samples, all solved: 2.75 rows at
-# nx = 401, 0.7 of them block buffers; 0.26 kB of objects at nx = 11)
+# nodes at once: the endowments, plus the net trades while the kernel prices
+# their budgets and then the solved samples' copy of the endowments during
+# the gap march, and one march block's buffers; on top come about
+# _SAMPLE_BYTES of Python objects per sample (tracemalloc, 200 samples, all
+# solved: 2.75 rows at nx = 401, 0.7 of them block buffers; 0.26 kB of
+# objects at nx = 11)
 _PROBE_ROWS = 4
 _SAMPLE_BYTES = 1024
 
@@ -185,11 +187,11 @@ def genericity_probe(
     fraction over successful solves is reported with a 95 percent Wilson
     interval; solve failures are tallied separately, never silently counted
     as either outcome.  Every sample gives what `solve_equilibrium` and
-    `check_implementability` give it alone, but the whole probe takes three
-    marches: one of every endowment, one of every net trade to price the
-    budgets, and one of the solved samples' endowments for their gaps.  Like
-    `solve_equilibrium`, the probe raises NonConstantEndowmentError for an
-    economy whose aggregate is not flat.
+    `check_implementability` give it alone, but the whole probe takes one
+    fixed-sigma kernel, which prices every endowment and every net trade's
+    budget, and one march, of the solved samples' endowments for their gaps.
+    Like `solve_equilibrium`, the probe raises NonConstantEndowmentError for
+    an economy whose aggregate is not flat.
     Without a `prior` the samples are priced at a constant `sigma_hi`.
     """
     if economy.n_agents != 2:

@@ -144,6 +144,21 @@ class TestConfigHandling:
         assert field in err
         assert "gap" not in out
 
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("bounds", {"sigma_lo": 0.5, "sigma_hi": 1e300, "horizon": 1.0}),
+            ("grid", {"x_min": -1e-200, "x_max": 1e-200, "nx": 401, "nt": 800}),
+            ("grid", {"x_min": -1e308, "x_max": 1e308, "nx": 401, "nt": 800}),
+        ],
+        ids=["sigma_hi-squared-overflows", "spacing-squared-underflows", "span-overflows"],
+    )
+    def test_band_or_grid_out_of_float_range_names_its_section(self, ws, capsys, section, values):
+        cfg = write_config(ws / f"range_{section}.json", **{section: values})
+        code, _, err = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 2
+        assert err.startswith(f"error: {section}: "), err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
     @pytest.mark.parametrize("field", ["mean_af", "equilibrium"])
     def test_tolerances_built_in_code_checked(self, field, bad):
@@ -620,7 +635,7 @@ class TestProbe:
         assert blob.count(b"planner weights at the simplex boundary") == 3
         assert (
             hashlib.sha256(blob).hexdigest()
-            == "838b492755674b79739082175dd6b38593b260ca76dc7fd2edc75387c9597830"
+            == "c6a8438a40c9bc0074b173e41f4e561e9ebfbf10de676af4ff0c75147d6c21fd"
         )
 
 
@@ -668,8 +683,8 @@ class TestDeterminism:
             for name in ("equilibrium.csv", "implementability.csv")
         }
         assert digests == {
-            "equilibrium.csv": "3c7f7a25b85d8c27ba7bb5b93d6486e26b4ec33c0d1f759399133013565581ab",
-            "implementability.csv": "dfc4aad5e186866ac02334742230a8b0b9bada910c6d8837d7569200de9ced96",
+            "equilibrium.csv": "6db1a97bf88a9fcce42c1c375d9038883520653be3b8f9d14d5bbc4ca710b8fb",
+            "implementability.csv": "83351f090dd7f2f22031ba1c9ab0d77dcc762c983c37f18e79b40eed37f5b48f",
         }
 
 

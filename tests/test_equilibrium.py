@@ -15,7 +15,7 @@ from knightian import (
     solve_equilibrium,
 )
 from knightian.config import Tolerances
-from knightian import equilibrium
+from knightian import gexp
 from knightian.gexp import Mode
 from knightian.dsl import BinOp, Call, Lit, Var, parse
 
@@ -309,12 +309,12 @@ class TestSolveEquilibrium:
             solve_equilibrium(econ, PRIOR1)
 
     def test_prices_that_do_not_clear_rejected(self, monkeypatch):
-        march = equilibrium.expectation
+        priced = gexp._priced
 
         def shifted(*args, **kwargs):
-            return march(*args, **kwargs) + 1e-6
+            return priced(*args, **kwargs) + 1e-6
 
-        monkeypatch.setattr(equilibrium, "expectation", shifted)
+        monkeypatch.setattr(gexp, "_priced", shifted)
         with pytest.raises(NegishiError, match="do not clear"):
             solve_equilibrium(_example(), PRIOR1)
 

@@ -226,43 +226,45 @@ COUNT_ENDOWMENTS = {
 }
 
 
+KERNEL = "kernel"
+
+
+def counting_marches(monkeypatch):
+    """Record, in call order, the shape of every stack handed to the march
+    and KERNEL for every fixed-sigma kernel built."""
+    calls = []
+    march, kernel = gexp._march, gexp._fixed_kernel
+
+    def counting_march(term, *args, **kwargs):
+        calls.append(np.shape(term))
+        return march(term, *args, **kwargs)
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(KERNEL)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gexp, "_march", counting_march)
+    monkeypatch.setattr(gexp, "_fixed_kernel", counting_kernel)
+    return calls
+
+
 @pytest.mark.parametrize("n_agents", [2, 3])
 def test_one_march_per_batched_call(monkeypatch, n_agents):
-    """Every agent's column rides in one march: no per-agent march loops."""
+    """Every agent's column rides in one kernel or one march: no per-agent loops."""
     grid = GridSpec(-6.0, 6.0, 101, 50)
     agents = tuple(
         Agent(f"a{i}", Utility.log(), parse(e)) for i, e in enumerate(COUNT_ENDOWMENTS[n_agents])
     )
     econ = Economy(agents, BAND, grid)
-    shapes = []
-    march = gexp._march
-
-    def counting_march(term, *args, **kwargs):
-        shapes.append(np.shape(term))
-        return march(term, *args, **kwargs)
-
-    monkeypatch.setattr(gexp, "_march", counting_march)
+    calls = counting_marches(monkeypatch)
     res = solve_equilibrium(econ, PRIOR1)
-    # endowment prices, then budget claims
-    assert shapes == [(n_agents, grid.nx), (n_agents, grid.nx)]
-    shapes.clear()
+    # one kernel prices the endowments and the budget claims: no march
+    assert calls == [KERNEL]
+    calls.clear()
     check_implementability(res)
     # one march of the endowments, each block marching their upper and lower
     # columns side by side
-    assert shapes == [(n_agents, grid.nx)]
-
-
-def counting_marches(monkeypatch):
-    """Record the shape of every stack handed to the march."""
-    shapes = []
-    march = gexp._march
-
-    def counting_march(term, *args, **kwargs):
-        shapes.append(np.shape(term))
-        return march(term, *args, **kwargs)
-
-    monkeypatch.setattr(gexp, "_march", counting_march)
-    return shapes
+    assert calls == [(n_agents, grid.nx)]
 
 
 PROBE_GRID = GridSpec(-6.0, 6.0, 101, 50)
@@ -286,22 +288,22 @@ def test_nonsense_tolerance_rejected_before_any_march(monkeypatch, call, bad):
     every comparison (NaN) or surfacing as a NegishiError."""
     econ = example_economy(grid=PROBE_GRID)
     res = solve_equilibrium(econ, PRIOR1)
-    shapes = counting_marches(monkeypatch)
+    calls = counting_marches(monkeypatch)
     with pytest.raises(ValueError, match="must be finite and positive"):
         call(econ, res, bad)
-    assert shapes == []
+    # no march, and no kernel either
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_samples", [1, 3, 17])
-def test_probe_marches_three_times(monkeypatch, n_samples):
-    """Endowment prices, budget claims and the endowments' ambiguity gaps:
-    one march each, for any number of samples."""
-    shapes = counting_marches(monkeypatch)
+def test_probe_marches_once(monkeypatch, n_samples):
+    """One kernel prices the endowments and the budget claims, and one march
+    takes the endowments' ambiguity gaps, for any number of samples."""
+    calls = counting_marches(monkeypatch)
     econ = example_economy(grid=PROBE_GRID)
     res = genericity_probe(econ, n_samples, Perturbation("bump", 0.1), seed=5)
     assert res.n_solved == n_samples
-    nx = PROBE_GRID.nx
-    assert shapes == [(2 * n_samples, nx), (2 * n_samples, nx), (2 * n_samples, nx)]
+    assert calls == [KERNEL, (2 * n_samples, PROBE_GRID.nx)]
 
 
 @pytest.mark.parametrize("family", ["bump", "ramp"])
@@ -337,15 +339,15 @@ def exp_economy(a: float, grid: GridSpec) -> Economy:
 
 
 def test_failed_samples_leave_the_stack(monkeypatch):
-    shapes = counting_marches(monkeypatch)
+    calls = counting_marches(monkeypatch)
     res = genericity_probe(exp_economy(200.0, PROBE_GRID), 8, Perturbation("bump", 0.1), seed=1)
     assert 0 < res.n_solved < 8
     assert {s.error for s in res.samples} == {
         None,
         "planner weights at the simplex boundary; no interior equilibrium at this prior",
     }
-    nx = PROBE_GRID.nx
-    assert shapes == [(16, nx), (2 * res.n_solved, nx), (2 * res.n_solved, nx)]
+    # the gap march takes only the solved samples
+    assert calls == [KERNEL, (2 * res.n_solved, PROBE_GRID.nx)]
 
 
 def shifted_scaled(center: float, width: float):
