@@ -27,7 +27,6 @@ from .gexp import (
     mean_ambiguity_gap,
     solve_terminal_values,
     solve_value_field,
-    strong_ambiguity_probe,
     tree_expectation,
 )
 from .implementability import (

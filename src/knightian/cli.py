@@ -20,7 +20,7 @@ import numpy as np
 from .config import Config, load_config
 from .dsl import BinOp, Lit, parse, pretty_print
 from .equilibrium import ConvergenceError, NonConstantEndowmentError, solve_equilibrium
-from .gexp import LOWER, UPPER, Mode, expectation, mean_ambiguity_gap, tree_expectation
+from .gexp import LOWER, UPPER, GapResult, Mode, expectation, tree_expectation
 from .implementability import Perturbation, check_implementability, genericity_probe
 from .replication import ControlSpec, SimulationError, hedge_field, replicate, simulate_paths
 
@@ -111,11 +111,11 @@ def _mode_from(args) -> Mode:
 def cmd_eval(cfg: Config, args, out_dir: Path) -> int:
     expr = parse(args.payoff)
     mode = _mode_from(args)
-    # the gap already holds the upper and lower values; only fixed needs its own march
-    value = expectation(expr, cfg.bounds, cfg.grid, mode) if mode.kind == "fixed" else None
-    gap = mean_ambiguity_gap(expr, cfg.bounds, cfg.grid, tol=cfg.tolerances.mean_af)
-    if value is None:
-        value = gap.upper if mode == UPPER else gap.lower
+    # one march: the gap's upper and lower columns, and a fixed sigma's beside them
+    modes = (UPPER, LOWER, mode) if mode.kind == "fixed" else (UPPER, LOWER)
+    values = dict(zip(modes, expectation(expr, cfg.bounds, cfg.grid, modes)))
+    gap = GapResult.of(values[UPPER], values[LOWER], cfg.tolerances.mean_af)
+    value = values[mode]
     _say(args, f"payoff: {pretty_print(expr)}")
     _say(args, f"mode: {args.mode}" + (f" (sigma={args.sigma!r})" if args.mode == "fixed" else ""))
     _say(args, f"expectation: {value!r}")

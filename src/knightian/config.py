@@ -167,9 +167,11 @@ def load_config(path) -> Config:
     if "bounds" not in raw:
         raise ConfigError("configuration needs 'bounds'")
     bounds = _section(VolBounds, raw["bounds"], "bounds", horizon=1.0)
-    grid = _section(GridSpec, raw["grid"], "grid") if "grid" in raw else default_grid(bounds)
-    # checked here so an over-budget march fails at load, before any work
+    grid = _section(GridSpec, raw["grid"], "grid") if "grid" in raw else None
+    # checked here so that a default grid out of float range, or an
+    # over-budget march, fails at load, before any work
     try:
+        grid = grid or default_grid(bounds)
         _substeps(bounds, grid)
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err

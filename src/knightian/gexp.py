@@ -29,14 +29,12 @@ __all__ = [
     "GridFunction",
     "CflError",
     "GapResult",
-    "StrongProbeReport",
     "default_grid",
     "solve_terminal_values",
     "solve_value_field",
     "expectation",
     "tree_expectation",
     "mean_ambiguity_gap",
-    "strong_ambiguity_probe",
 ]
 
 # an explicit step needs sigma_hi^2 dt <= dx^2; we sub-step internally and
@@ -198,11 +196,11 @@ _MARCH_ROWS = 64
 
 def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, layer=None):
     """March (nx,) or (k, nx) terminal node values back to t = 0 in each of
-    `modes`, which must share a band, and return their values at the origin,
-    read as np.interp reads them, one entry per mode: a float, or a (k,)
-    array.  With `layer`, the first mode's layers k = nt, ..., 0 of a vector
-    payoff are handed over as the march reaches them, as `layer(k, values)`
-    with an (nx,) array valid only during the call.
+    `modes` and return their values at the origin, read as np.interp reads
+    them, one entry per mode: a float, or a (k,) array.  With `layer`, the
+    first mode's layers k = nt, ..., 0 of a vector payoff are handed over as
+    the march reaches them, as `layer(k, values)` with an (nx,) array valid
+    only during the call.
 
     The scheme is explicit with central second differences; boundary nodes are
     frozen (zero curvature there).  Internally each user time step is split
@@ -217,14 +215,22 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
     place through two buffers.  Each operation is one that the update
     v += dtau * flux((v+ - 2 v + v-) / dx^2) performs, in the same order, so
     every row is bit-identical to that update of it alone, signed zeros too.
+
+    Each mode's flux takes its own band's coefficients (sigma_lo^2 / 2,
+    sigma_hi^2 / 2), and m and dtau depend only on sigma_hi of `bounds`, so a
+    column marched beside modes of other bands does the arithmetic of its
+    march alone.  Modes that share a band take the coefficients as scalars;
+    modes that do not, as two (nx - 2, columns) arrays per block, one
+    coefficient per column (a broadcast row would run numpy's inner loop
+    over a handful of columns).
     """
     for mode in modes:
         _check_mode(mode, bounds)
     band = (bounds.sigma_lo, bounds.sigma_hi)
-    bands = {(m.sigma,) * 2 if m.kind == "fixed" else band for m in modes}
-    if len(bands) != 1:
-        raise ValueError("modes marched together must share a band")
-    ((lo, hi),) = bands
+    coeffs = [
+        tuple(0.5 * s**2 for s in ((mode.sigma,) * 2 if mode.kind == "fixed" else band))
+        for mode in modes
+    ]
     term = np.asarray(term, dtype=float)
     if term.ndim not in (1, 2) or term.shape[-1] != grid.nx:
         raise ValueError(f"terminal values must have shape ({grid.nx},) or (k, {grid.nx})")
@@ -234,7 +240,6 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
     m = _substeps(bounds, grid)
     dtau = bounds.horizon / grid.nt / m
     inv_dx2 = 1.0 / grid.dx**2
-    c_lo, c_hi = 0.5 * lo**2, 0.5 * hi**2
     signs = np.array([-1.0 if mode.kind == "lower" else 1.0 for mode in modes])
     nodes = grid.nodes
 
@@ -250,6 +255,10 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
         up, mid, down = v[2:], v[1:-1], v[:-2]
         a = np.empty_like(mid)
         b = np.empty_like(mid)
+        if len(set(coeffs)) == 1:
+            c_lo, c_hi = coeffs[0]
+        else:  # one coefficient per column, mode-major as the columns are
+            c_lo, c_hi = (np.repeat(np.repeat(c, width)[None], len(mid), 0) for c in zip(*coeffs))
         # ufuncs take their output positionally (cheaper per call), except
         # np.maximum, which deprecates that form
         for k in range(grid.nt, -1, -1):
@@ -268,7 +277,7 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
         for i, sign in enumerate(signs):
             values = _signed(v[:, i * width : (i + 1) * width], sign, True)
             out[i, start : start + width] = [np.interp(0.0, nodes, col) for col in values.T]
-        del v, up, mid, down, a, b, values  # freed before the next block's are made
+        del v, up, mid, down, a, b, c_lo, c_hi, values  # freed before the next block's are made
     return out[:, 0].tolist() if term.ndim == 1 else out
 
 
@@ -300,13 +309,16 @@ def solve_value_field(expr: Expr, bounds: VolBounds, grid: GridSpec, mode: Mode)
     return solve_terminal_values(evaluate(expr, grid.nodes), bounds, grid, mode)
 
 
-def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Mode):
+def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Union[Mode, tuple]):
     """Expectation at the origin of an expression or of node values on the
     grid: an (nx,) vector gives a float, a (k, nx) stack, marched at once, a
-    (k,) array.  The march reads only the origin, as np.interp reads it, and
-    builds no field and no (k, nx) output."""
-    (value,) = _march(_terminal_of(payoff, grid), bounds, grid, (mode,))
-    return value
+    (k,) array.  A tuple of modes, of any bands, is marched at once too and
+    gives one value per mode.  The march reads only the origin, as np.interp
+    reads it, and builds no field and no (k, nx) output."""
+    if isinstance(mode, Mode):
+        (value,) = _march(_terminal_of(payoff, grid), bounds, grid, (mode,))
+        return value
+    return _march(_terminal_of(payoff, grid), bounds, grid, mode)
 
 
 def _fixed_kernel(sigma: float, bounds: VolBounds, grid: GridSpec) -> np.ndarray:
@@ -537,6 +549,12 @@ class GapResult(NamedTuple):
     upper: Union[float, np.ndarray]
     lower: Union[float, np.ndarray]
 
+    @classmethod
+    def of(cls, upper, lower, tol: float) -> "GapResult":
+        """The gap upper - lower of these values and its verdict within `tol`."""
+        gap = upper - lower
+        return cls(gap, gap <= tol, upper, lower)
+
 
 def _terminal_of(payoff: Union[Expr, np.ndarray], grid: GridSpec) -> np.ndarray:
     if isinstance(payoff, Expr):
@@ -560,42 +578,4 @@ def mean_ambiguity_gap(
     as mean-ambiguity-free.
     """
     check_tolerance("tol", tol)
-    up, lo = _march(_terminal_of(payoff, grid), bounds, grid, (UPPER, LOWER))
-    gap = up - lo
-    return GapResult(gap, gap <= tol, up, lo)
-
-
-@dataclass(frozen=True, eq=False)
-class StrongProbeReport:
-    thresholds: tuple
-    gaps: tuple
-    rejected: bool
-    tol: float
-    ramp_width: float
-
-
-def strong_ambiguity_probe(
-    payoff: Union[Expr, np.ndarray],
-    bounds: VolBounds,
-    grid: GridSpec,
-    thresholds,
-    ramp_width: float = 0.1,
-    tol: float = 1e-3,
-) -> StrongProbeReport:
-    """Test smoothed threshold indicators of the payoff for mean ambiguity.
-
-    A necessary condition for distribution-level ambiguity freedom is that
-    every smoothed indicator 0 vee ((payoff - a) / width) wedge 1 is itself
-    mean-ambiguity-free.  Any threshold whose gap exceeds `tol` rejects.
-    """
-    if not ramp_width > 0.0:
-        raise ValueError("ramp_width must be positive")
-    thresholds = tuple(float(a) for a in thresholds)
-    if not thresholds:
-        raise ValueError("need at least one threshold")
-    term = _terminal_of(payoff, grid)
-    if term.shape != (grid.nx,):
-        raise ValueError(f"payoff values must have shape ({grid.nx},)")
-    ramps = np.clip((term - np.array(thresholds)[:, None]) / ramp_width, 0.0, 1.0)
-    gaps = tuple(mean_ambiguity_gap(ramps, bounds, grid, tol).gap.tolist())
-    return StrongProbeReport(thresholds, gaps, any(g > tol for g in gaps), tol, ramp_width)
+    return GapResult.of(*_march(_terminal_of(payoff, grid), bounds, grid, (UPPER, LOWER)), tol)

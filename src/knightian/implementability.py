@@ -67,8 +67,7 @@ def implementability(endowments, prices, shadow, bounds, grid, tol: float) -> Ga
     res = mean_ambiguity_gap(endowments.reshape(s * n, nx), bounds, grid, tol)
     upper = shadow[:, None] * (prices - res.lower.reshape(s, n))
     lower = shadow[:, None] * (prices - res.upper.reshape(s, n))
-    gap = upper - lower
-    return GapResult(gap, gap <= tol, upper, lower)
+    return GapResult.of(upper, lower, tol)
 
 
 def check_implementability(result: EquilibriumResult, tol: float = 1e-3) -> ImplementabilityVerdict:

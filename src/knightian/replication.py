@@ -436,10 +436,6 @@ class TransformedStrategy:
     def at(self, t: float, x):
         return self.numerator.at(t, x) / self.loading.at(t, x)
 
-    @property
-    def node_values(self) -> np.ndarray:
-        return self.numerator.values / self.loading.values
-
 
 def exp_martingale_transform(
     theta: GridFunction, loading: GridFunction, floor: float = 1e-6

@@ -105,7 +105,8 @@ def random_payoff(rng: np.random.Generator, max_depth: int = 4):
 
 
 def write_config(path, **overrides):
-    """Write a config JSON for the example economy, with overrides merged in."""
+    """Write a config JSON for the example economy, with overrides merged in;
+    an override of None leaves its section out."""
     cfg = {
         "bounds": {"sigma_lo": 0.5, "sigma_hi": 1.0, "horizon": 1.0},
         "grid": {"x_min": -6.0, "x_max": 6.0, "nx": 401, "nt": 800},
@@ -118,6 +119,7 @@ def write_config(path, **overrides):
         "tolerances": {"mean_af": 0.001, "equilibrium": 1e-10},
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     with open(path, "w") as fh:
         json.dump(cfg, fh, indent=2)
     return path

@@ -11,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knightian import ConfigError, Tolerances, gexp, implementability
+from knightian import (
+    LOWER,
+    UPPER,
+    ConfigError,
+    Mode,
+    Tolerances,
+    expectation,
+    gexp,
+    implementability,
+    load_config,
+    mean_ambiguity_gap,
+    parse,
+)
 from knightian.cli import main
 
 from helpers import capped_exp_value, write_config
@@ -53,6 +65,42 @@ class TestEval:
         value = float(grab(out, "expectation:"))
         assert value == pytest.approx(capped_exp_value(1.0), abs=5e-3)
         assert "mean-ambiguity-free: no" in out
+
+    @pytest.mark.parametrize(
+        "argv, mode, columns",
+        [
+            (["--mode", "fixed", "--sigma", "0.75"], Mode.fixed(0.75), 3),
+            (["--mode", "upper"], UPPER, 2),
+            (["--mode", "lower"], LOWER, 2),
+        ],
+        ids=["fixed", "upper", "lower"],
+    )
+    def test_one_march_per_call(self, ws, capsys, monkeypatch, argv, mode, columns):
+        """The gap's upper and lower columns, and a fixed sigma's, ride in one march."""
+        calls = []
+        march = gexp._march
+
+        def counting_march(term, bounds, grid, modes, *args):
+            calls.append(len(modes))
+            return march(term, bounds, grid, modes, *args)
+
+        monkeypatch.setattr(gexp, "_march", counting_march)
+        payoff = "min(exp(x), 1)"
+        code, out, _ = run(capsys, "--config", str(ws / "cfg.json"), "eval", payoff, *argv)
+        assert code == 0
+        assert calls == [columns]
+        cfg = load_config(ws / "cfg.json")
+        expr = parse(payoff)
+        assert grab(out, "expectation:") == repr(expectation(expr, cfg.bounds, cfg.grid, mode))
+        gap = mean_ambiguity_gap(expr, cfg.bounds, cfg.grid, cfg.tolerances.mean_af)
+        assert grab(out, "ambiguity gap:").startswith(f"{gap.gap!r} (mean-ambiguity-free: no,")
+
+    def test_fixed_sigma_outside_band_rejected(self, ws, capsys):
+        code, out, err = run(
+            capsys, "--config", str(ws / "cfg.json"), "eval", "x", "--mode", "fixed", "--sigma", "2.0"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: fixed sigma 2.0 outside the band [0.5, 1.0]\n", err
 
     def test_global_flags_position_free(self, ws, capsys):
         cfg = str(ws / "cfg.json")
@@ -145,16 +193,25 @@ class TestConfigHandling:
         assert "gap" not in out
 
     @pytest.mark.parametrize(
-        "section, values",
+        "section, overrides",
         [
-            ("bounds", {"sigma_lo": 0.5, "sigma_hi": 1e300, "horizon": 1.0}),
-            ("grid", {"x_min": -1e-200, "x_max": 1e-200, "nx": 401, "nt": 800}),
-            ("grid", {"x_min": -1e308, "x_max": 1e308, "nx": 401, "nt": 800}),
+            ("bounds", {"bounds": {"sigma_lo": 0.5, "sigma_hi": 1e300, "horizon": 1.0}}),
+            ("grid", {"grid": {"x_min": -1e-200, "x_max": 1e-200, "nx": 401, "nt": 800}}),
+            ("grid", {"grid": {"x_min": -1e308, "x_max": 1e308, "nx": 401, "nt": 800}}),
+            # no grid: the default grid's spacing 1.5e298 squares past the range
+            ("grid", {"bounds": {"sigma_lo": 1, "sigma_hi": 1e150, "horizon": 1e300}, "grid": None}),
         ],
-        ids=["sigma_hi-squared-overflows", "spacing-squared-underflows", "span-overflows"],
+        ids=[
+            "sigma_hi-squared-overflows",
+            "spacing-squared-underflows",
+            "span-overflows",
+            "default-spacing-squared-overflows",
+        ],
     )
-    def test_band_or_grid_out_of_float_range_names_its_section(self, ws, capsys, section, values):
-        cfg = write_config(ws / f"range_{section}.json", **{section: values})
+    def test_band_or_grid_out_of_float_range_names_its_section(
+        self, ws, capsys, section, overrides
+    ):
+        cfg = write_config(ws / f"range_{section}.json", **overrides)
         code, _, err = run(capsys, "--config", str(cfg), "eval", "x")
         assert code == 2
         assert err.startswith(f"error: {section}: "), err

@@ -21,7 +21,6 @@ from knightian import (
     mean_ambiguity_gap,
     solve_terminal_values,
     solve_value_field,
-    strong_ambiguity_probe,
     tree_expectation,
 )
 from knightian import gexp
@@ -113,8 +112,6 @@ class TestValidation:
         for bad in (np.zeros((2, 3, 101)), np.zeros((2, 100)), np.full((2, 101), np.nan)):
             with pytest.raises(ValueError):
                 expectation(bad, BAND, g, UPPER)
-        with pytest.raises(ValueError):
-            strong_ambiguity_probe(np.zeros((3, 101)), BAND, g, [0.0, 1.0, 2.0])
 
 
 class TestFixedSolver:
@@ -351,35 +348,6 @@ class TestGap:
         res_e = mean_ambiguity_gap(EXAMPLE, BAND, g)
         res_a = mean_ambiguity_gap(evaluate(EXAMPLE, g.nodes), BAND, g)
         assert res_e == res_a
-
-
-class TestStrongProbe:
-    def test_constant_not_rejected(self):
-        rep = strong_ambiguity_probe(parse("5"), BAND, default_grid(BAND), [4.0, 5.0, 6.0])
-        assert not rep.rejected
-        assert all(g == 0.0 for g in rep.gaps)
-
-    def test_linear_rejected(self):
-        # the mean is prior-independent but the distribution is not
-        g = default_grid(BAND)
-        rep = strong_ambiguity_probe(parse("x"), BAND, g, [-1.0, 0.0, 1.0])
-        assert rep.rejected
-        assert rep.gaps[1] > rep.tol
-        # cross-check the threshold-zero gap on the tree
-        clamp = parse("min(max((x - 0)/0.1, 0), 1)")
-        t_up = tree_expectation(clamp, BAND, 12, UPPER)
-        t_lo = tree_expectation(clamp, BAND, 12, LOWER)
-        assert t_up - t_lo > rep.tol
-
-    def test_quadratic_rejected(self):
-        rep = strong_ambiguity_probe(parse("x^2"), BAND, default_grid(BAND), [0.25, 0.5, 1.0])
-        assert rep.rejected
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            strong_ambiguity_probe(parse("x"), BAND, default_grid(BAND), [])
-        with pytest.raises(ValueError):
-            strong_ambiguity_probe(parse("x"), BAND, default_grid(BAND), [0.0], ramp_width=0.0)
 
 
 class TestGridConvergence:
@@ -656,9 +624,25 @@ class TestNodeMajorMarch:
                     row_major_march(row, bounds, g, mode, layers)
                     assert np.max(np.abs(hooked_march(row, bounds, g, mode)[1] - layers)) <= 2e-323
 
-    def test_modes_must_share_a_band(self):
-        with pytest.raises(ValueError, match="share a band"):
-            gexp._march(MARCH_GRID.nodes, BAND, MARCH_GRID, (UPPER, Mode.fixed(0.75)))
+    @pytest.mark.parametrize("sigma", [BAND.sigma_lo, 0.75, BAND.sigma_hi], ids=["lo", "inside", "hi"])
+    def test_modes_of_different_bands_march_as_alone(self, sigma):
+        # each column takes its own band's flux coefficients beside the others
+        rng = np.random.default_rng(17)
+        k = 2 * (gexp._MARCH_ROWS // 3) + 5  # three blocks of three columns a row
+        for g in (MARCH_GRID, OFFSET_GRID):
+            stack = [evaluate(random_payoff(rng), g.nodes) for _ in range(k)]
+            stack = np.stack(stack + [evaluate(parse(text), g.nodes) for text in ZERO_PAYOFFS])
+            modes = (UPPER, LOWER, Mode.fixed(sigma))
+            together = gexp._march(stack, BAND, g, modes)
+            for mode, values in zip(modes, together, strict=True):
+                (alone,) = gexp._march(stack, BAND, g, (mode,))
+                assert same_bits(values, alone)
+            assert not np.signbit(together[1][k])  # lower of the payoff 0 is +0.0
+            for order in (modes, modes[::-1]):
+                layers = np.full((g.nt + 1, g.nx), np.nan)
+                origin = gexp._march(stack[0], BAND, g, order, layers.__setitem__)[0]
+                alone, alone_layers = hooked_march(stack[0], BAND, g, order[0])
+                assert same_bits(origin, alone) and same_bits(layers, alone_layers)
 
     @pytest.mark.parametrize(
         "x_min, x_max, spikes",

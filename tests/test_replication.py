@@ -294,11 +294,6 @@ class TestTransform:
         g2 = strategy_gains(ts, p, loading=load)
         assert np.max(np.abs(g1 - g2)) < 1e-12
 
-    def test_quotient_grid_exposed(self, example_hedge):
-        load = self._loading(lambda t, x: np.exp(x - 0.5 * t))
-        ts = exp_martingale_transform(example_hedge.eta, load, floor=1e-6)
-        assert np.array_equal(ts.node_values, example_hedge.eta.values / load.values)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_loading_rejected(self, example_hedge, bad):
         values = np.ones((GRID.nt + 1, GRID.nx))
