@@ -196,12 +196,8 @@ def _net_trade_expr(cfg: Config, agent_name: str):
 
 
 def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:
-    sigma = float(args.prior_sigma)
-    if not cfg.bounds.sigma_lo <= sigma <= cfg.bounds.sigma_hi:
-        raise ValueError(
-            f"--prior-sigma {sigma} outside the band "
-            f"[{cfg.bounds.sigma_lo}, {cfg.bounds.sigma_hi}]"
-        )
+    sigma = args.prior_sigma
+    cfg.bounds.check_sigma(sigma, "--prior-sigma")
     if args.payoff is not None:
         expr = parse(args.payoff)
         label = None
@@ -323,6 +319,9 @@ def main(argv=None) -> int:
         return EXIT_NO_CONVERGENCE
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as err:  # load_config reports its own as ConfigError; these come from --out
+        print(f"error: cannot write artifacts to --out {args.out}: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

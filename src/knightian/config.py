@@ -27,11 +27,9 @@ class McSpec:
     def __post_init__(self):
         # checked here so an oversized batch fails at load, before any allocation
         try:
-            _check_batch(self.paths, self.steps, self.seed)
+            _check_batch(self.paths, self.steps, self.seed, self.increments)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if self.increments not in ("binary", "gaussian"):
-            raise ConfigError(f"unknown mc increments {self.increments!r}")
 
 
 @dataclass(frozen=True)
@@ -184,11 +182,10 @@ def load_config(path) -> Config:
     prior = None
     if "pricing_prior" in raw:
         prior = _section(PriorSpec, raw["pricing_prior"], "pricing_prior")
-        if not bounds.sigma_lo <= prior.sigma <= bounds.sigma_hi:
-            raise ConfigError(
-                f"pricing_prior sigma {prior.sigma} outside the band "
-                f"[{bounds.sigma_lo}, {bounds.sigma_hi}]"
-            )
+        try:
+            bounds.check_sigma(prior.sigma, "pricing_prior sigma")
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     mc = _section(McSpec, raw.get("mc", {}), "mc")
     tolerances = _section(Tolerances, raw.get("tolerances", {}), "tolerances")

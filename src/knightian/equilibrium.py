@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsl import Expr, evaluate
 from . import gexp
-from .gexp import GridSpec, Mode, VolBounds, check_tolerance
+from .gexp import GridSpec, VolBounds, check_tolerance
 
 __all__ = [
     "Utility",
@@ -85,18 +85,6 @@ class Utility:
     def exponential(cls, a: float) -> "Utility":
         return cls("exp", a=float(a))
 
-    def value(self, c):
-        c = np.asarray(c, dtype=float)
-        if np.any(c <= 0.0):
-            raise ValueError("consumption must be positive")
-        if self.kind == "log":
-            out = np.log(c)
-        elif self.kind == "power":
-            out = c ** (1.0 - self.gamma) / (1.0 - self.gamma)
-        else:
-            out = -np.exp(-self.a * c) / self.a
-        return float(out) if out.ndim == 0 else out
-
     def marginal(self, c):
         c = np.asarray(c, dtype=float)
         if np.any(c <= 0.0):
@@ -130,9 +118,6 @@ class PriorSpec:
     @classmethod
     def constant(cls, sigma: float) -> "PriorSpec":
         return cls(float(sigma))
-
-    def mode(self) -> Mode:
-        return Mode.fixed(self.sigma)
 
 
 @dataclass(eq=False)

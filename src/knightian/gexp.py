@@ -78,8 +78,8 @@ class VolBounds:
         # `*`, not `**`: a float power past the range raises OverflowError
         if not math.isfinite(self.sigma_hi * self.sigma_hi):
             raise ValueError(f"sigma_hi {self.sigma_hi!r} squared overflows a float")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and positive")
 
     def g(self, a):
         """Worst-case diffusion flux, Peng's generator
@@ -92,6 +92,11 @@ class VolBounds:
     @property
     def degenerate(self) -> bool:
         return self.sigma_lo == self.sigma_hi
+
+    def check_sigma(self, sigma: float, name: str):
+        """Raise ValueError unless sigma lies in the band; `name` says which input gave it."""
+        if not self.sigma_lo <= sigma <= self.sigma_hi:
+            raise ValueError(f"{name} {sigma} outside the band [{self.sigma_lo}, {self.sigma_hi}]")
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,10 @@ def default_grid(bounds: VolBounds, nx: int = 801, nt: int = 2000) -> GridSpec:
     return GridSpec(-span, span, nx, nt)
 
 
-def _substeps(bounds: VolBounds, grid: GridSpec) -> int:
-    """Sub-steps per time step of a march on this band and grid; refuses one
-    past SUBSTEP_CAP (CflError) or one whose work exceeds WORK_BUDGET."""
+def _substeps(bounds: VolBounds, grid: GridSpec) -> tuple:
+    """Sub-steps m per time step of a march on this band and grid, and the
+    sub-step dtau; refuses m past SUBSTEP_CAP (CflError) or a march whose
+    work exceeds WORK_BUDGET."""
     # sub-step count depends only on sigma_hi so that upper/lower/fixed runs
     # of a degenerate band walk bit-identical schedules
     dt = bounds.horizon / grid.nt
@@ -172,7 +178,7 @@ def _substeps(bounds: VolBounds, grid: GridSpec) -> int:
             f"a march of nt={grid.nt} time steps x m={m} sub-steps on nx={grid.nx} nodes "
             "exceeds the work budget; use fewer time steps or nodes"
         )
-    return m
+    return m, dt / m
 
 
 def check_tolerance(name: str, tol: float):
@@ -182,11 +188,8 @@ def check_tolerance(name: str, tol: float):
 
 
 def _check_mode(mode: Mode, bounds: VolBounds):
-    if mode.kind == "fixed" and not (bounds.sigma_lo <= mode.sigma <= bounds.sigma_hi):
-        raise ValueError(
-            f"fixed sigma {mode.sigma} outside the band "
-            f"[{bounds.sigma_lo}, {bounds.sigma_hi}]"
-        )
+    if mode.kind == "fixed":
+        bounds.check_sigma(mode.sigma, "fixed sigma")
 
 
 # rows of a stack marched together: each sub-step then works on (nx, rows)
@@ -237,8 +240,7 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
     if not np.all(np.isfinite(term)):
         raise ValueError("terminal values must be finite")
 
-    m = _substeps(bounds, grid)
-    dtau = bounds.horizon / grid.nt / m
+    m, dtau = _substeps(bounds, grid)
     inv_dx2 = 1.0 / grid.dx**2
     signs = np.array([-1.0 if mode.kind == "lower" else 1.0 for mode in modes])
     nodes = grid.nodes
@@ -336,8 +338,8 @@ def _fixed_kernel(sigma: float, bounds: VolBounds, grid: GridSpec) -> np.ndarray
     applies.
     """
     _check_mode(Mode.fixed(sigma), bounds)
-    m = _substeps(bounds, grid)
-    lam = 0.5 * sigma * sigma * (bounds.horizon / grid.nt / m) / (grid.dx * grid.dx)
+    m, dtau = _substeps(bounds, grid)
+    lam = 0.5 * sigma * sigma * dtau / (grid.dx * grid.dx)
     edges = _edges(grid)
     (j,), (d,) = _bracket(grid, edges, np.zeros(1))
     t = d / (edges[j, 1] - edges[j, 0])

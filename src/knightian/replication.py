@@ -61,7 +61,7 @@ _MASK64 = (1 << 64) - 1
 _PATH_BYTES = 64
 
 
-def _check_batch(n_paths: int, n_steps: int, seed: int) -> None:
+def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> None:
     """Reject batches the walk cannot run or cannot keep statistics for, before allocating."""
     if n_paths < 1 or n_steps < 1:
         raise ValueError("paths and steps must be positive")
@@ -75,6 +75,8 @@ def _check_batch(n_paths: int, n_steps: int, seed: int) -> None:
         raise ValueError(f"{n_steps} steps exceed the per-chunk budget of {_CHUNK_BYTES // 8}")
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2**96), got {seed}")
+    if increments not in ("binary", "gaussian"):
+        raise ValueError(f"unknown increment kind {increments!r}")
 
 
 @dataclass(eq=False)
@@ -301,12 +303,11 @@ def simulate_paths(
     increments: str = "binary",
 ) -> PathBatch:
     """Driver paths from 0 under the given volatility control, as a lazy batch."""
-    _check_batch(n_paths, n_steps, seed)
-    if increments not in ("binary", "gaussian"):
-        raise ValueError(f"unknown increment kind {increments!r}")
+    _check_batch(n_paths, n_steps, seed, increments)
     if control.kind == "constant":
-        if control.sigma is None or not bounds.sigma_lo <= control.sigma <= bounds.sigma_hi:
-            raise ValueError("constant control needs sigma inside the band")
+        if control.sigma is None:
+            raise ValueError("constant control needs a sigma")
+        bounds.check_sigma(control.sigma, "constant control sigma")
     elif control.kind == "extremal":
         if control.hedge is None:
             raise ValueError("extremal control needs a hedge field")
@@ -431,7 +432,6 @@ class TransformedStrategy:
 
     numerator: GridFunction
     loading: GridFunction
-    floor: float
 
     def at(self, t: float, x):
         return self.numerator.at(t, x) / self.loading.at(t, x)
@@ -454,7 +454,7 @@ def exp_martingale_transform(
     low = float(np.min(np.abs(loading.values)))
     if low < floor:
         raise ValueError(f"loading reaches {low:.3e}, below the floor {floor:.3e}")
-    return TransformedStrategy(theta, loading, floor)
+    return TransformedStrategy(theta, loading)
 
 
 def strategy_gains(strategy, paths: PathBatch, loading: Optional[GridFunction] = None):

@@ -15,6 +15,7 @@ from knightian import (
     LOWER,
     UPPER,
     ConfigError,
+    ControlSpec,
     Mode,
     Tolerances,
     expectation,
@@ -23,10 +24,11 @@ from knightian import (
     load_config,
     mean_ambiguity_gap,
     parse,
+    simulate_paths,
 )
 from knightian.cli import main
 
-from helpers import capped_exp_value, write_config
+from helpers import BAND, capped_exp_value, write_config
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +96,6 @@ class TestEval:
         assert grab(out, "expectation:") == repr(expectation(expr, cfg.bounds, cfg.grid, mode))
         gap = mean_ambiguity_gap(expr, cfg.bounds, cfg.grid, cfg.tolerances.mean_af)
         assert grab(out, "ambiguity gap:").startswith(f"{gap.gap!r} (mean-ambiguity-free: no,")
-
-    def test_fixed_sigma_outside_band_rejected(self, ws, capsys):
-        code, out, err = run(
-            capsys, "--config", str(ws / "cfg.json"), "eval", "x", "--mode", "fixed", "--sigma", "2.0"
-        )
-        assert code == 2 and out == ""
-        assert err == "error: fixed sigma 2.0 outside the band [0.5, 1.0]\n", err
 
     def test_global_flags_position_free(self, ws, capsys):
         cfg = str(ws / "cfg.json")
@@ -392,6 +387,20 @@ class TestConfigHandling:
         assert code == 0
         assert (out_dir / "equilibrium.csv").exists()
 
+    @pytest.mark.parametrize(
+        "out", ["file", "file/sub", "blocked"], ids=["a-file", "under-a-file", "artifact-is-a-directory"]
+    )
+    def test_unusable_out_exits_2(self, ws, capsys, out):
+        (ws / "file").write_text("")
+        (ws / "blocked" / "equilibrium.csv").mkdir(parents=True, exist_ok=True)
+        out_dir = ws / out
+        code, stdout, err = run(
+            capsys, "--config", str(ws / "cfg.json"), "--out", str(out_dir), "--quiet", "equilibrium"
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write artifacts to --out {out_dir}: ")
+        assert err.count("\n") == 1, err
+
 
 class TestEquilibrium:
     def test_artifacts_and_values(self, ws, capsys):
@@ -545,15 +554,6 @@ class TestReplicate:
         assert payload["agent"] == "a1"
         assert payload["upper_minus_fixed"] == pytest.approx(0.1061, abs=5e-3)
         assert abs(payload["identity_gap"]) < 5e-3
-
-    def test_sigma_outside_band(self, ws, capsys):
-        code, _, err = run(
-            capsys,
-            "--config", str(ws / "cfg.json"),
-            "replicate", "--payoff", "x", "--prior-sigma", "2.0",
-        )
-        assert code == 2
-        assert "outside the band" in err
 
     def test_unknown_agent(self, ws, capsys):
         code, _, err = run(
@@ -793,6 +793,33 @@ def test_pricing_commands_need_prior(ws, capsys, argv):
     assert "this command needs a pricing_prior" in err
     assert out == ""
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "name, sigma, argv",
+    [
+        ("fixed sigma", "2.0", ["eval", "x", "--mode", "fixed", "--sigma", "2.0"]),
+        ("pricing_prior sigma", "2.0", ["eval", "x"]),
+        ("--prior-sigma", "2.0", ["replicate", "--payoff", "x", "--prior-sigma", "2.0"]),
+        ("--prior-sigma", "nan", ["replicate", "--payoff", "x", "--prior-sigma", "nan"]),
+        ("constant control sigma", "2.0", None),
+    ],
+    ids=["eval-fixed", "pricing-prior", "replicate", "replicate-nan", "simulate-paths"],
+)
+def test_sigma_outside_band(ws, capsys, name, sigma, argv):
+    """Every source of a fixed sigma is held to the band by one rule, which
+    names the input; the CLI exits 2 with it, the library raises it."""
+    message = f"{name} {sigma} outside the band [0.5, 1.0]"
+    if argv is None:
+        with pytest.raises(ValueError) as err:
+            simulate_paths(ControlSpec.constant(float(sigma)), BAND, 10, 4)
+        assert str(err.value) == message
+        return
+    cfg = ws / "cfg.json"
+    if name == "pricing_prior sigma":
+        cfg = write_config(ws / "prior_outside_band.json", pricing_prior={"sigma": float(sigma)})
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # a config small enough that every command runs in milliseconds

@@ -56,6 +56,8 @@ class TestValidation:
             VolBounds(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             VolBounds(0.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            VolBounds(0.5, 1.0, math.inf)
 
     def test_grid_shape(self):
         with pytest.raises(ValueError):
