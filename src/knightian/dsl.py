@@ -34,8 +34,10 @@ __all__ = [
 FUNCTIONS = {"exp": 1, "log": 1, "abs": 1, "sqrt": 1, "tanh": 1, "min": 2, "max": 2}
 
 # deepest nesting accepted: a leaf may sit inside at most MAX_DEPTH - 1
-# brackets, calls, unary minus signs or operators.  The parser, evaluate and
-# pretty_print recurse once per level, so all three check this limit first.
+# brackets, calls, unary minus signs or operators.  Building a node checks its
+# depth, so evaluate and pretty_print, which recurse once per level, never
+# meet a deeper tree; the parser also guards brackets, which nest without
+# building nodes.
 MAX_DEPTH = 64
 
 
@@ -56,9 +58,24 @@ class ExprDepthError(PayoffParseError):
 
 
 class Expr:
-    """Base class of expression nodes.  Instances are frozen after creation."""
+    """Base class of expression nodes.  Instances are frozen after creation.
+
+    `depth` counts the levels of the tree below and including the node; a
+    node that would exceed MAX_DEPTH raises ExprDepthError as it is built.
+    """
 
     __slots__ = ()
+    depth: int
+
+    def __post_init__(self):
+        below = 0
+        for value in vars(self).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, Expr):
+                    below = max(below, child.depth)
+        if below >= MAX_DEPTH:
+            raise ExprDepthError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
+        object.__setattr__(self, "depth", below + 1)
 
 
 @dataclass(frozen=True)
@@ -147,7 +164,6 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             raise PayoffParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        _check_depth(node)
         return node
 
     def expr(self) -> Expr:
@@ -245,30 +261,6 @@ class _Parser:
         self.i += 1
 
 
-def _tree_depth(root: Expr) -> int:
-    """Depth of an expression tree, walked level by level without recursion.
-
-    A level holds each node once, so a subtree shared within a tree built in
-    code (n = n + n, repeated) costs one visit per level, not one per path.
-    """
-    depth, level = 0, [root]
-    while level:
-        depth += 1
-        level = {
-            id(child): child
-            for node in level
-            for value in vars(node).values()
-            for child in (value if isinstance(value, tuple) else (value,))
-            if isinstance(child, Expr)
-        }.values()
-    return depth
-
-
-def _check_depth(expr: Expr):
-    if isinstance(expr, Expr) and _tree_depth(expr) > MAX_DEPTH:
-        raise ExprDepthError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
-
-
 def parse(text: str) -> Expr:
     """Parse payoff text into an expression tree.
 
@@ -279,70 +271,61 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _eval(node: Expr, x):
+# every operator and function as a ufunc, and the arguments that would take
+# three of them off the real line, tested on their last argument
+_UFUNCS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "exp": np.exp, "log": np.log, "abs": np.abs, "sqrt": np.sqrt, "tanh": np.tanh,
+    "min": np.minimum, "max": np.maximum,
+}
+_DOMAINS = {
+    "/": (np.equal, "division by zero"),
+    "log": (np.less_equal, "log of a non-positive value"),
+    "sqrt": (np.less, "sqrt of a negative value"),
+}
+
+
+def _eval(node: Expr, x: np.ndarray):
     if isinstance(node, Lit):
-        return node.value
+        # a float64 scalar: a constant power calls libm pow, as Python's does
+        return np.float64(node.value)
     if isinstance(node, Var):
         return x
     if isinstance(node, Neg):
         return -_eval(node.arg, x)
-    if isinstance(node, BinOp):
-        a = _eval(node.lhs, x)
-        b = _eval(node.rhs, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if np.any(np.asarray(b) == 0.0):
-            raise EvalDomainError("division by zero")
-        return a / b
     if isinstance(node, Pow):
         base = _eval(node.base, x)
-        if node.exponent < 0 and np.any(np.asarray(base) == 0.0):
+        if node.exponent < 0 and np.any(base == 0.0):
             raise EvalDomainError("division by zero (negative exponent at 0)")
-        return np.asarray(base) ** node.exponent if isinstance(base, np.ndarray) else base**node.exponent
-    if isinstance(node, Call):
-        args = [_eval(a, x) for a in node.args]
-        if node.func == "exp":
-            return np.exp(args[0])
-        if node.func == "log":
-            if np.any(np.asarray(args[0]) <= 0.0):
-                raise EvalDomainError("log of a non-positive value")
-            return np.log(args[0])
-        if node.func == "abs":
-            return np.abs(args[0])
-        if node.func == "sqrt":
-            if np.any(np.asarray(args[0]) < 0.0):
-                raise EvalDomainError("sqrt of a negative value")
-            return np.sqrt(args[0])
-        if node.func == "tanh":
-            return np.tanh(args[0])
-        if node.func == "min":
-            return np.minimum(args[0], args[1])
-        return np.maximum(args[0], args[1])
-    raise TypeError(f"not an expression node: {node!r}")
+        # `**`, not np.power: an array's ** 2 is numpy's square
+        return base**node.exponent
+    if isinstance(node, BinOp):
+        name, args = node.op, (node.lhs, node.rhs)
+    elif isinstance(node, Call):
+        name, args = node.func, node.args
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    values = [_eval(arg, x) for arg in args]
+    if name in _DOMAINS:
+        outside, message = _DOMAINS[name]
+        if np.any(outside(values[-1], 0.0)):
+            raise EvalDomainError(message)
+    return _UFUNCS[name](*values)
 
 
 def evaluate(expr: Expr, x):
     """Evaluate `expr` at `x`.
 
-    `x` may be a float or a numpy array; the result has matching shape.
-    Evaluation is pure and deterministic.  Raises EvalDomainError when the
-    value would leave the reals.
+    `x` may be a float or a numpy array; the result has matching shape, a
+    float for a float.  A float is evaluated as a one-element array, so a
+    point and a grid give the same bits.  Evaluation is pure and
+    deterministic.  Raises EvalDomainError when the value would leave the
+    reals.
     """
-    _check_depth(expr)
-    if isinstance(x, np.ndarray) and x.ndim > 0:
-        # a copy, so a bare x never hands back the caller's own array
-        xs = np.array(x, dtype=float)
-        out = _eval(expr, xs)
-        out = np.asarray(out, dtype=float)
-        if out.shape != xs.shape:
-            out = np.full(xs.shape, float(out))
-        return out
-    out = _eval(expr, float(x))
-    return float(out)
+    xs = np.array(x, dtype=float, ndmin=1)
+    # np.full broadcasts a constant and copies, so a bare x never hands back
+    # the caller's own array; [()] unwraps a 0-d result to a float
+    return np.full(xs.shape, _eval(expr, xs)).reshape(np.shape(x))[()]
 
 
 def _fmt(value: float) -> str:
@@ -351,25 +334,20 @@ def _fmt(value: float) -> str:
 
 def pretty_print(expr: Expr) -> str:
     """Canonical fully parenthesized rendering; parses back to an equal tree."""
-    _check_depth(expr)
-    return _pretty(expr)
-
-
-def _pretty(expr: Expr) -> str:
     if isinstance(expr, Lit):
         return _fmt(expr.value)
     if isinstance(expr, Var):
         return "x"
     if isinstance(expr, Neg):
-        return f"(-{_pretty(expr.arg)})"
+        return f"(-{pretty_print(expr.arg)})"
     if isinstance(expr, BinOp):
-        return f"({_pretty(expr.lhs)} {expr.op} {_pretty(expr.rhs)})"
+        return f"({pretty_print(expr.lhs)} {expr.op} {pretty_print(expr.rhs)})"
     if isinstance(expr, Pow):
-        base = _pretty(expr.base)
+        base = pretty_print(expr.base)
         # a bare negative literal base would re-parse as -(base^n)
         if isinstance(expr.base, Lit) and math.copysign(1.0, expr.base.value) < 0:
             base = f"({base})"
         return f"({base}^{expr.exponent})"
     if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(_pretty(a) for a in expr.args)})"
+        return f"{expr.func}({', '.join(pretty_print(a) for a in expr.args)})"
     raise TypeError(f"not an expression node: {expr!r}")

@@ -320,6 +320,8 @@ def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Union[Mode, tup
     if isinstance(mode, Mode):
         (value,) = _march(_terminal_of(payoff, grid), bounds, grid, (mode,))
         return value
+    if not mode:
+        raise ValueError("expectation needs at least one mode")
     return _march(_terminal_of(payoff, grid), bounds, grid, mode)
 
 
@@ -433,6 +435,8 @@ class GridFunction:
     horizon: float
 
     def __post_init__(self):
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and positive")
         shape = (self.grid.nt + 1, self.grid.nx, 2)
         if np.shape(self.table) != shape:
             raise ValueError(f"a table of shape {np.shape(self.table)} does not fit a {shape} grid")

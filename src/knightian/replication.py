@@ -9,6 +9,7 @@ vanishes along extremal paths.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -63,6 +64,9 @@ _PATH_BYTES = 64
 
 def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> None:
     """Reject batches the walk cannot run or cannot keep statistics for, before allocating."""
+    for name, value in (("paths", n_paths), ("steps", n_steps), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_paths < 1 or n_steps < 1:
         raise ValueError("paths and steps must be positive")
     if n_paths >= _MAX_PATHS:
@@ -433,6 +437,10 @@ class TransformedStrategy:
     numerator: GridFunction
     loading: GridFunction
 
+    @property
+    def horizon(self) -> float:
+        return self.numerator.horizon
+
     def at(self, t: float, x):
         return self.numerator.at(t, x) / self.loading.at(t, x)
 
@@ -462,7 +470,13 @@ def strategy_gains(strategy, paths: PathBatch, loading: Optional[GridFunction] =
 
     Without a loading the integrator is the driver itself; with one, each
     increment is scaled by the loading sampled at the step's left endpoint.
+    Both must be fields over the paths' horizon.
     """
+    for name, field in (("strategy", strategy), ("loading", loading)):
+        if field is not None and field.horizon != paths.bounds.horizon:
+            raise ValueError(
+                f"{name} horizon {field.horizon} differs from the paths' {paths.bounds.horizon}"
+            )
     dt = paths.dt
     gains = np.empty(paths.n_paths)
     for rows, steps in _walk(paths):

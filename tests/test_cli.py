@@ -132,6 +132,19 @@ class TestEval:
         assert "error:" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "payoff",
+        ["min(1e300*1e300, 1) + x", "min(1e300^2, 1) + x", "min(x*1e300*1e300, 1)"],
+        ids=["constant-product", "constant-power", "product-with-x"],
+    )
+    def test_overflowing_payoff_exit(self, ws, capsys, payoff):
+        # a constant that overflows is bad input like an overflow at a node
+        code, out, err = run(capsys, "--config", str(ws / "cfg.json"), "eval", payoff)
+        assert code == 2
+        assert err.startswith("error: overflow encountered in ")
+        assert err.count("\n") == 1
+        assert out == ""
+
     def test_fixed_needs_sigma(self, ws, capsys):
         code, _, err = run(
             capsys, "--config", str(ws / "cfg.json"), "eval", "x", "--mode", "fixed"

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knightian import dsl
 from knightian.dsl import (
     MAX_DEPTH,
     BinOp,
@@ -15,7 +14,6 @@ from knightian.dsl import (
     PayoffParseError,
     Pow,
     Var,
-    _tree_depth,
     evaluate,
     parse,
     pretty_print,
@@ -123,8 +121,8 @@ class TestParse:
                 parse(text)
 
     def test_code_built_tree_depth_checked(self):
-        # trees built in code skip the parser, so evaluate and pretty_print
-        # check the depth themselves instead of overflowing the stack
+        # trees built in code skip the parser; building a node past MAX_DEPTH
+        # raises, so evaluate and pretty_print never overflow the stack
         def nested(levels):
             node = Var()
             for _ in range(levels):
@@ -141,21 +139,18 @@ class TestParse:
                 pretty_print(nested(levels))
         assert issubclass(ExprDepthError, ValueError)
 
-    def test_depth_walk_visits_shared_nodes_once(self, monkeypatch):
-        # n = n + n shares one node per level; walking every path instead
-        # would take 2**levels steps, and memory to match
+    def test_depth_set_at_construction(self):
+        # n = n + n shares one node per level: each node reads its children's
+        # depth once, so building costs one step per level, not one per path
         node = Var()
         for _ in range(19):
             node = BinOp("+", node, node)
-        visited = []
-
-        def counting_vars(obj):
-            visited.append(obj)
-            return vars(obj)
-
-        monkeypatch.setattr(dsl, "vars", counting_vars, raising=False)
-        assert _tree_depth(node) == 20
-        assert len(visited) == 20
+        assert node.depth == 20
+        for _ in range(MAX_DEPTH - 20):
+            node = BinOp("+", node, node)
+        assert node.depth == MAX_DEPTH
+        with pytest.raises(ExprDepthError, match="deeper than"):
+            BinOp("+", node, node)
 
     def test_unclosed_paren(self):
         with pytest.raises(PayoffParseError):
@@ -180,6 +175,25 @@ class TestEvaluate:
         assert vec.shape == xs.shape
         for i, x in enumerate(xs):
             assert vec[i] == evaluate(e, float(x))
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**32 - 1).map(lambda seed: random_payoff(np.random.default_rng(seed))),
+        st.floats(),
+    )
+    @example(parse("x^3"), 0.01)
+    @example(parse("x^400"), 10.0)
+    def test_point_and_one_element_array_agree(self, expr, x):
+        # under the CLI's floating-point regime, a point and a one-element
+        # array give the same bits or fail the same way
+        outcomes = []
+        for point in (x, np.array([x])):
+            with np.errstate(over="raise", invalid="raise"):
+                try:
+                    outcomes.append(np.ravel(evaluate(expr, point))[0].tobytes())
+                except ArithmeticError as err:
+                    outcomes.append(type(err))
+        assert outcomes[0] == outcomes[1]
 
     def test_constant_broadcasts(self):
         xs = np.linspace(-1, 1, 5)

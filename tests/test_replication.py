@@ -308,12 +308,52 @@ class TestTransform:
         with pytest.raises(ValueError, match="different grids"):
             exp_martingale_transform(example_hedge.eta, load)
 
+    def test_horizon_mismatch_rejected(self, example_hedge):
+        # fields over another horizon would be sampled at the wrong layers
+        longer = VolBounds(0.5, 1.0, 2.0)
+        other = hedge_field(parse("min(exp(x), 1)"), longer, GridSpec(-6, 6, 101, 100))
+        p = simulate_paths(ControlSpec.constant(0.7), BAND, 50, 16, seed=1)
+        long_load = GridFunction.of(np.ones((GRID.nt + 1, GRID.nx)), GRID, 2.0)
+        cases = [
+            (other.eta, None, "strategy horizon 2.0"),
+            (exp_martingale_transform(long_load, long_load), None, "strategy horizon 2.0"),
+            (example_hedge.eta, long_load, "loading horizon 2.0"),
+        ]
+        for strategy, loading, message in cases:
+            with pytest.raises(ValueError, match=message):
+                strategy_gains(strategy, p, loading=loading)
+
     def test_floor_violation_rejected(self, example_hedge):
         load = self._loading(lambda t, x: x + t * 0.0)  # crosses zero
         with pytest.raises(ValueError):
             exp_martingale_transform(example_hedge.eta, load, floor=1e-6)
         with pytest.raises(ValueError):
             exp_martingale_transform(example_hedge.eta, load, floor=-1.0)
+
+
+def _paths_of(n_paths, seed):
+    return lambda: simulate_paths(ControlSpec.constant(0.7), BAND, n_paths, 16, seed=seed)
+
+
+def _field_over(horizon):
+    return lambda: GridFunction.of(np.zeros((GRID.nt + 1, GRID.nx)), GRID, horizon)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: expectation(parse("x"), BAND, GRID, ()), "at least one mode"),
+        (_paths_of(50, 1.5), "seed must be an integer, got 1.5"),
+        (_paths_of(50.0, 1), "paths must be an integer, got 50.0"),
+        (_field_over(-1.0), "horizon must be finite and positive"),
+        (_field_over(math.inf), "horizon must be finite and positive"),
+    ],
+    ids=["no-modes", "fractional-seed", "float-paths", "negative-horizon", "infinite-horizon"],
+)
+def test_unusable_library_inputs_rejected(call, message):
+    """Each fails with a ValueError before any work, not later or as another error."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
