@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, load_config
-from .dsl import BinOp, Lit, parse, pretty_print
+from .dsl import parse, pretty_print
 from .equilibrium import ConvergenceError, NonConstantEndowmentError, solve_equilibrium
 from .gexp import LOWER, UPPER, GapResult, Mode, expectation, tree_expectation
 from .implementability import Perturbation, check_implementability, genericity_probe
@@ -183,18 +183,6 @@ def cmd_implement(cfg: Config, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _net_trade_expr(cfg: Config, agent_name: str):
-    """Net trade of one agent as an exact expression: shadow * (c - endowment)."""
-    result = _solved_equilibrium(cfg)
-    names = result.economy.names
-    if agent_name not in names:
-        raise ValueError(f"no agent named {agent_name!r} in the configuration")
-    i = names.index(agent_name)
-    c0 = float(result.consumption[i])
-    endowment = result.economy.agents[i].endowment
-    return BinOp("*", Lit(result.shadow), BinOp("-", Lit(c0), endowment))
-
-
 def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:
     sigma = args.prior_sigma
     cfg.bounds.check_sigma(sigma, "--prior-sigma")
@@ -202,7 +190,7 @@ def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:
         expr = parse(args.payoff)
         label = None
     else:
-        expr = _net_trade_expr(cfg, args.agent)
+        expr = _solved_equilibrium(cfg).net_trade(args.agent)
         label = args.agent
 
     hedge = hedge_field(expr, cfg.bounds, cfg.grid)

@@ -2,11 +2,11 @@
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
-from .dsl import PayoffParseError, parse
-from .equilibrium import Agent, Economy, PriorSpec, Utility
+from .dsl import Expr, PayoffParseError, parse
+from .equilibrium import Agent, Economy, PriorSpec
 from .gexp import GridSpec, VolBounds, _substeps, check_tolerance, default_grid
 from .replication import _check_batch
 
@@ -93,13 +93,27 @@ def _finite(value, where: str) -> float:
 
 
 def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
     return value
 
 
+def _payoff(value, where: str) -> Expr:
+    try:
+        return parse(_string(value, where))
+    except PayoffParseError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
 # how a field's annotated type is read from JSON; every other field is a finite number
-_READERS = {int: _integer, str: _string}
+_READERS = {int: _integer, str: _string, Expr: _payoff}
+
+
+def _read(kind, value, where: str):
+    """`value` read as a field of type `kind`; a dataclass is a nested section."""
+    if is_dataclass(kind):
+        return _section(kind, value, where)
+    return _READERS.get(kind, _finite)(value, where)
 
 
 def _require_keys(obj: dict, allowed, where: str):
@@ -121,32 +135,13 @@ def _section(cls, obj, where: str, **defaults):
     kwargs = dict(defaults)
     for f in members:
         if f.name in obj:
-            kwargs[f.name] = _READERS.get(f.type, _finite)(obj[f.name], f"{where}.{f.name}")
+            kwargs[f.name] = _read(f.type, obj[f.name], f"{where}.{f.name}")
         elif f.name not in kwargs and f.default is MISSING:
             raise ConfigError(f"{where} needs {f.name!r}")
     try:
         return cls(**kwargs)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
-
-
-def _agent_from(obj: dict, index: int) -> Agent:
-    where = f"agents[{index}]"
-    keys = [f.name for f in fields(Agent)]
-    _require_keys(obj, keys, where)
-    for key in keys:
-        if key not in obj:
-            raise ConfigError(f"{where} needs {key!r}")
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{where}.name must be a non-empty string, got {name!r}")
-    text = _string(obj["endowment"], f"{where}.endowment")
-    utility = _section(Utility, obj["utility"], f"{where}.utility")
-    try:
-        endowment = parse(text)
-    except PayoffParseError as err:
-        raise ConfigError(f"{where}.endowment: {err}") from err
-    return Agent(name, utility, endowment)
 
 
 def load_config(path) -> Config:
@@ -177,7 +172,7 @@ def load_config(path) -> Config:
     agents_raw = raw.get("agents", [])
     if not isinstance(agents_raw, list):
         raise ConfigError("agents must be a JSON array")
-    agents = tuple(_agent_from(a, i) for i, a in enumerate(agents_raw))
+    agents = tuple(_section(Agent, a, f"agents[{i}]") for i, a in enumerate(agents_raw))
 
     prior = None
     if "pricing_prior" in raw:

@@ -8,6 +8,7 @@ they can be shared freely between solver calls.
 """
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ class PayoffParseError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -60,27 +62,48 @@ class ExprDepthError(PayoffParseError):
 class Expr:
     """Base class of expression nodes.  Instances are frozen after creation.
 
-    `depth` counts the levels of the tree below and including the node; a
-    node that would exceed MAX_DEPTH raises ExprDepthError as it is built.
+    Building a node checks it: its children are nodes, and it keeps its
+    class's rule (`_fault`), else PayoffParseError at offset 0.  `depth`
+    counts the levels of the tree below and including the node; a node that
+    would exceed MAX_DEPTH raises ExprDepthError as it is built.
     """
 
     __slots__ = ()
     depth: int
 
+    def _children(self) -> tuple:
+        return ()
+
+    def _fault(self):
+        """Why the node's fields break its class's rule, or None."""
+        return None
+
     def __post_init__(self):
-        below = 0
-        for value in vars(self).values():
-            for child in value if isinstance(value, tuple) else (value,):
-                if isinstance(child, Expr):
-                    below = max(below, child.depth)
+        children = self._children()
+        if not all(isinstance(child, Expr) for child in children):
+            raise PayoffParseError(f"{type(self).__name__} takes expression nodes", 0)
+        fault = self._fault()
+        if fault is not None:
+            raise PayoffParseError(fault, 0)
+        below = max((child.depth for child in children), default=0)
         if below >= MAX_DEPTH:
             raise ExprDepthError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
         object.__setattr__(self, "depth", below + 1)
 
 
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), bools excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Lit(Expr):
     value: float
+
+    def _fault(self):
+        # anything else prints as text that does not re-parse
+        if not (_is(self.value, numbers.Real) and math.isfinite(self.value)):
+            return f"literal {self.value!r} is not a finite number"
 
 
 @dataclass(frozen=True)
@@ -92,6 +115,9 @@ class Var(Expr):
 class Neg(Expr):
     arg: Expr
 
+    def _children(self) -> tuple:
+        return (self.arg,)
+
 
 @dataclass(frozen=True)
 class BinOp(Expr):
@@ -99,17 +125,42 @@ class BinOp(Expr):
     lhs: Expr
     rhs: Expr
 
+    def _children(self) -> tuple:
+        return (self.lhs, self.rhs)
+
+    def _fault(self):
+        if self.op not in ("+", "-", "*", "/"):
+            return f"unknown operator {self.op!r}"
+
 
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
 
+    def _children(self) -> tuple:
+        return (self.base,)
+
+    def _fault(self):
+        if not _is(self.exponent, numbers.Integral):
+            return f"exponent must be an integer, got {self.exponent!r}"
+
 
 @dataclass(frozen=True)
 class Call(Expr):
     func: str
     args: tuple
+
+    def _children(self) -> tuple:
+        return self.args if isinstance(self.args, tuple) else (self.args,)
+
+    def _fault(self):
+        arity = FUNCTIONS.get(self.func)
+        if arity is None:
+            return f"unknown function {self.func!r}"
+        if len(self.args) != arity:
+            plural = "s" if arity > 1 else ""
+            return f"{self.func} takes {arity} argument{plural}, got {len(self.args)}"
 
 
 _TOKEN_RE = re.compile(
@@ -215,16 +266,18 @@ class _Parser:
         kind, text, pos = self._next("an integer exponent")
         if kind != "number" or not text.isdigit():
             raise PayoffParseError("exponent must be an integer literal", pos)
-        return sign * int(text)
+        try:
+            return sign * int(text)
+        except ValueError:  # past int()'s limit on digits
+            raise PayoffParseError(f"exponent of {len(text)} digits is too long", pos) from None
 
     def atom(self) -> Expr:
         kind, text, pos = self._next("a value")
         if kind == "number":
-            value = float(text)
-            # an overflowing literal would print as inf, which does not re-parse
-            if not math.isfinite(value):
-                raise PayoffParseError(f"number {text!r} is out of range", pos)
-            return Lit(value)
+            try:
+                return Lit(float(text))
+            except PayoffParseError:  # it overflowed to inf, which Lit refuses
+                raise PayoffParseError(f"number {text!r} is out of range", pos) from None
         if kind == "name":
             if text == "x":
                 return Var()
@@ -238,19 +291,18 @@ class _Parser:
         raise PayoffParseError(f"unexpected token {text!r}", pos)
 
     def _call(self, func: str, pos: int) -> Expr:
-        arity = FUNCTIONS[func]
         self._expect_op("(")
         args = [self.expr()]
         while self._at_op(","):
             self._next("operator")
             args.append(self.expr())
         self._expect_op(")")
-        if len(args) != arity:
-            raise PayoffParseError(
-                f"{func} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
-                pos,
-            )
-        return Call(func, tuple(args))
+        try:
+            return Call(func, tuple(args))
+        except ExprDepthError:
+            raise
+        except PayoffParseError as err:  # the wrong number of arguments
+            raise PayoffParseError(err.message, pos) from None
 
     def _expect_op(self, op: str):
         tok = self._peek()
@@ -265,8 +317,8 @@ def parse(text: str) -> Expr:
     """Parse payoff text into an expression tree.
 
     Raises PayoffParseError (with a byte offset) on syntax errors, unknown
-    identifiers, wrong function arity, literals that overflow a float, and
-    nesting deeper than MAX_DEPTH.
+    identifiers, wrong function arity, literals that overflow a float,
+    exponents too long for int(), and nesting deeper than MAX_DEPTH.
     """
     return _Parser(text).parse()
 

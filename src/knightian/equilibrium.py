@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dsl import Expr, evaluate
+from .dsl import BinOp, Expr, Lit, evaluate
 from . import gexp
 from .gexp import GridSpec, VolBounds, check_tolerance
 
@@ -181,6 +181,16 @@ class EquilibriumResult:
     def trades(self) -> np.ndarray:
         """(n_agents, nx) net trades shadow * (consumption - endowment), built when read."""
         return self.shadow * (self.consumption[:, None] - self.economy.endowment_values)
+
+    def net_trade(self, name: str) -> Expr:
+        """Net trade of agent `name` as a payoff, shadow * (c - endowment);
+        on the grid it evaluates to that agent's row of `trades`, bit for bit."""
+        names = self.economy.names
+        if name not in names:
+            raise ValueError(f"no agent named {name!r} in the economy")
+        i = names.index(name)
+        trade = BinOp("-", Lit(float(self.consumption[i])), self.economy.agents[i].endowment)
+        return BinOp("*", Lit(self.shadow), trade)
 
 
 def solve_equilibrium(

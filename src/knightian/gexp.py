@@ -12,7 +12,9 @@ The tree is deliberately simple and serves as a cross-check oracle for the
 PDE route; the two are never merged.
 """
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -53,9 +55,10 @@ _FIELD_LAYERS = 4
 
 # march work per payoff column, nt * m * (nx + _SUBSTEP_NODES), checked before
 # marching.  Sized from a sub-step cost of up to 28 us of dispatch (nx = 3) plus
-# 8 ns per node, so dispatch counts as 3500 node updates; with one flux for
-# every mode a sub-step costs 11-14 us at nx = 3 plus 3.5 ns per node (2-core
-# Xeon VM, numpy 2.4), so the costliest march admitted takes about 30 s.
+# 8 ns per node, so dispatch counts as 3500 node updates.  With one flux for
+# every mode a one-column sub-step costs about 19 us at nx = 3 and 9-10 us at
+# nx = 401 (2-core Xeon VM, numpy 2.4.6), so the costliest march admitted, at
+# nx = 3, took 40 s, and a march of the whole budget at nx = 401 about 20 s.
 WORK_BUDGET = 7_500_000_000
 _SUBSTEP_NODES = 3500
 
@@ -136,6 +139,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.x_min < 0.0 < self.x_max):
             raise ValueError("grid must straddle the origin (x_min < 0 < x_max)")
+        _check_integer("nx", self.nx)
+        _check_integer("nt", self.nt)
         if self.nx < 3:
             raise ValueError("nx must be at least 3")
         if self.nt < 1:
@@ -149,9 +154,28 @@ class GridSpec:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        """(nx,) node positions, built once and read-only."""
+        nodes = np.linspace(self.x_min, self.x_max, self.nx)
+        nodes.flags.writeable = False
+        return nodes
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """(nx, 2) table whose row j holds nodes[j] and nodes[j + 1] (the last
+        row repeats x_max), so one gather reads both ends of an interval;
+        built once and read-only."""
+        nodes = self.nodes
+        edges = np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
+        edges.flags.writeable = False
+        return edges
+
+
+def _check_integer(name: str, value):
+    """Reject a count that is not an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def default_grid(bounds: VolBounds, nx: int = 801, nt: int = 2000) -> GridSpec:
@@ -171,7 +195,7 @@ def _substeps(bounds: VolBounds, grid: GridSpec) -> tuple:
     if m > SUBSTEP_CAP:
         raise CflError(
             f"grid needs {m} sub-steps per time step (cap {SUBSTEP_CAP}); "
-            "refine dx or use more time steps"
+            "use more time steps or fewer nodes"
         )
     if grid.nt * m * (grid.nx + _SUBSTEP_NODES) > WORK_BUDGET:
         raise ValueError(
@@ -342,9 +366,8 @@ def _fixed_kernel(sigma: float, bounds: VolBounds, grid: GridSpec) -> np.ndarray
     _check_mode(Mode.fixed(sigma), bounds)
     m, dtau = _substeps(bounds, grid)
     lam = 0.5 * sigma * sigma * dtau / (grid.dx * grid.dx)
-    edges = _edges(grid)
-    (j,), (d,) = _bracket(grid, edges, np.zeros(1))
-    t = d / (edges[j, 1] - edges[j, 0])
+    (j,), (d,) = _bracket(grid, np.zeros(1))
+    t = d / (grid.edges[j, 1] - grid.edges[j, 0])
     w = np.zeros(grid.nx)
     w[j + 1] = t
     w[j] = 1.0 - t
@@ -384,24 +407,18 @@ def layer_at_or_below(t: float, horizon: float, nt: int) -> int:
     return min(nt, int(math.floor(t / (horizon / nt) + 1e-9)))
 
 
-def _edges(grid: GridSpec) -> np.ndarray:
-    """(nx, 2) table whose row j holds nodes[j] and nodes[j + 1] (the last
-    row repeats x_max), so one gather reads both ends of an interval."""
-    nodes = grid.nodes
-    return np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
-
-
-def _bracket(grid: GridSpec, edges: np.ndarray, x: np.ndarray):
+def _bracket(grid: GridSpec, x: np.ndarray):
     """Grid interval of each query point, clamped to the grid.
 
     Returns j and x - nodes[j] with nodes[j] <= x < nodes[j + 1] (j = nx - 1
     only at x_max).  The uniform-grid guess is corrected against both ends of
-    its interval, read from `edges` (`_edges(grid)`) in one gather, so the
-    bracket is the one np.interp's search finds.
+    its interval, read from `grid.edges` in one gather, so the bracket is the
+    one np.interp's search finds.
     """
     x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
     # fmin also sends NaN to a valid index; its d stays NaN, as np.interp's value
     j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
+    edges = grid.edges
     ends = np.take(edges, j, axis=0)
     # the guess is off by at most one, and never in both directions
     j -= ends[:, 0] > x
@@ -444,7 +461,6 @@ class GridFunction:
         np.subtract(value[:, 1:], value[:, :-1], slope[:, :-1])
         np.divide(slope[:, :-1], np.diff(self.grid.nodes), slope[:, :-1])
         slope[:, -1] = 0.0
-        self.edges = _edges(self.grid)
 
     @classmethod
     def of(cls, values, grid: GridSpec, horizon: float) -> "GridFunction":
@@ -468,7 +484,7 @@ class GridFunction:
 
     def at(self, t: float, x):
         xa = np.asarray(x, dtype=float)
-        bracket = _bracket(self.grid, self.edges, xa.reshape(-1))
+        bracket = _bracket(self.grid, xa.reshape(-1))
         out = self.sample(t, bracket).reshape(xa.shape)
         return float(out) if out.ndim == 0 else out
 
@@ -521,6 +537,7 @@ def tree_expectation(
     Upper and lower modes run a dynamic program over a two-increment lattice;
     fixed mode is a plain binomial evaluation at the given sigma.
     """
+    _check_integer("steps", steps)
     if not 1 <= steps <= MAX_TREE_STEPS:
         raise ValueError(f"steps must lie in 1..{MAX_TREE_STEPS}")
     _check_mode(mode, bounds)

@@ -22,7 +22,7 @@ from .equilibrium import (
     _solve_stack,
     require_constant_aggregate,
 )
-from .gexp import MEMORY_BUDGET, GapResult, check_tolerance, mean_ambiguity_gap
+from .gexp import MEMORY_BUDGET, GapResult, _check_integer, check_tolerance, mean_ambiguity_gap
 
 __all__ = [
     "AgentVerdict",
@@ -196,6 +196,7 @@ def genericity_probe(
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")
     require_constant_aggregate(economy)
+    _check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     check_tolerance("tol", tol)

@@ -9,7 +9,6 @@ vanishes along extremal paths.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -23,7 +22,7 @@ from .gexp import (
     GridSpec,
     VolBounds,
     _bracket,
-    _edges,
+    _check_integer,
     _march,
     _sample,
     layer_at_or_below,
@@ -65,8 +64,7 @@ _PATH_BYTES = 64
 def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> None:
     """Reject batches the walk cannot run or cannot keep statistics for, before allocating."""
     for name, value in (("paths", n_paths), ("steps", n_steps), ("seed", seed)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integer(name, value)
     if n_paths < 1 or n_steps < 1:
         raise ValueError("paths and steps must be positive")
     if n_paths >= _MAX_PATHS:
@@ -266,7 +264,6 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
     n_steps = paths.n_steps
     dt = paths.dt
     sq = math.sqrt(dt)
-    edges = None if grid is None else _edges(grid)
     if control.kind == "extremal":
         phi = control.hedge.phi_hat
         shared = grid == phi.grid
@@ -275,11 +272,11 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
     def steps(z):
         bk = np.zeros(z.shape[1])
         for k in range(n_steps):
-            bracket = None if grid is None else _bracket(grid, edges, bk)
+            bracket = None if grid is None else _bracket(grid, bk)
             if control.kind == "constant":
                 sig = control.sigma
             else:
-                own = bracket if shared else _bracket(phi.grid, phi.edges, bk)
+                own = bracket if shared else _bracket(phi.grid, bk)
                 curv = phi.sample(k * dt, own)
                 # ties at zero curvature take the high edge of the band
                 sig = np.where(curv >= 0.0, hi, lo)

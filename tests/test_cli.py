@@ -132,6 +132,13 @@ class TestEval:
         assert "error:" in err
         assert out == ""
 
+    def test_long_exponent_names_its_offset(self, ws, capsys):
+        # past int()'s limit on digits: a parse error at the exponent, not a bare ValueError
+        code, out, err = run(capsys, "--config", str(ws / "cfg.json"), "eval", "x^" + "9" * 5000)
+        assert code == 2
+        assert err == "error: exponent of 5000 digits is too long (offset 2)\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "payoff",
         ["min(1e300*1e300, 1) + x", "min(1e300^2, 1) + x", "min(x*1e300*1e300, 1)"],
@@ -331,6 +338,27 @@ class TestConfigHandling:
         assert f"agents[1].{key} must be a" in err
         assert out == ""
         assert not (out_dir / "equilibrium.csv").exists()
+
+    @pytest.mark.parametrize(
+        "where, agent, mc",
+        [
+            ("mc.increments", {}, {"increments": ""}),
+            ("agents[1].utility.kind", {"utility": {"kind": ""}}, {}),
+            ("agents[1].endowment", {"endowment": ""}, {}),
+        ],
+        ids=["increments", "utility-kind", "endowment"],
+    )
+    def test_empty_string_rejected(self, ws, capsys, where, agent, mc):
+        agents = [
+            {"name": "a1", "utility": {"kind": "log"}, "endowment": "min(exp(x), 1)"},
+            {"name": "a2", "utility": {"kind": "log"}, "endowment": "1 - min(exp(x), 1)"},
+        ]
+        agents[1].update(agent)
+        cfg = write_config(ws / "empty_string.json", agents=agents, mc=mc)
+        code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 2
+        assert err == f"error: {where} must be a non-empty string, got ''\n"
+        assert out == ""
 
     def test_over_budget_march_rejected_at_load(self, ws, capsys, monkeypatch):
         # 3 nodes and 3,000,000 time steps fit the memory budget, but the
@@ -569,13 +597,16 @@ class TestReplicate:
         assert abs(payload["identity_gap"]) < 5e-3
 
     def test_unknown_agent(self, ws, capsys):
-        code, _, err = run(
+        out_dir = ws / "rep_nobody"
+        code, out, err = run(
             capsys,
-            "--config", str(ws / "cfg.json"),
-            "replicate", "--agent", "zz", "--prior-sigma", "0.5",
+            "--config", str(ws / "cfg.json"), "--out", str(out_dir),
+            "replicate", "--agent", "nobody", "--prior-sigma", "0.5",
         )
         assert code == 2
-        assert "zz" in err
+        assert err == "error: no agent named 'nobody' in the economy\n"
+        assert out == ""
+        assert not (out_dir / "replication.json").exists()
 
     def test_target_required(self, ws, capsys):
         code, _, _ = run(

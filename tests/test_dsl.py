@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -79,9 +81,9 @@ class TestParse:
         assert exc.value.offset == 2
 
     def test_wrong_arity(self):
-        with pytest.raises(PayoffParseError):
-            parse("min(x)")
-        with pytest.raises(PayoffParseError):
+        with pytest.raises(PayoffParseError, match=r"^min takes 2 arguments, got 1 \(offset 4\)$"):
+            parse("x + min(x)")
+        with pytest.raises(PayoffParseError, match=r"^exp takes 1 argument, got 2 \(offset 0\)$"):
             parse("exp(x, 1)")
 
     def test_fractional_exponent_rejected(self):
@@ -138,6 +140,35 @@ class TestParse:
             with pytest.raises(ExprDepthError, match="deeper than"):
                 pretty_print(nested(levels))
         assert issubclass(ExprDepthError, ValueError)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BinOp("%", Var(), Lit(2.0)), "unknown operator '%'"),
+            (lambda: Call("min", (Var(),)), "min takes 2 arguments, got 1"),
+            (lambda: Call("cos", (Var(),)), "unknown function 'cos'"),
+            (lambda: Pow(Var(), 2.5), "exponent must be an integer, got 2.5"),
+            (lambda: Pow(Var(), True), "exponent must be an integer, got True"),
+            (lambda: Lit(math.inf), "literal inf is not a finite number"),
+            (lambda: Lit(math.nan), "literal nan is not a finite number"),
+            (lambda: Lit("2"), "literal '2' is not a finite number"),
+            (lambda: Neg(2.0), "Neg takes expression nodes"),
+            (lambda: BinOp("+", Var(), 2.0), "BinOp takes expression nodes"),
+            (lambda: Call("max", [Var(), Var()]), "Call takes expression nodes"),
+        ],
+        ids=[
+            "operator", "arity", "function", "fractional-exponent", "bool-exponent",
+            "infinite-literal", "nan-literal", "string-literal", "neg-child", "binop-child",
+            "list-args",
+        ],
+    )
+    def test_code_built_node_checked(self, build, message):
+        # trees built in code skip the parser; every node checks its fields as
+        # it is built, so pretty_print never writes text that does not re-parse
+        with pytest.raises(PayoffParseError) as info:
+            build()
+        assert str(info.value) == f"{message} (offset 0)"
+        assert not isinstance(info.value, ExprDepthError)
 
     def test_depth_set_at_construction(self):
         # n = n + n shares one node per level: each node reads its children's

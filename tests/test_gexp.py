@@ -13,13 +13,16 @@ from knightian import (
     LOWER,
     UPPER,
     CflError,
+    ControlSpec,
     GridSpec,
     Mode,
     VolBounds,
     default_grid,
     expectation,
+    genericity_probe,
     mean_ambiguity_gap,
     solve_terminal_values,
+    simulate_paths,
     solve_value_field,
     tree_expectation,
 )
@@ -27,7 +30,7 @@ from knightian import gexp
 from knightian.dsl import evaluate, parse
 from knightian.gexp import MEMORY_BUDGET, _tree_positions, _tree_reachable, _tree_sweep
 
-from helpers import BAND, capped_exp_value, example_payoff, random_payoff
+from helpers import BAND, capped_exp_value, example_economy, example_payoff, random_payoff
 
 EXAMPLE = example_payoff()
 
@@ -88,8 +91,37 @@ class TestValidation:
         # a single coarse time step over a fine space grid needs far more
         # sub-steps than the cap allows
         g = GridSpec(-6.0, 6.0, 5001, 1)
-        with pytest.raises(CflError):
+        with pytest.raises(CflError, match="use more time steps or fewer nodes"):
             expectation(EXAMPLE, BAND, g, UPPER)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: GridSpec(-6.0, 6.0, 41.5, 50), "nx"),
+            (lambda: GridSpec(-6.0, 6.0, 401.0, 800), "nx"),
+            (lambda: GridSpec(-6.0, 6.0, 41, True), "nt"),
+            (lambda: tree_expectation(EXAMPLE, BAND, 8.0, UPPER), "steps"),
+            (lambda: genericity_probe(example_economy(GridSpec(-6, 6, 41, 40)), 2.5), "n_samples"),
+            (lambda: simulate_paths(ControlSpec.constant(0.5), BAND, True, 8), "paths"),
+        ],
+        ids=["nx-fraction", "nx-float", "nt-bool", "tree-steps", "probe-samples", "paths-bool"],
+    )
+    def test_counts_must_be_integers(self, call, name):
+        # one rule for every count a library entry point takes: an integer, not a bool
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+    def test_grid_geometry_built_once_and_read_only(self):
+        g = GridSpec(-6.0, 6.0, 41, 40)
+        assert g.nodes is g.nodes and g.edges is g.edges
+        assert g.nodes.tobytes() == np.linspace(-6.0, 6.0, 41).tobytes()
+        assert g.edges[:-1].tobytes() == np.stack([g.nodes[:-1], g.nodes[1:]], axis=1).tobytes()
+        assert list(g.edges[-1]) == [6.0, 6.0]
+        for table in (g.nodes, g.edges):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        # the cache is not a field: equal grids stay equal and hash alike
+        assert g == GridSpec(-6.0, 6.0, 41, 40) and hash(g) == hash(GridSpec(-6.0, 6.0, 41, 40))
 
     def test_march_work_budget(self, monkeypatch):
         # the 101 x 50 grid needs m = 2 sub-steps per time step: 100 sub-steps

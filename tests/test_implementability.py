@@ -68,6 +68,18 @@ class TestNetTrades:
         expect = res.shadow * (res.consumption[:, None] - res.economy.endowment_values)
         assert res.trades.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize(
+        "build", [example_economy, symmetric_economy, linear_split_economy]
+    )
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+    def test_net_trade_expression_evaluates_to_trades(self, build, sigma):
+        res = solve_equilibrium(build(grid=GRID), PriorSpec.constant(sigma))
+        for i, name in enumerate(res.economy.names):
+            values = evaluate(res.net_trade(name), GRID.nodes)
+            assert values.tobytes() == res.trades[i].tobytes()
+        with pytest.raises(ValueError, match="^no agent named 'nobody' in the economy$"):
+            res.net_trade("nobody")
+
     def test_result_stores_no_node_arrays(self, example_solved):
         # the trades are derived from the economy on demand, not stored
         stored = [getattr(example_solved, f.name) for f in dataclasses.fields(example_solved)]

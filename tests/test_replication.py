@@ -629,7 +629,7 @@ class TestGridFunctionInterp:
     def test_sample_reads_the_layer_at_or_below(self, field):
         nodes = GRID.nodes
         x = np.random.default_rng(7).uniform(-6.5, 6.5, 200)
-        bracket = replication._bracket(GRID, replication._edges(GRID), x)
+        bracket = replication._bracket(GRID, x)
         for t in (0.0, 0.37, BAND.horizon):
             k = layer_at_or_below(t, BAND.horizon, GRID.nt)
             assert bits(field.sample(t, bracket)) == bits(np.interp(x, nodes, field.values[k]))
