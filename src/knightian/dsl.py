@@ -155,7 +155,7 @@ class Call(Expr):
         return self.args if isinstance(self.args, tuple) else (self.args,)
 
     def _fault(self):
-        arity = FUNCTIONS.get(self.func)
+        arity = FUNCTIONS.get(self.func) if isinstance(self.func, str) else None
         if arity is None:
             return f"unknown function {self.func!r}"
         if len(self.args) != arity:

@@ -147,6 +147,7 @@ class TestParse:
             (lambda: BinOp("%", Var(), Lit(2.0)), "unknown operator '%'"),
             (lambda: Call("min", (Var(),)), "min takes 2 arguments, got 1"),
             (lambda: Call("cos", (Var(),)), "unknown function 'cos'"),
+            (lambda: Call(["min"], (Var(), Var())), "unknown function ['min']"),
             (lambda: Pow(Var(), 2.5), "exponent must be an integer, got 2.5"),
             (lambda: Pow(Var(), True), "exponent must be an integer, got True"),
             (lambda: Lit(math.inf), "literal inf is not a finite number"),
@@ -157,9 +158,9 @@ class TestParse:
             (lambda: Call("max", [Var(), Var()]), "Call takes expression nodes"),
         ],
         ids=[
-            "operator", "arity", "function", "fractional-exponent", "bool-exponent",
-            "infinite-literal", "nan-literal", "string-literal", "neg-child", "binop-child",
-            "list-args",
+            "operator", "arity", "function", "list-function", "fractional-exponent",
+            "bool-exponent", "infinite-literal", "nan-literal", "string-literal", "neg-child",
+            "binop-child", "list-args",
         ],
     )
     def test_code_built_node_checked(self, build, message):
