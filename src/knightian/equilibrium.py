@@ -46,7 +46,7 @@ class ConvergenceError(RuntimeError):
 class NegishiError(ConvergenceError):
     """No interior equilibrium: an endowment price that is not positive,
     weights at the simplex boundary, prices that do not clear the aggregate,
-    or a PDE budget check that disagrees with the closed form."""
+    or a PDE budget check, shadow * p_i * (sum(w) - 1), past its tolerance."""
 
 
 class NonConstantEndowmentError(RuntimeError):
@@ -174,7 +174,7 @@ class EquilibriumResult:
     alpha: np.ndarray  # (n_agents,) planner weights, summing to one
     consumption: np.ndarray  # (n_agents,) constant consumption: the endowment prices
     shadow: float  # common weighted marginal utility, the state-price density proxy
-    budget_residual: np.ndarray  # PDE-priced budget surplus per agent
+    budget_residual: np.ndarray  # per agent w . trade = shadow * p_i * (sum(w) - 1), by linearity
     clearing: float  # largest gap over the grid between summed consumption and aggregate
 
     @property
@@ -202,11 +202,12 @@ def solve_equilibrium(
     fixed-volatility price of their endowment; the weights are alpha_i
     proportional to 1 / u_i'(p_i) and the shadow value is
     1 / sum_j 1 / u_j'(p_j), so alpha_i u_i'(p_i) equals it for every agent.
-    Prices and budgets come from one fixed-sigma kernel w, with no march:
-    p_i = w . e_i.  Two checks raise NegishiError: prices that miss the
-    aggregate by more than CLEARING_TOL (relative to max(1, |e|)), and net
-    trades shadow * (p_i - e_i) whose value w . trade exceeds `budget_tol`,
-    which must be finite and positive (ValueError).
+    Prices come from one fixed-sigma kernel w, with no march: p_i = w . e_i,
+    so by linearity the budget w . trade of the net trade shadow * (p_i - e_i)
+    is shadow * p_i * (sum(w) - 1), and no trade is built.  Two checks raise
+    NegishiError: prices that miss the aggregate by more than CLEARING_TOL
+    (relative to max(1, |e|)), and a budget beyond `budget_tol`, which must
+    be finite and positive (ValueError).
     """
     require_constant_aggregate(economy)
     utilities = tuple(agent.utility for agent in economy.agents)
@@ -235,7 +236,7 @@ class _Stack(NamedTuple):
     prices: np.ndarray  # (s, n) endowment prices
     alpha: np.ndarray  # (s, n) planner weights
     shadow: np.ndarray  # (s,) shadow values
-    residual: np.ndarray  # (s, n) PDE-priced budget surplus
+    residual: np.ndarray  # (s, n) budgets shadow * p_i * (sum(w) - 1)
     clearing: np.ndarray  # (s,) largest gap between summed prices and the aggregate
     errors: list  # (s,) None for a solved economy, else its NegishiError text
 
@@ -246,10 +247,9 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     aggregate each.
 
     Nothing is marched.  At the prior's fixed volatility the march is linear,
-    so one kernel `w` (`gexp._fixed_kernel`) prices the whole stack: every
-    endowment as w . e, then the net trades of the economies that passed the
-    price and weight checks as w . trade, which prices their budgets; the
-    trades live only for that product.  Each check runs on all economies at
+    so one kernel `w` (`gexp._fixed_kernel`) prices every endowment as w . e,
+    and each budget is shadow * p * (sum(w) - 1), zero for an economy that
+    failed the price or weight checks.  Each check runs on all economies at
     once, with the same arithmetic per economy as a solve of that economy
     alone, so every value is bit-identical to it.
     """
@@ -288,16 +288,11 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     live = np.flatnonzero(ok)
     shadow = np.zeros(s)
     shadow[live] = 1.0 / total[live]
-    residual = np.zeros((s, n))
-    # the clearing gap first, so the aggregates are freed before the trades
+    # w . shadow (p - e) = shadow (p sum(w) - w . e), and w . e = p
+    residual = shadow[:, None] * prices * (weights.sum() - 1.0)
     aggregate = endowments.sum(axis=1)
     clearing = np.max(np.abs(prices.sum(axis=1)[:, None] - aggregate), axis=1)
     tol = CLEARING_TOL * np.maximum(1.0, np.max(np.abs(aggregate), axis=1))
-    del aggregate
-    trades = endowments[live]
-    np.subtract(prices[live, :, None], trades, out=trades)
-    np.multiply(shadow[live, None, None], trades, out=trades)
-    residual[live] = gexp._priced(trades.reshape(-1, nx), weights).reshape(-1, n)
     check(~(clearing > tol), "endowment prices do not clear the aggregate", clearing)
     worst = np.max(np.abs(residual), axis=1)
     check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)

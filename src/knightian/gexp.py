@@ -139,12 +139,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.x_min < 0.0 < self.x_max):
             raise ValueError("grid must straddle the origin (x_min < 0 < x_max)")
-        _check_integer("nx", self.nx)
-        _check_integer("nt", self.nt)
-        if self.nx < 3:
-            raise ValueError("nx must be at least 3")
-        if self.nt < 1:
-            raise ValueError("nt must be at least 1")
+        _check_integer("nx", self.nx, 3)
+        _check_integer("nt", self.nt, 1)
         if not 0.0 < self.dx * self.dx < math.inf:
             raise ValueError(f"node spacing {self.dx!r} and its square must be finite and positive")
         if _FIELD_LAYERS * 8 * (self.nt + 1) * self.nx > MEMORY_BUDGET:
@@ -172,10 +168,19 @@ class GridSpec:
         return edges
 
 
-def _check_integer(name: str, value):
-    """Reject a count that is not an integer; a bool is not one."""
+def _check_integer(name: str, value, least: int):
+    """Reject a count that is not an integer (a bool is not one) or is below `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _finite(values, what: str):
+    """`values`, unless one of them is not finite (ValueError)."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    return values
 
 
 def default_grid(bounds: VolBounds, nx: int = 801, nt: int = 2000) -> GridSpec:
@@ -261,8 +266,7 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
     term = np.asarray(term, dtype=float)
     if term.ndim not in (1, 2) or term.shape[-1] != grid.nx:
         raise ValueError(f"terminal values must have shape ({grid.nx},) or (k, {grid.nx})")
-    if not np.all(np.isfinite(term)):
-        raise ValueError("terminal values must be finite")
+    _finite(term, "terminal values")
 
     m, dtau = _substeps(bounds, grid)
     inv_dx2 = 1.0 / grid.dx**2
@@ -389,10 +393,7 @@ def _priced(term: np.ndarray, weights: np.ndarray) -> np.ndarray:
     depend on what it is stacked with (BLAS's dot splits its sums by row
     count).  A price that is not finite raises ValueError, as a march does
     for such a row."""
-    values = np.einsum("ij,j->i", term, weights)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("priced values must be finite")
-    return values
+    return _finite(np.einsum("ij,j->i", term, weights), "priced values")
 
 
 # ---------------------------------------------------------------------------
@@ -535,18 +536,21 @@ def tree_expectation(
     """Exact n-step discrete-time value, n <= 14.
 
     Upper and lower modes run a dynamic program over a two-increment lattice;
-    fixed mode is a plain binomial evaluation at the given sigma.
+    fixed mode is a plain binomial evaluation at the given sigma.  A start or
+    payoff value on the lattice that is not finite raises ValueError.
     """
-    _check_integer("steps", steps)
-    if not 1 <= steps <= MAX_TREE_STEPS:
+    _check_integer("steps", steps, 1)
+    if steps > MAX_TREE_STEPS:
         raise ValueError(f"steps must lie in 1..{MAX_TREE_STEPS}")
     _check_mode(mode, bounds)
+    if not math.isfinite(start):
+        raise ValueError(f"start must be finite, got {start!r}")
 
     if mode.kind == "fixed":
         h = mode.sigma * math.sqrt(bounds.horizon / steps)
         k = np.arange(steps + 1)
         xs = start + (2.0 * k - steps) * h
-        v = evaluate(expr, xs)
+        v = _finite(evaluate(expr, xs), "payoff values on the lattice")
         for _ in range(steps):
             v = 0.5 * (v[1:] + v[:-1])
         return float(v[0])
@@ -554,7 +558,7 @@ def tree_expectation(
     pos = _tree_positions(bounds, steps, start)
     reach = _tree_reachable(steps, steps)
     box = np.zeros_like(pos)
-    box[reach] = evaluate(expr, pos[reach])
+    box[reach] = _finite(evaluate(expr, pos[reach]), "payoff values on the lattice")
     out = _tree_sweep(box, mode, steps)
     return float(out[steps, steps])
 

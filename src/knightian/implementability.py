@@ -141,13 +141,13 @@ def _splits(perturbation: Perturbation, e_total: float, nodes, centers, widths):
 
 
 # per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
-# nodes at once: the endowments, plus the net trades while the kernel prices
-# their budgets and then the solved samples' copy of the endowments during
-# the gap march, and one march block's buffers; on top come about
-# _SAMPLE_BYTES of Python objects per sample (tracemalloc, 200 samples, all
-# solved: 2.75 rows at nx = 401, 0.7 of them block buffers; 0.26 kB of
-# objects at nx = 11)
-_PROBE_ROWS = 4
+# nodes at once: the endowments, the solved samples' copy of them during the
+# gap march, and one march block's buffers; on top come about _SAMPLE_BYTES
+# of Python objects per sample (tracemalloc, 200 samples at nx = 401: 2.75
+# rows for bumps and 2.73 for ramps, all solved, 0.7 of them block buffers;
+# 2.58 and 2.53 rows for two exp(200) agents, 30 and 81 samples failed;
+# 0.26 kB of objects at nx = 11)
+_PROBE_ROWS = 3
 _SAMPLE_BYTES = 1024
 
 # two-sided 95 percent normal quantile, norm.ppf(0.975)
@@ -187,7 +187,7 @@ def genericity_probe(
     interval; solve failures are tallied separately, never silently counted
     as either outcome.  Every sample gives what `solve_equilibrium` and
     `check_implementability` give it alone, but the whole probe takes one
-    fixed-sigma kernel, which prices every endowment and every net trade's
+    fixed-sigma kernel, which prices every endowment and by linearity every
     budget, and one march, of the solved samples' endowments for their gaps.
     Like `solve_equilibrium`, the probe raises NonConstantEndowmentError for
     an economy whose aggregate is not flat.
@@ -196,9 +196,8 @@ def genericity_probe(
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")
     require_constant_aggregate(economy)
-    _check_integer("n_samples", n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    _check_integer("n_samples", n_samples, 1)
+    _check_integer("seed", seed, 0)
     check_tolerance("tol", tol)
     per_sample = 8 * _PROBE_ROWS * economy.n_agents * economy.grid.nx + _SAMPLE_BYTES
     if n_samples * per_sample > MEMORY_BUDGET:

@@ -63,10 +63,8 @@ _PATH_BYTES = 64
 
 def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> None:
     """Reject batches the walk cannot run or cannot keep statistics for, before allocating."""
-    for name, value in (("paths", n_paths), ("steps", n_steps), ("seed", seed)):
-        _check_integer(name, value)
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("paths and steps must be positive")
+    for name, value, least in (("paths", n_paths, 1), ("steps", n_steps, 1), ("seed", seed, 0)):
+        _check_integer(name, value, least)
     if n_paths >= _MAX_PATHS:
         raise ValueError(
             f"{n_paths} paths would overlap the next seed's substreams; at most {_MAX_PATHS - 1}"
@@ -75,7 +73,7 @@ def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> None
         raise ValueError(f"{n_paths} paths exceed the memory budget of {MEMORY_BUDGET} bytes")
     if 8 * n_steps > _CHUNK_BYTES:
         raise ValueError(f"{n_steps} steps exceed the per-chunk budget of {_CHUNK_BYTES // 8}")
-    if not 0 <= seed < _MAX_SEED:
+    if seed >= _MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2**96), got {seed}")
     if increments not in ("binary", "gaussian"):
         raise ValueError(f"unknown increment kind {increments!r}")

@@ -496,12 +496,17 @@ class TestEquilibrium:
         assert "simplex boundary" in err
 
     def test_tolerance_bounds_budget_check(self, ws, capsys):
-        # the PDE budget residual of the example is about 1e-16; a tighter
-        # tolerances.equilibrium makes the cross-check fail
-        write_config(ws / "strict.json", tolerances={"mean_af": 0.001, "equilibrium": 1e-300})
+        # priced at sigma 0.5 the kernel's mass defect gives the example a
+        # budget residual of about 3e-16; a tighter tolerances.equilibrium
+        # makes the cross-check fail
+        write_config(
+            ws / "strict.json",
+            pricing_prior={"sigma": 0.5},
+            tolerances={"mean_af": 0.001, "equilibrium": 1e-300},
+        )
         code, _, err = run(capsys, "--config", str(ws / "strict.json"), "equilibrium")
         assert code == 4
-        assert "budget" in err
+        assert "PDE budget check disagrees with the closed form" in err
 
 
 class TestImplement:
@@ -694,10 +699,12 @@ class TestProbe:
         assert "memory budget" in err
 
     def test_equilibrium_tolerance_applies(self, ws, capsys):
-        # budget residuals are about 1e-16, so a 1e-300 tolerance fails every solve
+        # priced at sigma 0.5 the budget residuals are about 1e-16, so a
+        # 1e-300 tolerance fails every solve
         write_config(
             ws / "probe_strict.json",
             grid={"x_min": -6.0, "x_max": 6.0, "nx": 201, "nt": 350},
+            pricing_prior={"sigma": 0.5},
             tolerances={"mean_af": 0.001, "equilibrium": 1e-300},
         )
         out_dir = ws / "probe_strict"
@@ -784,7 +791,7 @@ class TestDeterminism:
             for name in ("equilibrium.csv", "implementability.csv")
         }
         assert digests == {
-            "equilibrium.csv": "6db1a97bf88a9fcce42c1c375d9038883520653be3b8f9d14d5bbc4ca710b8fb",
+            "equilibrium.csv": "123e4b7359211bdb323c2d848c3d35a45e116e5036e2e62c21a277e9c230508b",
             "implementability.csv": "83351f090dd7f2f22031ba1c9ab0d77dcc762c983c37f18e79b40eed37f5b48f",
         }
 

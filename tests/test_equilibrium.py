@@ -16,7 +16,9 @@ from knightian import (
 )
 from knightian.config import Tolerances
 from knightian import gexp
+from knightian.equilibrium import _solve_stack
 from knightian.gexp import Mode
+from knightian.implementability import Perturbation, _splits
 from knightian.dsl import BinOp, Call, Lit, Var, parse
 
 from helpers import BAND, capped_exp_value, example_economy, symmetric_economy
@@ -178,6 +180,31 @@ class TestBudgetExcess:
         with pytest.raises(ValueError):
             solve_equilibrium(_example(), PriorSpec.constant(2.0))
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(-6.0, 6.0, 201, 350)], ids=["401x800", "201x350"])
+    def test_identity_matches_priced_trades(self, grid, sigma):
+        # the residual is shadow * p_i * (sum(w) - 1); the reference is the
+        # product it stands for, the kernel's price of the net trades
+        # shadow * (p_i - e_i); over these 2,400 samples the two differ by at
+        # most 6.2e-16
+        rng = np.random.default_rng(21)
+        centers, widths = rng.uniform(-1.5, 1.5, 200), rng.uniform(0.3, 1.0, 200)
+        weights = gexp._fixed_kernel(sigma, BAND, grid)
+        for family in ("bump", "ramp"):
+            endowments = _splits(Perturbation(family, 0.1), 1.0, grid.nodes, centers, widths)
+            stack = _solve_stack(
+                (Utility.log(),) * 2, endowments, BAND, grid, PriorSpec.constant(sigma), 1e-10
+            )
+            assert stack.errors == [None] * 200
+            trades = stack.shadow[:, None, None] * (stack.prices[:, :, None] - endowments)
+            reference = gexp._priced(trades.reshape(-1, grid.nx), weights).reshape(200, 2)
+            assert np.max(np.abs(stack.residual - reference)) <= 1e-15
+
+    def test_example_budgets_exactly_zero_at_sigma_one(self):
+        # the kernel at sigma 1 on 401 x 800 carries mass exactly 1
+        res = solve_equilibrium(_example(), PRIOR1)
+        assert res.budget_residual.tolist() == [0.0, 0.0]
+
 
 def _three_agent_economy(utilities):
     endowments = (
@@ -273,11 +300,13 @@ class TestSolveEquilibrium:
             solve_equilibrium(econ, PRIOR1)
 
     def test_budget_tolerance_bounds_cross_check(self):
-        res = solve_equilibrium(_example(), PRIOR1)
+        # at sigma 0.5 the kernel's mass defect on this grid is nonzero, so
+        # the residual is too
+        res = solve_equilibrium(_example(), PRIOR5)
         worst = float(np.max(np.abs(res.budget_residual)))
         assert 0.0 < worst <= Tolerances().equilibrium
         with pytest.raises(NegishiError, match="PDE budget check"):
-            solve_equilibrium(_example(), PRIOR1, budget_tol=worst / 2.0)
+            solve_equilibrium(_example(), PRIOR5, budget_tol=worst / 2.0)
 
     def test_exp_agents_symmetric(self):
         econ = Economy(

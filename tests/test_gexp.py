@@ -102,13 +102,40 @@ class TestValidation:
             (lambda: GridSpec(-6.0, 6.0, 41, True), "nt"),
             (lambda: tree_expectation(EXAMPLE, BAND, 8.0, UPPER), "steps"),
             (lambda: genericity_probe(example_economy(GridSpec(-6, 6, 41, 40)), 2.5), "n_samples"),
+            (lambda: genericity_probe(example_economy(GridSpec(-6, 6, 41, 40)), 2, seed=True), "seed"),
+            (lambda: genericity_probe(example_economy(GridSpec(-6, 6, 41, 40)), 2, seed=1.5), "seed"),
             (lambda: simulate_paths(ControlSpec.constant(0.5), BAND, True, 8), "paths"),
         ],
-        ids=["nx-fraction", "nx-float", "nt-bool", "tree-steps", "probe-samples", "paths-bool"],
+        ids=[
+            "nx-fraction", "nx-float", "nt-bool", "tree-steps", "probe-samples",
+            "probe-seed-bool", "probe-seed-fraction", "paths-bool",
+        ],
     )
     def test_counts_must_be_integers(self, call, name):
         # one rule for every count a library entry point takes: an integer, not a bool
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: GridSpec(-6.0, 6.0, 2, 50), "nx must be at least 3, got 2"),
+            (lambda: GridSpec(-6.0, 6.0, 41, 0), "nt must be at least 1, got 0"),
+            (lambda: tree_expectation(EXAMPLE, BAND, 0, UPPER), "steps must be at least 1, got 0"),
+            (
+                lambda: genericity_probe(example_economy(GridSpec(-6, 6, 41, 40)), 2, seed=-1),
+                "seed must be at least 0, got -1",
+            ),
+            (
+                lambda: simulate_paths(ControlSpec.constant(0.5), BAND, 4, 8, seed=-1),
+                "seed must be at least 0, got -1",
+            ),
+        ],
+        ids=["nx", "nt", "tree-steps", "probe-seed", "paths-seed"],
+    )
+    def test_counts_below_their_floor(self, call, message):
+        # the same rule gives each count its floor
+        with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
     def test_grid_geometry_built_once_and_read_only(self):
@@ -284,6 +311,16 @@ class TestTree:
             t = tree_expectation(EXAMPLE, BAND, 12, mode)
             p = expectation(EXAMPLE, BAND, g, mode)
             assert abs(t - p) < 2e-2
+
+    @pytest.mark.parametrize("mode", [UPPER, Mode.fixed(0.75)], ids=["upper", "fixed"])
+    def test_non_finite_input_rejected(self, mode):
+        # as a march rejects terminal values that are not finite
+        for start in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="start must be finite"):
+                tree_expectation(parse("x"), BAND, 4, mode, start=start)
+        # exp(1000 x) overflows to inf at the lattice's upper nodes
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="lattice must be finite"):
+            tree_expectation(parse("exp(1000 * x)"), BAND, 4, mode)
 
     def test_start_offset(self):
         v = tree_expectation(EXAMPLE, BAND, 6, UPPER, start=3.0)
