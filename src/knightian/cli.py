@@ -169,14 +169,14 @@ def cmd_equilibrium(cfg: Config, args, out_dir: Path) -> int:
 
 def cmd_implement(cfg: Config, args, out_dir: Path) -> int:
     verdict = check_implementability(_solved_equilibrium(cfg), tol=cfg.tolerances.mean_af)
+    rows = []
     for v in verdict.agents:
         flag = "yes" if v.mean_af else "no"
         _say(args, f"agent {v.name}: gap={v.gap!r} mean-ambiguity-free: {flag}")
+        rows.append(
+            [v.name, repr(v.upper), repr(v.lower), repr(v.gap), "true" if v.mean_af else "false"]
+        )
     _say(args, f"IMPLEMENTABLE: {'yes' if verdict.implementable else 'no'}")
-    rows = [
-        [v.name, repr(v.upper), repr(v.lower), repr(v.gap), "true" if v.mean_af else "false"]
-        for v in verdict.agents
-    ]
     path = out_dir / "implementability.csv"
     _write_csv(path, ["agent", "upper", "lower", "gap", "mean_af"], rows)
     _say(args, f"wrote {path}")
@@ -237,8 +237,6 @@ def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:
 
 
 def cmd_probe(cfg: Config, args, out_dir: Path) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     economy = cfg.economy()
     perturbation = Perturbation(args.family, args.amplitude)
     result = genericity_probe(

@@ -9,7 +9,7 @@ vanishes along extremal paths.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -85,19 +85,20 @@ class HedgeField:
     surface's value at the origin.
 
     Both fields live in `table`, one (nt + 1, nx, 4) array: slope and value
-    of delta, then of curvature.  `eta` and `phi_hat` are its two halves, so
-    `sample` reads both with one gather.
+    of delta, then of curvature.  `eta` and `phi_hat` are its two halves,
+    derived at construction, so `sample` reads both with one gather.
     """
 
-    eta: GridFunction  # delta: first space derivative
-    phi_hat: GridFunction  # half the second space derivative
+    table: np.ndarray
+    grid: GridSpec
     bounds: VolBounds
     upper_value: float  # upper expectation of the payoff, at the origin
-    table: np.ndarray
+    eta: GridFunction = field(init=False)  # delta: first space derivative
+    phi_hat: GridFunction = field(init=False)  # half the second space derivative
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.eta.grid
+    def __post_init__(self):
+        self.eta = GridFunction(self.table[..., :2], self.grid, self.bounds.horizon)
+        self.phi_hat = GridFunction(self.table[..., 2:], self.grid, self.bounds.horizon)
 
     def sample(self, t: float, bracket):
         """Delta and curvature at the layer at or below t and the points of a
@@ -136,13 +137,7 @@ def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
             col[-1] = col[-2]
 
     (upper_value,) = _march(evaluate(expr, grid.nodes), bounds, grid, (UPPER,), differentiate)
-    return HedgeField(
-        GridFunction(table[..., 0:2], grid, bounds.horizon),
-        GridFunction(table[..., 2:4], grid, bounds.horizon),
-        bounds,
-        upper_value,
-        table,
-    )
+    return HedgeField(table, grid, bounds, upper_value)
 
 
 @dataclass(eq=False)
@@ -151,12 +146,21 @@ class ControlSpec:
 
     `constant` holds sigma fixed; `extremal` picks sigma_hi where the hedge
     curvature is nonnegative and sigma_lo elsewhere, the worst case for the
-    upper value.
+    upper value.  An unknown kind, or a kind missing its sigma or hedge,
+    is rejected at construction.
     """
 
     kind: str
     sigma: Optional[float] = None
     hedge: Optional[HedgeField] = None
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "extremal"):
+            raise ValueError(f"unknown control kind {self.kind!r}")
+        if self.kind == "constant" and self.sigma is None:
+            raise ValueError("constant control needs a sigma")
+        if self.kind == "extremal" and self.hedge is None:
+            raise ValueError("extremal control needs a hedge field")
 
     @classmethod
     def constant(cls, sigma: float) -> "ControlSpec":
@@ -170,7 +174,8 @@ class ControlSpec:
 @dataclass(eq=False)
 class PathBatch:
     """Recipe for simulated driver paths: control, bounds, sizes, seed and
-    increment kind.
+    increment kind, checked at construction: `_check_batch`, then a constant
+    sigma against the band or an extremal hedge's bounds against the batch's.
 
     No path is stored.  `replicate` and `strategy_gains` generate the paths
     chunk by chunk and consume each chunk as it is made, so whatever the
@@ -185,6 +190,13 @@ class PathBatch:
     n_steps: int
     seed: int
     increments: str
+
+    def __post_init__(self):
+        _check_batch(self.n_paths, self.n_steps, self.seed, self.increments)
+        if self.control.kind == "constant":
+            self.bounds.check_sigma(self.control.sigma, "constant control sigma")
+        elif self.control.hedge.bounds != self.bounds:
+            raise ValueError("hedge field was built for different bounds")
 
     @property
     def dt(self) -> float:
@@ -301,19 +313,7 @@ def simulate_paths(
     seed: int = 0,
     increments: str = "binary",
 ) -> PathBatch:
-    """Driver paths from 0 under the given volatility control, as a lazy batch."""
-    _check_batch(n_paths, n_steps, seed, increments)
-    if control.kind == "constant":
-        if control.sigma is None:
-            raise ValueError("constant control needs a sigma")
-        bounds.check_sigma(control.sigma, "constant control sigma")
-    elif control.kind == "extremal":
-        if control.hedge is None:
-            raise ValueError("extremal control needs a hedge field")
-        if control.hedge.bounds != bounds:
-            raise ValueError("hedge field was built for different bounds")
-    else:
-        raise ValueError(f"unknown control kind {control.kind!r}")
+    """Driver paths from 0 under the given control, as a lazy batch that checks itself."""
     return PathBatch(control, bounds, n_paths, n_steps, seed, increments)
 
 
@@ -467,10 +467,10 @@ def strategy_gains(strategy, paths: PathBatch, loading: Optional[GridFunction] =
     increment is scaled by the loading sampled at the step's left endpoint.
     Both must be fields over the paths' horizon.
     """
-    for name, field in (("strategy", strategy), ("loading", loading)):
-        if field is not None and field.horizon != paths.bounds.horizon:
+    for name, given in (("strategy", strategy), ("loading", loading)):
+        if given is not None and given.horizon != paths.bounds.horizon:
             raise ValueError(
-                f"{name} horizon {field.horizon} differs from the paths' {paths.bounds.horizon}"
+                f"{name} horizon {given.horizon} differs from the paths' {paths.bounds.horizon}"
             )
     dt = paths.dt
     gains = np.empty(paths.n_paths)

@@ -1,8 +1,9 @@
 """The benchmark's span recorder still sees the program it wraps.
 
 `bench/tracer.py` patches knightian from outside, by name: a public function
-renamed or removed, or a field type that loses `at`, would leave its
-per-layer metrics silently at zero.  The recorder is installed in a fresh
+renamed or removed, a field type that loses `at`, or a path batch or
+replication report its hooks can no longer read, would leave its per-layer
+metrics silently at zero.  The recorder is installed in a fresh
 interpreter, as a traced benchmark child installs it.
 """
 
@@ -22,13 +23,18 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 
-from knightian import gexp
+from knightian import gexp, replication
 from knightian.dsl import parse
 
 bounds = gexp.VolBounds(0.5, 1.0, 1.0)
 grid = gexp.GridSpec(-4.0, 4.0, 21, 10)
-field = gexp.solve_value_field(parse("min(exp(x), 1)"), bounds, grid, gexp.UPPER)
+payoff = parse("min(exp(x), 1)")
+field = gexp.solve_value_field(payoff, bounds, grid, gexp.UPPER)
 field.at(0.5, 0.25)
+hedge = replication.hedge_field(payoff, bounds, grid)
+control = replication.ControlSpec.extremal(hedge)
+paths = replication.simulate_paths(control, bounds, 30, 8, seed=1)
+replication.replicate(payoff, hedge, paths)
 print(json.dumps({
     "spans": len(tracer.spans),
     "totals": tracer.totals(),
@@ -55,3 +61,6 @@ def test_tracer_records_a_march_and_a_field_read(tmp_path):
     assert layers["gexp.march.calls"][0] == 1
     assert layers["gexp.march.bytes_stored"][0] == 8 * 11 * 21
     assert layers["replication.interp.calls"][0] == 1
+    for name in ("hedge_field", "simulate_paths", "replicate"):
+        assert totals[f"replication.{name}"]["calls"] == 1
+    assert record["counters"]["replicate.path_steps"] == 30 * 8

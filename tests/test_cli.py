@@ -672,8 +672,9 @@ class TestProbe:
         assert float(grab(out, "failing fraction:")) == 0.0
 
     def test_zero_samples_rejected(self, ws, probe_cfg, capsys):
-        code, _, _ = run(capsys, "--config", probe_cfg, "probe", "--samples", "0")
+        code, _, err = run(capsys, "--config", probe_cfg, "probe", "--samples", "0")
         assert code == 2
+        assert err == "error: n_samples must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("amplitude", ["inf", "nan"])
     def test_non_finite_amplitude_rejected(self, ws, probe_cfg, capsys, amplitude):
@@ -807,8 +808,10 @@ TILTED = ("min(exp(x), 1)", "1.5 - min(exp(x), 1)*0.5")
         (["implement"], TILTED),
         (["replicate", "--agent", "a1", "--prior-sigma", "0.5"], TILTED),
         (["probe", "--samples", "2"], TILTED),
+        # the aggregate is checked before the sample count
+        (["probe", "--samples", "0"], TILTED),
     ],
-    ids=["equilibrium", "equilibrium-tanh", "implement", "replicate", "probe"],
+    ids=["equilibrium", "equilibrium-tanh", "implement", "replicate", "probe", "probe-zero-samples"],
 )
 def test_nonconstant_aggregate_exits_3(ws, capsys, argv, endowments):
     write_config(

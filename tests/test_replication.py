@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,9 @@ from knightian import (
     ControlSpec,
     GridFunction,
     GridSpec,
+    HedgeField,
     Mode,
+    PathBatch,
     PriorSpec,
     SimulationError,
     UPPER,
@@ -33,6 +36,7 @@ from knightian.gexp import layer_at_or_below
 from helpers import BAND, example_economy, linear_split_economy
 
 GRID = GridSpec(-6.0, 6.0, 401, 800)
+SMALL = GridSpec(-4.0, 4.0, 41, 20)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +69,16 @@ class TestHedgeField:
         mid = slice(GRID.nx // 4, 3 * GRID.nx // 4)
         assert np.max(np.abs(h.eta.values[:, mid] - 2.0 * GRID.nodes[None, mid])) < 5e-3
         assert np.max(np.abs(h.phi_hat.values[:, mid] - 1.0)) < 5e-3
+
+    def test_fields_are_views_of_the_table(self):
+        # a hedge rebuilt from its table derives the same fields, over that table
+        h = hedge_field(parse("min(exp(x), 1)"), BAND, SMALL)
+        eta, phi = h.eta.table.copy(), h.phi_hat.table.copy()
+        rebuilt = HedgeField(h.table, h.grid, h.bounds, h.upper_value)
+        for derived, before in ((rebuilt.eta, eta), (rebuilt.phi_hat, phi)):
+            assert np.shares_memory(derived.table, rebuilt.table)
+            assert derived.grid == SMALL and derived.horizon == BAND.horizon
+            assert derived.table.tobytes() == before.tobytes()
 
     def test_terminal_delta_of_kinked_payoff(self, example_hedge):
         eta_T = example_hedge.eta.values[-1]
@@ -339,6 +353,16 @@ def _field_over(horizon):
     return lambda: GridFunction.of(np.zeros((GRID.nt + 1, GRID.nx)), GRID, horizon)
 
 
+def _batch(control=lambda: ControlSpec.constant(0.7), n_paths=50, increments="binary"):
+    # the control is built inside the call, so a control that rejects itself is caught too
+    return lambda: PathBatch(control(), BAND, n_paths, 16, 1, increments)
+
+
+def _other_band_hedge():
+    other = VolBounds(0.5, 0.8, 1.0)
+    return ControlSpec.extremal(hedge_field(parse("x"), other, SMALL))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -347,12 +371,31 @@ def _field_over(horizon):
         (_paths_of(50.0, 1), "paths must be an integer, got 50.0"),
         (_field_over(-1.0), "horizon must be finite and positive"),
         (_field_over(math.inf), "horizon must be finite and positive"),
+        (
+            _batch(lambda: ControlSpec.constant(5.0)),
+            "constant control sigma 5.0 outside the band [0.5, 1.0]",
+        ),
+        (_batch(n_paths=0), "paths must be at least 1, got 0"),
+        (_batch(lambda: ControlSpec("bogus")), "unknown control kind 'bogus'"),
+        (_batch(increments="sobol"), "unknown increment kind 'sobol'"),
+        (_batch(lambda: ControlSpec("constant")), "constant control needs a sigma"),
+        (_batch(lambda: ControlSpec("extremal")), "extremal control needs a hedge field"),
+        (_batch(_other_band_hedge), "hedge field was built for different bounds"),
+        (
+            lambda: HedgeField(np.zeros((SMALL.nt + 1, SMALL.nx, 3)), SMALL, BAND, 0.0),
+            "does not fit",
+        ),
     ],
-    ids=["no-modes", "fractional-seed", "float-paths", "negative-horizon", "infinite-horizon"],
+    ids=[
+        "no-modes", "fractional-seed", "float-paths", "negative-horizon", "infinite-horizon",
+        "sigma-outside-band", "zero-paths", "unknown-control", "unknown-increments",
+        "constant-without-sigma", "extremal-without-hedge", "hedge-for-other-band",
+        "hedge-table-shape",
+    ],
 )
 def test_unusable_library_inputs_rejected(call, message):
     """Each fails with a ValueError before any work, not later or as another error."""
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 
