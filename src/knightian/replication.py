@@ -8,7 +8,9 @@ compensator accrues fastest under volatilities far from the worst case and
 vanishes along extremal paths.
 """
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -140,14 +142,15 @@ def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
     return HedgeField(table, grid, bounds, upper_value)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ControlSpec:
     """Volatility control for simulated paths.
 
     `constant` holds sigma fixed; `extremal` picks sigma_hi where the hedge
     curvature is nonnegative and sigma_lo elsewhere, the worst case for the
-    upper value.  An unknown kind, or a kind missing its sigma or hedge,
-    is rejected at construction.
+    upper value.  An unknown kind, a kind missing its sigma or hedge, a
+    sigma that is not a real number or a hedge that is not a `HedgeField`
+    is rejected at construction, and the fields cannot be reassigned.
     """
 
     kind: str
@@ -161,6 +164,11 @@ class ControlSpec:
             raise ValueError("constant control needs a sigma")
         if self.kind == "extremal" and self.hedge is None:
             raise ValueError("extremal control needs a hedge field")
+        sigma, hedge = self.sigma, self.hedge
+        if sigma is not None and (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)):
+            raise ValueError(f"control sigma must be a real number, got {sigma!r}")
+        if hedge is not None and not isinstance(hedge, HedgeField):
+            raise ValueError(f"control hedge must be a HedgeField, got {hedge!r}")
 
     @classmethod
     def constant(cls, sigma: float) -> "ControlSpec":
@@ -171,11 +179,12 @@ class ControlSpec:
         return cls("extremal", hedge=hedge)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PathBatch:
     """Recipe for simulated driver paths: control, bounds, sizes, seed and
     increment kind, checked at construction: `_check_batch`, then a constant
     sigma against the band or an extremal hedge's bounds against the batch's.
+    The fields cannot be reassigned, so the checks hold for the batch's life.
 
     No path is stored.  `replicate` and `strategy_gains` generate the paths
     chunk by chunk and consume each chunk as it is made, so whatever the
@@ -260,6 +269,21 @@ def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps
     return z
 
 
+def _chunks(paths: PathBatch):
+    """(rows, z) per chunk of a batch: the chunk's slice of path indices and
+    its (n_steps, rows) increments from `_draw_increments`.  The caller drops
+    z before asking for the next chunk, so one chunk is alive at a time."""
+    gen = np.random.Generator(np.random.Philox(key=0))
+    state = gen.bit_generator.state
+    n_steps = paths.n_steps
+    chunk = max(1, _CHUNK_BYTES // (8 * n_steps))
+    for start in range(0, paths.n_paths, chunk):
+        stop = min(start + chunk, paths.n_paths)
+        yield slice(start, stop), _draw_increments(
+            gen, state, paths.seed, start, stop, n_steps, paths.increments
+        )
+
+
 def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
     """Generate a batch chunk by chunk.
 
@@ -295,13 +319,8 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
             yield k, bk, b_next, sig, bracket
             bk = b_next
 
-    gen = np.random.Generator(np.random.Philox(key=0))
-    state = gen.bit_generator.state
-    chunk = max(1, _CHUNK_BYTES // (8 * n_steps))
-    for start in range(0, paths.n_paths, chunk):
-        stop = min(start + chunk, paths.n_paths)
-        z = _draw_increments(gen, state, paths.seed, start, stop, n_steps, paths.increments)
-        yield slice(start, stop), steps(z)
+    for rows, z in _chunks(paths):
+        yield rows, steps(z)
         del z  # left to the chunk's steps, which drop it when exhausted
 
 
@@ -344,31 +363,15 @@ class ReplicationReport:
         }
 
 
-def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationReport:
-    """Run the hedging identity along a path batch.
-
-    Per path: gap = [upper value + sum eta dB - K_T] - payoff(B_T), where the
-    upper value is the hedge field's value at the origin and the
-    compensator K accrues (worst-case flux of twice the curvature minus
-    curvature times realized variance) * dt, a nonnegative amount each step.
-    Paths leaving the grid are excluded from the statistics.
-
-    The paths are generated and consumed chunk by chunk; per step, delta,
-    curvature and an extremal control all read one interpolation bracket,
-    and delta and curvature come from one gather of the hedge table.
-    """
-    if hedge.bounds != paths.bounds:
-        raise ValueError("hedge field and paths use different bounds")
-
+def _general_route(hedge: HedgeField, paths: PathBatch):
+    """Per chunk of any batch: its rows, and per path the gains, the
+    compensator K, its least increment, whether the path stayed on the
+    grid, and its end point.  Each path-step computes one interpolation
+    bracket, shared by delta, curvature and an extremal control, and reads
+    delta and curvature with one gather of the hedge table."""
     grid = hedge.grid
-    n = paths.n_paths
     dt = paths.dt
     g = hedge.bounds.g
-    gains = np.empty(n)
-    k_acc = np.empty(n)
-    gap = np.empty(n)
-    inside = np.empty(n, dtype=bool)
-    min_inc = math.inf
     for rows, steps in _walk(paths, grid):
         size = rows.stop - rows.start
         gain = np.zeros(size)
@@ -384,10 +387,110 @@ def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationRep
             np.minimum(low, inc, out=low)
             np.minimum(b_min, b_next, out=b_min)
             np.maximum(b_max, b_next, out=b_max)
-        chunk_in = (b_min >= grid.x_min) & (b_max <= grid.x_max)
+        yield rows, gain, comp, low, (b_min >= grid.x_min) & (b_max <= grid.x_max), b_next
+
+
+def _lattice_route(hedge: HedgeField, paths: PathBatch):
+    """`_general_route`'s chunks for binary increments at a constant sigma.
+
+    Such a path is at c * j after each step, c = sigma * sqrt(dt) and j an
+    integer, so every path-step reads a function of (k, j).  The walk keeps
+    j per path, as an index into the lattice nodes a path can reach on the
+    grid and one step past it; a path beyond them has left the grid, and
+    reads the end nodes until its chunk is done.  `_bracket` runs once, on
+    those nodes.  For each run of steps on one hedge layer, one gather of
+    the layer builds two rows, delta times c and the compensator increment,
+    on the nodes the chunk's paths occupy and as far as they walk in the
+    run.  Each path-step gathers from both rows and moves j by its
+    increment.
+    """
+    grid = hedge.grid
+    n, dt = paths.n_steps, paths.dt
+    sigma = paths.control.sigma
+    g = hedge.bounds.g
+    c = sigma * math.sqrt(dt)
+    # nodes to the last one within each edge and one past it, or all n; every
+    # node beyond lies a whole c past the edge, so rounding leaves it off the grid
+    below, above = (
+        n if c * n <= edge else min(n, int(edge / c) + 1) for edge in (-grid.x_min, grid.x_max)
+    )
+    nodes = c * np.arange(-below, above + 1)
+    bracket = _bracket(grid, nodes)
+    on_grid = np.flatnonzero((nodes >= grid.x_min) & (nodes <= grid.x_max))
+    first, last = on_grid[0], on_grid[-1]
+    top = nodes.size - 1
+
+    def layer_of(k):
+        return layer_at_or_below(k * dt, hedge.bounds.horizon, grid.nt)
+
+    eta_c = np.zeros(nodes.size)
+    inc = np.zeros(nodes.size)
+    for rows, z in _chunks(paths):
+        size = rows.stop - rows.start
+        gain = np.zeros(size)
+        comp = np.zeros(size)
+        low = np.full(size, math.inf)
+        read = np.empty(size)
+        j = np.full(size, below)  # nodes[below] is the origin
+        j_min = j.copy()
+        j_max = j.copy()
+        start = 0
+        for layer, run in itertools.groupby(range(n), layer_of):
+            stop = start + sum(1 for _ in run)
+            # the rows reach as far as the paths walk before the layer is left
+            walk = stop - 1 - start
+            near = slice(max(j.min() - walk, 0), min(j.max() + walk, top) + 1)
+            eta, phi = _sample(hedge.table, layer, [part[near] for part in bracket])
+            np.multiply(eta, c, out=eta_c[near])
+            np.multiply(g(2.0 * phi) - phi * (sigma * sigma), dt, out=inc[near])
+            for k in range(start, stop):
+                step = z[k]
+                eta_c.take(j, out=read, mode="clip")
+                read *= step
+                gain += read
+                inc.take(j, out=read, mode="clip")
+                comp += read
+                np.minimum(low, read, out=low)
+                j += step
+                np.minimum(j_min, j, out=j_min)
+                np.maximum(j_max, j, out=j_max)
+            start = stop
+        del z, step  # freed before the next chunk is drawn
+        yield rows, gain, comp, low, (j_min >= first) & (j_max <= last), c * (j - below)
+
+
+def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationReport:
+    """Run the hedging identity along a path batch.
+
+    Per path: gap = [upper value + sum eta dB - K_T] - payoff(B_T), where the
+    upper value is the hedge field's value at the origin and the
+    compensator K accrues (worst-case flux of twice the curvature minus
+    curvature times realized variance) * dt, a nonnegative amount each step.
+    Paths leaving the grid are excluded from the statistics.
+
+    The paths are generated and consumed chunk by chunk.  Binary paths at a
+    constant sigma walk their lattice (`_lattice_route`): `_bracket` runs
+    once, on the lattice nodes, and each path-step gathers two rows built
+    per step.  Any other batch takes `_general_route`, one bracket per
+    path-step.  On the lattice a path's position is c * j rather than a
+    running sum of +-c, and its gain (eta * c) * z rather than
+    eta * (b_next - b_k), so the two routes differ by ulps.
+    """
+    if hedge.bounds != paths.bounds:
+        raise ValueError("hedge field and paths use different bounds")
+
+    n = paths.n_paths
+    lattice = paths.control.kind == "constant" and paths.increments == "binary"
+    route = _lattice_route if lattice else _general_route
+    gains = np.empty(n)
+    k_acc = np.empty(n)
+    gap = np.empty(n)
+    inside = np.empty(n, dtype=bool)
+    min_inc = math.inf
+    for rows, gain, comp, low, chunk_in, b_end in route(hedge, paths):
         if chunk_in.any():
             min_inc = min(min_inc, float(low[chunk_in].min()))
-        gap[rows] = (hedge.upper_value + gain - comp) - evaluate(expr, b_next)
+        gap[rows] = (hedge.upper_value + gain - comp) - evaluate(expr, b_end)
         gains[rows] = gain
         k_acc[rows] = comp
         inside[rows] = chunk_in
