@@ -55,10 +55,11 @@ _FIELD_LAYERS = 4
 
 # march work per payoff column, nt * m * (nx + _SUBSTEP_NODES), checked before
 # marching.  Sized from a sub-step cost of up to 28 us of dispatch (nx = 3) plus
-# 8 ns per node, so dispatch counts as 3500 node updates.  With one flux for
-# every mode a one-column sub-step costs about 19 us at nx = 3 and 9-10 us at
-# nx = 401 (2-core Xeon VM, numpy 2.4.6), so the costliest march admitted, at
-# nx = 3, took 40 s, and a march of the whole budget at nx = 401 about 20 s.
+# 8 ns per node, so dispatch counts as 3500 node updates.  With seven ufuncs a
+# one-column sub-step costs about 11-12 us at nx = 3 and 8 us at nx = 401
+# (2-core Xeon VM, numpy 2.4.6, timed over whole marches of the budget), so
+# the costliest march admitted, at nx = 3, took 24-26 s, and 99% of the
+# budget at nx = 401 took 16 s.
 WORK_BUDGET = 7_500_000_000
 _SUBSTEP_NODES = 3500
 
@@ -112,15 +113,18 @@ class Mode:
     def __post_init__(self):
         if self.kind not in ("upper", "lower", "fixed"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
+        sigma = self.sigma
+        if sigma is not None and (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)):
+            raise ValueError(f"mode sigma must be a real number, got {sigma!r}")
         if self.kind == "fixed":
-            if self.sigma is None or not self.sigma > 0.0:
+            if sigma is None or not sigma > 0.0:
                 raise ValueError("fixed mode needs a positive sigma")
-        elif self.sigma is not None:
+        elif sigma is not None:
             raise ValueError(f"{self.kind} mode takes no sigma")
 
     @classmethod
     def fixed(cls, sigma: float) -> "Mode":
-        return cls("fixed", float(sigma))
+        return cls("fixed", sigma)
 
 
 UPPER = Mode("upper")
@@ -244,12 +248,20 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
     A stack is marched in blocks of _MARCH_ROWS columns, each row times each
     mode's sign, mode-major, as a contiguous (nx, columns) array: the slices
     v[2:], v[1:-1] and v[:-2] are then contiguous, and every sub-step runs in
-    place through two buffers.  Each operation is one that the update
-    v += dtau * flux((v+ - 2 v + v-) / dx^2) performs, in the same order, so
-    every row is bit-identical to that update of it alone, signed zeros too.
+    place through two buffers.  A sub-step is seven ufuncs, the update
+    v += max(d k_lo, d k_hi) with the curvature d = (v+ - v) + (v- - v) and
+    flux coefficients k = sigma^2 / 2 * (1 / dx^2) * dtau multiplied out once
+    per march, so every row is bit-identical to that update of it alone,
+    signed zeros too.  The curvature rounds once where neighbours lie within
+    a factor two of each other (both differences are then exact, by
+    Sterbenz's lemma).  This grouping and this rounding of k keep the gaps
+    that `implementability` reads off the endowments within 2.5e-16 of a
+    march of the net trades on the example economies; (v+ + v-) - v - v
+    gives 1.9e-15 there, and k rounded as the kernel's
+    sigma^2 / 2 * dtau / dx^2 gives 9e-16.
 
-    Each mode's flux takes its own band's coefficients (sigma_lo^2 / 2,
-    sigma_hi^2 / 2), and m and dtau depend only on sigma_hi of `bounds`, so a
+    Each mode's flux takes its own band's coefficients (sigma_lo and
+    sigma_hi), and m and dtau depend only on sigma_hi of `bounds`, so a
     column marched beside modes of other bands does the arithmetic of its
     march alone.  Modes that share a band take the coefficients as scalars;
     modes that do not, as two (nx - 2, columns) arrays per block, one
@@ -258,11 +270,6 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
     """
     for mode in modes:
         _check_mode(mode, bounds)
-    band = (bounds.sigma_lo, bounds.sigma_hi)
-    coeffs = [
-        tuple(0.5 * s**2 for s in ((mode.sigma,) * 2 if mode.kind == "fixed" else band))
-        for mode in modes
-    ]
     term = np.asarray(term, dtype=float)
     if term.ndim not in (1, 2) or term.shape[-1] != grid.nx:
         raise ValueError(f"terminal values must have shape ({grid.nx},) or (k, {grid.nx})")
@@ -270,6 +277,14 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
 
     m, dtau = _substeps(bounds, grid)
     inv_dx2 = 1.0 / grid.dx**2
+    band = (bounds.sigma_lo, bounds.sigma_hi)
+    coeffs = [
+        tuple(
+            0.5 * s**2 * inv_dx2 * dtau
+            for s in ((mode.sigma,) * 2 if mode.kind == "fixed" else band)
+        )
+        for mode in modes
+    ]
     signs = np.array([-1.0 if mode.kind == "lower" else 1.0 for mode in modes])
     nodes = grid.nodes
 
@@ -286,28 +301,26 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
         a = np.empty_like(mid)
         b = np.empty_like(mid)
         if len(set(coeffs)) == 1:
-            c_lo, c_hi = coeffs[0]
+            k_lo, k_hi = coeffs[0]
         else:  # one coefficient per column, mode-major as the columns are
-            c_lo, c_hi = (np.repeat(np.repeat(c, width)[None], len(mid), 0) for c in zip(*coeffs))
+            k_lo, k_hi = (np.repeat(np.repeat(c, width)[None], len(mid), 0) for c in zip(*coeffs))
         # ufuncs take their output positionally (cheaper per call), except
         # np.maximum, which deprecates that form
         for k in range(grid.nt, -1, -1):
             for _ in range(m if k < grid.nt else 0):  # layer nt is the payoff
-                np.multiply(mid, 2.0, a)
-                np.subtract(up, a, a)
-                np.add(a, down, a)
-                np.multiply(a, inv_dx2, a)
-                np.multiply(a, c_lo, b)
-                np.multiply(a, c_hi, a)
+                np.subtract(up, mid, a)
+                np.subtract(down, mid, b)
+                np.add(a, b, a)
+                np.multiply(a, k_lo, b)
+                np.multiply(a, k_hi, a)
                 np.maximum(a, b, out=a)
-                np.multiply(a, dtau, a)
                 np.add(mid, a, mid)
             if layer is not None:
                 layer(k, _signed(v[:, 0], signs[0], k < grid.nt))
         for i, sign in enumerate(signs):
             values = _signed(v[:, i * width : (i + 1) * width], sign, True)
             out[i, start : start + width] = [np.interp(0.0, nodes, col) for col in values.T]
-        del v, up, mid, down, a, b, c_lo, c_hi, values  # freed before the next block's are made
+        del v, up, mid, down, a, b, k_lo, k_hi, values  # freed before the next block's are made
     return out[:, 0].tolist() if term.ndim == 1 else out
 
 

@@ -172,7 +172,7 @@ class ControlSpec:
 
     @classmethod
     def constant(cls, sigma: float) -> "ControlSpec":
-        return cls("constant", sigma=float(sigma))
+        return cls("constant", sigma=sigma)
 
     @classmethod
     def extremal(cls, hedge: HedgeField) -> "ControlSpec":

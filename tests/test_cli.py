@@ -793,7 +793,7 @@ class TestDeterminism:
         }
         assert digests == {
             "equilibrium.csv": "123e4b7359211bdb323c2d848c3d35a45e116e5036e2e62c21a277e9c230508b",
-            "implementability.csv": "83351f090dd7f2f22031ba1c9ab0d77dcc762c983c37f18e79b40eed37f5b48f",
+            "implementability.csv": "2bcd7347fa863eef656b7dfa1dd4a0686fe08858e97ce7d80cff5835b8c381de",
         }
 
 

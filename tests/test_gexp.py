@@ -452,21 +452,36 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def reference_lower_field(term, bounds, grid):
-    """Reference lower march with its own flux, the band's infimum
-    0.5 * (lo2 * d2+ - hi2 * d2-), independent of the upper march."""
+def reference_substeps(bounds, grid):
+    """Sub-steps m per time step and the sub-step dtau, by the march's rule:
+    enough to keep sigma_hi^2 dtau <= dx^2."""
     dt = bounds.horizon / grid.nt
     m = max(1, math.ceil(bounds.sigma_hi**2 * dt / grid.dx**2 - 1e-12))
-    dtau = dt / m
-    inv_dx2 = 1.0 / grid.dx**2
-    hi2, lo2 = bounds.sigma_hi**2, bounds.sigma_lo**2
+    return m, dt / m
+
+
+def flux_coefficient(sigma, dtau, grid):
+    """sigma^2 / 2 * dtau / dx^2, multiplied out in the march's order."""
+    return 0.5 * sigma**2 * (1.0 / grid.dx**2) * dtau
+
+
+def curvature(v):
+    """(v+ - v) + (v- - v) over the interior of the last axis."""
+    return (v[..., 2:] - v[..., 1:-1]) + (v[..., :-2] - v[..., 1:-1])
+
+
+def reference_lower_field(term, bounds, grid):
+    """Reference lower march with its own flux, the band's infimum
+    k_lo d+ - k_hi d-, independent of the upper march."""
+    m, dtau = reference_substeps(bounds, grid)
+    k_lo, k_hi = (flux_coefficient(s, dtau, grid) for s in (bounds.sigma_lo, bounds.sigma_hi))
     values = np.empty((grid.nt + 1, grid.nx))
     values[grid.nt] = term
     v = np.array(term, dtype=float)
     for k in range(grid.nt, 0, -1):
         for _ in range(m):
-            d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_dx2
-            v[1:-1] += dtau * (0.5 * (lo2 * np.maximum(d2, 0.0) - hi2 * np.maximum(-d2, 0.0)))
+            d = curvature(v)
+            v[1:-1] += k_lo * np.maximum(d, 0.0) - k_hi * np.maximum(-d, 0.0)
         values[k - 1] = v
     return values
 
@@ -556,26 +571,24 @@ def row_major_march(term, bounds, grid, mode, layers=None):
     """Reference march: the row-major update of a (nx,) vector or a (k, nx)
     stack, one allocating ufunc expression per sub-step, with the textbook
     flux written out here rather than taken from the code under test."""
-    dt = bounds.horizon / grid.nt
-    m = max(1, math.ceil(bounds.sigma_hi**2 * dt / grid.dx**2 - 1e-12))
-    dtau = dt / m
-    inv_dx2 = 1.0 / grid.dx**2
+    m, dtau = reference_substeps(bounds, grid)
     if mode.kind == "fixed":
-        def flux(d2):
-            return np.multiply(0.5 * mode.sigma**2, d2)
-    else:
-        hi2, lo2 = bounds.sigma_hi**2, bounds.sigma_lo**2
+        k_fixed = flux_coefficient(mode.sigma, dtau, grid)
 
-        def flux(d2):
-            return 0.5 * (hi2 * np.maximum(d2, 0.0) - lo2 * np.maximum(-d2, 0.0))
+        def flux(d):
+            return np.multiply(k_fixed, d)
+    else:
+        k_lo, k_hi = (flux_coefficient(s, dtau, grid) for s in (bounds.sigma_lo, bounds.sigma_hi))
+
+        def flux(d):
+            return k_hi * np.maximum(d, 0.0) - k_lo * np.maximum(-d, 0.0)
     lower = mode.kind == "lower"
     v = -term if lower else np.array(term, dtype=float)
     if layers is not None:
         layers[grid.nt] = v
     for k in range(grid.nt, 0, -1):
         for _ in range(m):
-            d2 = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) * inv_dx2
-            v[..., 1:-1] += dtau * flux(d2)
+            v[..., 1:-1] += flux(curvature(v))
         if layers is not None:
             layers[k - 1] = v
     if lower:
@@ -667,6 +680,39 @@ class TestNodeMajorMarch:
             for mode, values in zip((UPPER, LOWER), both, strict=True):
                 assert same_bits(values, origins(row_major_march(stack, BAND, g, mode), g))
 
+    @pytest.mark.parametrize(
+        "modes", [(UPPER, LOWER), (UPPER, LOWER, Mode.fixed(0.7))], ids=["shared-band", "mixed-band"]
+    )
+    def test_substep_is_seven_ufuncs(self, monkeypatch, modes):
+        # the sub-step's cost as a count, not a timing: seven ufunc calls per
+        # sub-step and block, and one sign multiply per block
+        g = GridSpec(-1.0, 1.0, 5, 3)
+        m, _ = gexp._substeps(BAND, g)
+        assert m == 2
+        stack = np.stack([g.nodes**2, -g.nodes, np.abs(g.nodes)])
+        monkeypatch.setattr(gexp, "_MARCH_ROWS", len(modes))  # one row per block
+        calls = dict.fromkeys(("add", "subtract", "multiply", "maximum"), 0)
+
+        def counting(name, ufunc):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return ufunc(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        gexp._march(stack, BAND, g, modes)
+        blocks = len(stack)
+        substeps = g.nt * m * blocks
+        assert calls == {
+            "add": 2 * substeps,
+            "subtract": 2 * substeps,
+            "multiply": 2 * substeps + blocks,
+            "maximum": substeps,
+        }
+        assert sum(calls.values()) == 7 * g.nt * m * blocks + blocks
+
     def test_input_untouched(self):
         stack = np.stack([MARCH_GRID.nodes**2, -MARCH_GRID.nodes])
         before = stack.copy()
@@ -717,17 +763,24 @@ class TestNodeMajorMarch:
 
     @pytest.mark.parametrize(
         "x_min, x_max, spikes",
-        [(-5.0, 7.0, (1,)), (-5.0, 7.0, (1, 2)), (-6.0, 6.0, (3,))],
+        [
+            (-5.0, 7.0, {1: 1e308}),
+            (-5.0, 7.0, {0: -1e308, 1: 1e308, 2: 1e308, 3: -1e308}),
+            (-6.0, 6.0, {3: 1e308}),
+        ],
         ids=["one-end", "both-ends", "next-to-node"],
     )
     def test_origin_read_past_overflow_as_np_interp(self, x_min, x_max, spikes):
-        # a spike of 1e308 overflows in one sub-step to -inf: the origin's
-        # interval then ends at -inf and a finite value, or at -inf twice, and
-        # np.interp falls back to the right end, or to the common value; an
-        # origin on a node takes that node's value whatever its neighbours
+        # a node's curvature (v+ - v) + (v- - v) overflows where its two
+        # differences sum past the float range, and the node goes to -inf in
+        # one sub-step: a spike of 1e308 between zeros, or each of two spikes
+        # side by side between nodes of -1e308.  The origin's interval then
+        # ends at -inf and a finite value, or at -inf twice, and np.interp
+        # falls back to the right end, or to the common value; an origin on a
+        # node takes that node's value whatever its neighbours
         g = GridSpec(x_min, x_max, 5, 1)
         term = np.zeros(g.nx)
-        term[list(spikes)] = 1e308
+        term[list(spikes)] = list(spikes.values())
         with np.errstate(over="ignore", invalid="ignore"):
             ref = row_major_march(term, BAND, g, UPPER)
             (value,) = gexp._march(term, BAND, g, (UPPER,))

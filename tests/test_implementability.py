@@ -480,7 +480,7 @@ IDENTITY_ECONOMIES = {
 }
 
 # the verdict read off the endowments against a march of the net trades: at
-# most 2.2e-16 apart on these economies and 3.0e-16 on these probe samples
+# most 2.5e-16 apart on these economies and 3.0e-16 on these probe samples
 # (9.9e-16 over 200-sample probes of the example economy at nx = 401)
 IDENTITY_BOUND = 1e-15
 

