@@ -7,7 +7,7 @@ from typing import Optional
 
 from .dsl import Expr, PayoffParseError, parse
 from .equilibrium import Agent, Economy, PriorSpec
-from .gexp import GridSpec, VolBounds, _substeps, check_tolerance, default_grid
+from .gexp import GridSpec, VolBounds, _store, _substeps, check_tolerance, default_grid
 from .replication import _check_batch
 
 __all__ = ["ConfigError", "McSpec", "Tolerances", "Config", "load_config"]
@@ -27,9 +27,10 @@ class McSpec:
     def __post_init__(self):
         # checked here so an oversized batch fails at load, before any allocation
         try:
-            _check_batch(self.paths, self.steps, self.seed, self.increments)
+            paths, steps, seed = _check_batch(self.paths, self.steps, self.seed, self.increments)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        _store(self, paths=paths, steps=steps, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,11 @@ class Tolerances:
 
     def __post_init__(self):
         try:
-            check_tolerance("mean_af", self.mean_af)
-            check_tolerance("equilibrium", self.equilibrium)
+            mean_af = check_tolerance("mean_af", self.mean_af)
+            equilibrium = check_tolerance("equilibrium", self.equilibrium)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        _store(self, mean_af=mean_af, equilibrium=equilibrium)
 
 
 @dataclass(eq=False)

@@ -9,6 +9,7 @@ alpha_i proportional to 1 / u_i'(p_i), and one shadow value, the common
 weighted marginal utility.  Nothing is solved node by node.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dsl import BinOp, Expr, Lit, evaluate
 from . import gexp
-from .gexp import GridSpec, VolBounds, check_tolerance
+from .gexp import GridSpec, VolBounds, _check_real, _store, check_tolerance
 
 __all__ = [
     "Utility",
@@ -66,11 +67,15 @@ class Utility:
         if takes is None:
             raise ValueError(f"unknown utility kind {self.kind!r}")
         for name in ("gamma", "a"):
-            if name not in takes and getattr(self, name) is not None:
-                raise ValueError(f"{self.kind} utility takes no {name}")
-        if self.kind == "power" and (self.gamma is None or not self.gamma > 0 or self.gamma == 1):
+            value = getattr(self, name)
+            if value is not None:
+                if name not in takes:
+                    raise ValueError(f"{self.kind} utility takes no {name}")
+                _store(self, **{name: _check_real(name, value)})
+        gamma, a = self.gamma, self.a
+        if self.kind == "power" and (gamma is None or not 0 < gamma < math.inf or gamma == 1):
             raise ValueError("power utility needs gamma > 0, gamma != 1")
-        if self.kind == "exp" and (self.a is None or not self.a > 0):
+        if self.kind == "exp" and (a is None or not 0 < a < math.inf):
             raise ValueError("exp utility needs a > 0")
 
     @classmethod
@@ -79,11 +84,11 @@ class Utility:
 
     @classmethod
     def power(cls, gamma: float) -> "Utility":
-        return cls("power", gamma=float(gamma))
+        return cls("power", gamma=gamma)
 
     @classmethod
     def exponential(cls, a: float) -> "Utility":
-        return cls("exp", a=float(a))
+        return cls("exp", a=a)
 
     def marginal(self, c):
         c = np.asarray(c, dtype=float)
@@ -104,6 +109,14 @@ class Agent:
     utility: Utility
     endowment: Expr
 
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"agent name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.utility, Utility):
+            raise ValueError(f"utility of {self.name!r} must be a Utility, got {self.utility!r}")
+        if not isinstance(self.endowment, Expr):
+            raise ValueError(f"endowment of {self.name!r} must be an Expr, got {self.endowment!r}")
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -112,12 +125,13 @@ class PriorSpec:
     sigma: float
 
     def __post_init__(self):
+        _store(self, sigma=_check_real("prior sigma", self.sigma))
         if not self.sigma > 0.0:
             raise ValueError("prior sigma must be positive")
 
     @classmethod
     def constant(cls, sigma: float) -> "PriorSpec":
-        return cls(float(sigma))
+        return cls(sigma)
 
 
 @dataclass(eq=False)
@@ -137,6 +151,9 @@ class Economy:
         self.agents = tuple(self.agents)
         if not self.agents:
             raise ValueError("economy needs at least one agent")
+        for agent in self.agents:
+            if not isinstance(agent, Agent):
+                raise ValueError(f"economy entries must be Agents, got {agent!r}")
         names = [a.name for a in self.agents]
         if len(set(names)) != len(names):
             raise ValueError("agent names must be unique")
@@ -253,7 +270,7 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     once, with the same arithmetic per economy as a solve of that economy
     alone, so every value is bit-identical to it.
     """
-    check_tolerance("budget_tol", budget_tol)
+    budget_tol = check_tolerance("budget_tol", budget_tol)
     s, n, nx = endowments.shape
     weights = gexp._fixed_kernel(prior.sigma, bounds, grid)
     prices = gexp._priced(endowments.reshape(s * n, nx), weights).reshape(s, n)

@@ -77,13 +77,13 @@ class VolBounds:
     horizon: float
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_lo <= self.sigma_hi):
+        lo, hi = _check_real("sigma_lo", self.sigma_lo), _check_real("sigma_hi", self.sigma_hi)
+        if not (0.0 < lo <= hi):
             raise ValueError("need 0 < sigma_lo <= sigma_hi")
         # `*`, not `**`: a float power past the range raises OverflowError
-        if not math.isfinite(self.sigma_hi * self.sigma_hi):
-            raise ValueError(f"sigma_hi {self.sigma_hi!r} squared overflows a float")
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError("horizon must be finite and positive")
+        if not math.isfinite(hi * hi):
+            raise ValueError(f"sigma_hi {hi!r} squared overflows a float")
+        _store(self, sigma_lo=lo, sigma_hi=hi, horizon=check_tolerance("horizon", self.horizon))
 
     def g(self, a):
         """Worst-case diffusion flux, Peng's generator
@@ -113,13 +113,12 @@ class Mode:
     def __post_init__(self):
         if self.kind not in ("upper", "lower", "fixed"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
-        sigma = self.sigma
-        if sigma is not None and (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)):
-            raise ValueError(f"mode sigma must be a real number, got {sigma!r}")
+        if self.sigma is not None:
+            _store(self, sigma=_check_real("mode sigma", self.sigma))
         if self.kind == "fixed":
-            if sigma is None or not sigma > 0.0:
+            if self.sigma is None or not self.sigma > 0.0:
                 raise ValueError("fixed mode needs a positive sigma")
-        elif sigma is not None:
+        elif self.sigma is not None:
             raise ValueError(f"{self.kind} mode takes no sigma")
 
     @classmethod
@@ -141,10 +140,11 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
-        if not (self.x_min < 0.0 < self.x_max):
+        x_min, x_max = _check_real("x_min", self.x_min), _check_real("x_max", self.x_max)
+        if not (x_min < 0.0 < x_max):
             raise ValueError("grid must straddle the origin (x_min < 0 < x_max)")
-        _check_integer("nx", self.nx, 3)
-        _check_integer("nt", self.nt, 1)
+        nx, nt = _check_integer("nx", self.nx, 3), _check_integer("nt", self.nt, 1)
+        _store(self, x_min=x_min, x_max=x_max, nx=nx, nt=nt)
         if not 0.0 < self.dx * self.dx < math.inf:
             raise ValueError(f"node spacing {self.dx!r} and its square must be finite and positive")
         if _FIELD_LAYERS * 8 * (self.nt + 1) * self.nx > MEMORY_BUDGET:
@@ -172,12 +172,29 @@ class GridSpec:
         return edges
 
 
-def _check_integer(name: str, value, least: int):
-    """Reject a count that is not an integer (a bool is not one) or is below `least`."""
+def _check_integer(name: str, value, least: int) -> int:
+    """`value` as an int, unless it is not an integer (a bool is not one) or is below `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """`value` as a float, unless it is not a real number (a bool is not one) or overflows one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} lies past the float range") from None
+
+
+def _store(frozen, **checked):
+    """Write checked values back onto the fields of a frozen dataclass."""
+    for name, value in checked.items():
+        object.__setattr__(frozen, name, value)
 
 
 def _finite(values, what: str):
@@ -214,10 +231,12 @@ def _substeps(bounds: VolBounds, grid: GridSpec) -> tuple:
     return m, dt / m
 
 
-def check_tolerance(name: str, tol: float):
-    """Reject a tolerance that is not finite and positive (NaN fails every comparison)."""
+def check_tolerance(name: str, tol: float) -> float:
+    """`tol` as a float, unless it is not a finite, positive real number (NaN fails every test)."""
+    tol = _check_real(name, tol)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+    return tol
 
 
 def _check_mode(mode: Mode, bounds: VolBounds):
@@ -466,8 +485,7 @@ class GridFunction:
     horizon: float
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError("horizon must be finite and positive")
+        self.horizon = check_tolerance("horizon", self.horizon)
         shape = (self.grid.nt + 1, self.grid.nx, 2)
         if np.shape(self.table) != shape:
             raise ValueError(f"a table of shape {np.shape(self.table)} does not fit a {shape} grid")
@@ -552,10 +570,11 @@ def tree_expectation(
     fixed mode is a plain binomial evaluation at the given sigma.  A start or
     payoff value on the lattice that is not finite raises ValueError.
     """
-    _check_integer("steps", steps, 1)
+    steps = _check_integer("steps", steps, 1)
     if steps > MAX_TREE_STEPS:
         raise ValueError(f"steps must lie in 1..{MAX_TREE_STEPS}")
     _check_mode(mode, bounds)
+    start = _check_real("start", start)
     if not math.isfinite(start):
         raise ValueError(f"start must be finite, got {start!r}")
 
@@ -617,5 +636,5 @@ def mean_ambiguity_gap(
     within `tol`, which must be finite and positive, classifies the payoff
     as mean-ambiguity-free.
     """
-    check_tolerance("tol", tol)
+    tol = check_tolerance("tol", tol)
     return GapResult.of(*_march(_terminal_of(payoff, grid), bounds, grid, (UPPER, LOWER)), tol)

@@ -22,7 +22,8 @@ from .equilibrium import (
     _solve_stack,
     require_constant_aggregate,
 )
-from .gexp import MEMORY_BUDGET, GapResult, _check_integer, check_tolerance, mean_ambiguity_gap
+from .gexp import MEMORY_BUDGET, GapResult, _check_integer, _check_real, _store
+from .gexp import check_tolerance, mean_ambiguity_gap
 
 __all__ = [
     "AgentVerdict",
@@ -63,6 +64,7 @@ def implementability(endowments, prices, shadow, bounds, grid, tol: float) -> Ga
     full-insurance economies, their gaps and verdicts, as (s, n) arrays, from
     (s, n, nx) endowments, (s, n) prices and (s,) shadow values: one march of
     the endowments, upper = shadow (p - lower(e)), lower = shadow (p - upper(e))."""
+    tol = check_tolerance("tol", tol)
     s, n, nx = endowments.shape
     res = mean_ambiguity_gap(endowments.reshape(s * n, nx), bounds, grid, tol)
     upper = shadow[:, None] * (prices - res.lower.reshape(s, n))
@@ -72,6 +74,7 @@ def implementability(endowments, prices, shadow, bounds, grid, tol: float) -> Ga
 
 def check_implementability(result: EquilibriumResult, tol: float = 1e-3) -> ImplementabilityVerdict:
     """Equilibrium is implementable when every net trade is mean-ambiguity-free."""
+    tol = check_tolerance("tol", tol)
     economy = result.economy
     stacked = (economy.endowment_values[None], result.consumption[None], np.array([result.shadow]))
     res = implementability(*stacked, economy.bounds, economy.grid, tol)
@@ -90,6 +93,7 @@ class Perturbation:
     def __post_init__(self):
         if self.family not in ("bump", "ramp"):
             raise ValueError(f"unknown perturbation family {self.family!r}")
+        _store(self, amplitude=_check_real("amplitude", self.amplitude))
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
@@ -196,9 +200,9 @@ def genericity_probe(
     if economy.n_agents != 2:
         raise ValueError("the probe redraws a two-agent endowment split")
     require_constant_aggregate(economy)
-    _check_integer("n_samples", n_samples, 1)
-    _check_integer("seed", seed, 0)
-    check_tolerance("tol", tol)
+    n_samples = _check_integer("n_samples", n_samples, 1)
+    seed = _check_integer("seed", seed, 0)
+    tol = check_tolerance("tol", tol)
     per_sample = 8 * _PROBE_ROWS * economy.n_agents * economy.grid.nx + _SAMPLE_BYTES
     if n_samples * per_sample > MEMORY_BUDGET:
         raise ValueError(f"{n_samples} samples exceed the memory budget of {MEMORY_BUDGET} bytes")

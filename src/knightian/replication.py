@@ -10,7 +10,6 @@ vanishes along extremal paths.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -25,8 +24,10 @@ from .gexp import (
     VolBounds,
     _bracket,
     _check_integer,
+    _check_real,
     _march,
     _sample,
+    _store,
     layer_at_or_below,
 )
 
@@ -63,10 +64,11 @@ _MASK64 = (1 << 64) - 1
 _PATH_BYTES = 64
 
 
-def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> None:
-    """Reject batches the walk cannot run or cannot keep statistics for, before allocating."""
-    for name, value, least in (("paths", n_paths, 1), ("steps", n_steps, 1), ("seed", seed, 0)):
-        _check_integer(name, value, least)
+def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> tuple:
+    """The three counts as ints, unless the walk cannot run the batch or keep its statistics."""
+    n_paths = _check_integer("paths", n_paths, 1)
+    n_steps = _check_integer("steps", n_steps, 1)
+    seed = _check_integer("seed", seed, 0)
     if n_paths >= _MAX_PATHS:
         raise ValueError(
             f"{n_paths} paths would overlap the next seed's substreams; at most {_MAX_PATHS - 1}"
@@ -79,6 +81,7 @@ def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> None
         raise ValueError(f"seed must lie in [0, 2**96), got {seed}")
     if increments not in ("binary", "gaussian"):
         raise ValueError(f"unknown increment kind {increments!r}")
+    return n_paths, n_steps, seed
 
 
 @dataclass(eq=False)
@@ -164,11 +167,10 @@ class ControlSpec:
             raise ValueError("constant control needs a sigma")
         if self.kind == "extremal" and self.hedge is None:
             raise ValueError("extremal control needs a hedge field")
-        sigma, hedge = self.sigma, self.hedge
-        if sigma is not None and (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)):
-            raise ValueError(f"control sigma must be a real number, got {sigma!r}")
-        if hedge is not None and not isinstance(hedge, HedgeField):
-            raise ValueError(f"control hedge must be a HedgeField, got {hedge!r}")
+        if self.sigma is not None:
+            _store(self, sigma=_check_real("control sigma", self.sigma))
+        if self.hedge is not None and not isinstance(self.hedge, HedgeField):
+            raise ValueError(f"control hedge must be a HedgeField, got {self.hedge!r}")
 
     @classmethod
     def constant(cls, sigma: float) -> "ControlSpec":
@@ -201,7 +203,8 @@ class PathBatch:
     increments: str
 
     def __post_init__(self):
-        _check_batch(self.n_paths, self.n_steps, self.seed, self.increments)
+        paths, steps, seed = _check_batch(self.n_paths, self.n_steps, self.seed, self.increments)
+        _store(self, n_paths=paths, n_steps=steps, seed=seed)
         if self.control.kind == "constant":
             self.bounds.check_sigma(self.control.sigma, "constant control sigma")
         elif self.control.hedge.bounds != self.bounds:
@@ -551,6 +554,7 @@ def exp_martingale_transform(
     The loading must be finite and stay at least `floor` away from zero in
     absolute value on the whole grid.
     """
+    floor = _check_real("floor", floor)
     if not floor > 0.0:
         raise ValueError("floor must be positive")
     if theta.grid != loading.grid or theta.horizon != loading.horizon:

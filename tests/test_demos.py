@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, and
+importing the package leaves the command line out."""
 
 import os
 import subprocess
@@ -18,3 +19,14 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_leaves_the_command_line_out():
+    # a fresh `import knightian` is what the benchmark's setup_s times
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, knightian; print(sorted({'knightian.cli', 'argparse', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -238,6 +239,22 @@ class TestUpperLower:
 
 
 class TestVolBounds:
+    @pytest.mark.parametrize(
+        "value", [1, 0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)],
+        ids=["int", "float", "float64", "float32", "fraction"],
+    )
+    def test_real_fields_stored_as_python_floats(self, value):
+        bounds = VolBounds(value, value, value)
+        for stored in (bounds.sigma_lo, bounds.sigma_hi, bounds.horizon):
+            assert type(stored) is float and stored == float(value)
+
+    def test_float32_sigma_marches_as_its_float64_value(self):
+        # the march runs on the float the check returned, not in float32
+        g = GridSpec(-6.0, 6.0, 101, 50)
+        narrow = expectation(EXAMPLE, BAND, g, Mode.fixed(np.float32(0.7)))
+        wide = expectation(EXAMPLE, BAND, g, Mode.fixed(float(np.float32(0.7))))
+        assert same_bits(narrow, wide)
+
     def test_flux_on_signed_zeros_subnormals_and_infinities(self):
         # G(a) = max(a sigma_hi^2 / 2, a sigma_lo^2 / 2) on BAND (sigma_hi^2 / 2
         # = 1/2, sigma_lo^2 / 2 = 1/8): it keeps the sign of a zero, and a

@@ -282,7 +282,7 @@ def test_one_march_per_batched_call(monkeypatch, n_agents):
 PROBE_GRID = GridSpec(-6.0, 6.0, 101, 50)
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1e-3, 0.0, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, -1e-3, 0.0, math.inf, True, "0.1"])
 @pytest.mark.parametrize(
     "call",
     [
@@ -295,13 +295,15 @@ PROBE_GRID = GridSpec(-6.0, 6.0, 101, 50)
     ids=["gap-tol", "implement-tol", "equilibrium-budget_tol", "probe-tol", "probe-budget_tol"],
 )
 def test_nonsense_tolerance_rejected_before_any_march(monkeypatch, call, bad):
-    """A tolerance that is not finite and positive raises ValueError up
-    front, as the config loader rejects it, rather than passing or failing
-    every comparison (NaN) or surfacing as a NegishiError."""
+    """A tolerance that is not a finite and positive real number (a bool or
+    a string is not one) raises ValueError up front, as the config loader
+    rejects it, rather than passing or failing every comparison (NaN or
+    True, read as 1) or surfacing as a NegishiError or TypeError."""
     econ = example_economy(grid=PROBE_GRID)
     res = solve_equilibrium(econ, PRIOR1)
     calls = counting_marches(monkeypatch)
-    with pytest.raises(ValueError, match="must be finite and positive"):
+    message = "must be a real number" if isinstance(bad, (bool, str)) else "must be finite and positive"
+    with pytest.raises(ValueError, match=message):
         call(econ, res, bad)
     # no march, and no kernel either
     assert calls == []

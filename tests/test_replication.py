@@ -11,7 +11,9 @@ import pytest
 
 from knightian import gexp, replication
 from knightian import (
+    Agent,
     ControlSpec,
+    Economy,
     GridFunction,
     GridSpec,
     HedgeField,
@@ -19,7 +21,9 @@ from knightian import (
     PathBatch,
     PriorSpec,
     SimulationError,
+    Tolerances,
     UPPER,
+    Utility,
     VolBounds,
     exp_martingale_transform,
     expectation,
@@ -32,7 +36,8 @@ from knightian import (
 )
 from knightian.cli import main
 from knightian.dsl import evaluate, parse
-from knightian.gexp import layer_at_or_below
+from knightian.gexp import check_tolerance, layer_at_or_below
+from knightian.implementability import Perturbation
 
 from helpers import BAND, example_economy, linear_split_economy, random_payoff
 
@@ -227,6 +232,19 @@ class TestReplicate:
         with pytest.raises(SimulationError, match="every path left the grid"):
             replicate(parse("x"), h, p)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_seed_reports_as_its_int(self, kind):
+        # the batch keeps the int its check returned, so the path keys are Python ints
+        expr = parse("min(exp(x), 1)")
+        h = hedge_field(expr, BAND, SMALL)
+        plain, numpy = (
+            replicate(expr, h, simulate_paths(ControlSpec.constant(0.7), BAND, 200, 16, seed=seed))
+            for seed in (1, kind(1))
+        )
+        assert type(numpy.seed) is int
+        for name in ("mean_k", "mean_gap", "se_gap"):
+            assert np.array(getattr(plain, name)).tobytes() == np.array(getattr(numpy, name)).tobytes()
+
     def test_report_dict_serializable(self, example_hedge):
         import json
 
@@ -358,12 +376,20 @@ class TestTransform:
             exp_martingale_transform(example_hedge.eta, load, floor=-1.0)
 
 
-def _paths_of(n_paths, seed):
-    return lambda: simulate_paths(ControlSpec.constant(0.7), BAND, n_paths, 16, seed=seed)
+def _paths_of(n_paths, seed, n_steps=16):
+    return lambda: simulate_paths(ControlSpec.constant(0.7), BAND, n_paths, n_steps, seed=seed)
 
 
 def _field_over(horizon):
     return lambda: GridFunction.of(np.zeros((GRID.nt + 1, GRID.nx)), GRID, horizon)
+
+
+def _transform_floor(floor):
+    def call():
+        load = GridFunction.of(np.ones((SMALL.nt + 1, SMALL.nx)), SMALL, 1.0)
+        return exp_martingale_transform(load, load, floor=floor)
+
+    return call
 
 
 def _batch(control=lambda: ControlSpec.constant(0.7), n_paths=50, increments="binary"):
@@ -421,6 +447,40 @@ def _other_band_hedge():
             lambda: HedgeField(np.zeros((SMALL.nt + 1, SMALL.nx, 3)), SMALL, BAND, 0.0),
             "does not fit",
         ),
+        (lambda: VolBounds(True, 1.0, 1.0), "sigma_lo must be a real number, got True"),
+        (lambda: VolBounds(0.5, 1.0, True), "horizon must be a real number, got True"),
+        (lambda: GridSpec(-6.0, True, 11, 10), "x_max must be a real number, got True"),
+        (lambda: PriorSpec(True), "prior sigma must be a real number, got True"),
+        (lambda: Perturbation("bump", True), "amplitude must be a real number, got True"),
+        (lambda: Tolerances(mean_af=True), "mean_af must be a real number, got True"),
+        (
+            lambda: gexp.tree_expectation(parse("x"), BAND, 4, UPPER, start=True),
+            "start must be a real number, got True",
+        ),
+        (_field_over(True), "horizon must be a real number, got True"),
+        (_transform_floor(True), "floor must be a real number, got True"),
+        (lambda: VolBounds("0.5", 1.0, 1.0), "sigma_lo must be a real number, got '0.5'"),
+        (lambda: PriorSpec("0.7"), "prior sigma must be a real number, got '0.7'"),
+        (lambda: Utility("exp", a="1"), "a must be a real number, got '1'"),
+        (lambda: Perturbation("bump", "0.1"), "amplitude must be a real number, got '0.1'"),
+        (lambda: check_tolerance("tol", "0.1"), "tol must be a real number, got '0.1'"),
+        (lambda: PriorSpec.constant("0.7"), "prior sigma must be a real number, got '0.7'"),
+        (lambda: Utility.power("2"), "gamma must be a real number, got '2'"),
+        (lambda: VolBounds(0.5, 10**400, 1.0), "sigma_hi lies past the float range"),
+        (
+            lambda: GridSpec(-6.0, 6.0, np.int64(3), np.int64(2**62)),
+            "grid exceeds the memory budget",
+        ),
+        (_paths_of(10, 1, np.int64(2**61)), "steps exceed the per-chunk budget"),
+        (lambda: Utility.exponential(math.inf), "exp utility needs a > 0"),
+        (lambda: Utility.power(math.inf), "power utility needs gamma > 0, gamma != 1"),
+        (lambda: Agent("", Utility.log(), parse("x")), "agent name must be a non-empty string"),
+        (lambda: Agent("a", "log", parse("x")), "utility of 'a' must be a Utility, got 'log'"),
+        (lambda: Agent("a", Utility.log(), "x"), "endowment of 'a' must be an Expr, got 'x'"),
+        (
+            lambda: Economy((("a", Utility.log(), parse("x")),), BAND, SMALL),
+            "economy entries must be Agents",
+        ),
     ],
     ids=[
         "no-modes", "fractional-seed", "float-paths", "negative-horizon", "infinite-horizon",
@@ -429,6 +489,13 @@ def _other_band_hedge():
         "string-sigma", "bool-sigma", "string-sigma-by-constant", "bool-sigma-by-constant",
         "string-mode-sigma", "string-mode-sigma-by-fixed", "bool-mode-sigma-by-fixed",
         "integer-hedge", "hedge-table-shape",
+        "bool-sigma-lo", "bool-horizon", "bool-x-max", "bool-prior-sigma", "bool-amplitude",
+        "bool-tolerance", "bool-tree-start", "bool-field-horizon", "bool-floor",
+        "string-sigma-lo", "string-prior-sigma", "string-utility-a", "string-amplitude",
+        "string-tolerance", "string-prior-sigma-by-constant", "string-gamma-by-power",
+        "int-past-float-range", "numpy-count-grid-budget", "numpy-count-chunk-budget",
+        "infinite-utility-a", "infinite-utility-gamma", "empty-agent-name", "string-utility",
+        "string-endowment", "tuple-economy-entry",
     ],
 )
 def test_unusable_library_inputs_rejected(call, message):
