@@ -55,11 +55,10 @@ _FIELD_LAYERS = 4
 
 # march work per payoff column, nt * m * (nx + _SUBSTEP_NODES), checked before
 # marching.  Sized from a sub-step cost of up to 28 us of dispatch (nx = 3) plus
-# 8 ns per node, so dispatch counts as 3500 node updates.  With seven ufuncs a
-# one-column sub-step costs about 11-12 us at nx = 3 and 8 us at nx = 401
-# (2-core Xeon VM, numpy 2.4.6, timed over whole marches of the budget), so
-# the costliest march admitted, at nx = 3, took 24-26 s, and 99% of the
-# budget at nx = 401 took 16 s.
+# 8 ns per node, so dispatch counts as 3500 node updates.  A one-column
+# sub-step of six ufuncs costs about 4.6-4.7 us at nx = 3 and 2.9 us at
+# nx = 401 (2-core Xeon VM, numpy 2.4.6, best of five whole marches of 1e5 and
+# 5e4 sub-steps), and the costliest march admitted, at nx = 3, took 11.4-12.1 s.
 WORK_BUDGET = 7_500_000_000
 _SUBSTEP_NODES = 3500
 
@@ -266,17 +265,22 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
 
     A stack is marched in blocks of _MARCH_ROWS columns, each row times each
     mode's sign, mode-major, as a contiguous (nx, columns) array: the slices
-    v[2:], v[1:-1] and v[:-2] are then contiguous, and every sub-step runs in
-    place through two buffers.  A sub-step is seven ufuncs, the update
-    v += max(d k_lo, d k_hi) with the curvature d = (v+ - v) + (v- - v) and
-    flux coefficients k = sigma^2 / 2 * (1 / dx^2) * dtau multiplied out once
-    per march, so every row is bit-identical to that update of it alone,
-    signed zeros too.  The curvature rounds once where neighbours lie within
-    a factor two of each other (both differences are then exact, by
-    Sterbenz's lemma).  This grouping and this rounding of k keep the gaps
-    that `implementability` reads off the endowments within 2.5e-16 of a
-    march of the net trades on the example economies; (v+ + v-) - v - v
-    gives 1.9e-15 there, and k rounded as the kernel's
+    v[1:], v[:-1] and v[1:-1] are then contiguous, and every sub-step runs in
+    place through two buffers.  A sub-step is six ufuncs, the update
+    v += max(d k_lo, d k_hi) with flux coefficients
+    k = sigma^2 / 2 * (1 / dx^2) * dtau multiplied out once per march.  The
+    first differences v+ - v are formed once into an (nx - 1, columns) buffer
+    and the curvature is d = (v+ - v) - (v - v-), read from them; the product
+    d k_lo then overwrites v - v-, which is dead by then.  As v - v- is
+    exactly -(v- - v), d is bit for bit the textbook (v+ - v) + (v- - v) but
+    for the sign of a zero d where v+ = -0 and v = v- = +0, and adding either
+    zero to that +0 node gives +0.  So every row is bit-identical to that
+    update of it alone, signed zeros too.  The curvature rounds once where
+    neighbours lie within a factor two of each other (both differences are
+    then exact, by Sterbenz's lemma).  This grouping and this rounding of k
+    keep the gaps that `implementability` reads off the endowments within
+    2.5e-16 of a march of the net trades on the example economies;
+    (v+ + v-) - v - v gives 1.9e-15 there, and k rounded as the kernel's
     sigma^2 / 2 * dtau / dx^2 gives 9e-16.
 
     Each mode's flux takes its own band's coefficients (sigma_lo and
@@ -316,9 +320,10 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
         v = np.empty((grid.nx, len(modes), width))
         np.multiply(block[:, None], signs[:, None], out=v)
         v = v.reshape(grid.nx, -1)
-        up, mid, down = v[2:], v[1:-1], v[:-2]
+        ahead, behind, mid = v[1:], v[:-1], v[1:-1]
+        diff = np.empty_like(ahead)  # v+ - v at every node but the last
+        right, left = diff[1:], diff[:-1]
         a = np.empty_like(mid)
-        b = np.empty_like(mid)
         if len(set(coeffs)) == 1:
             k_lo, k_hi = coeffs[0]
         else:  # one coefficient per column, mode-major as the columns are
@@ -327,19 +332,19 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
         # np.maximum, which deprecates that form
         for k in range(grid.nt, -1, -1):
             for _ in range(m if k < grid.nt else 0):  # layer nt is the payoff
-                np.subtract(up, mid, a)
-                np.subtract(down, mid, b)
-                np.add(a, b, a)
-                np.multiply(a, k_lo, b)
+                np.subtract(ahead, behind, diff)
+                np.subtract(right, left, a)
+                np.multiply(a, k_lo, left)  # left is dead once the curvature is formed
                 np.multiply(a, k_hi, a)
-                np.maximum(a, b, out=a)
+                np.maximum(a, left, out=a)
                 np.add(mid, a, mid)
             if layer is not None:
                 layer(k, _signed(v[:, 0], signs[0], k < grid.nt))
         for i, sign in enumerate(signs):
             values = _signed(v[:, i * width : (i + 1) * width], sign, True)
             out[i, start : start + width] = [np.interp(0.0, nodes, col) for col in values.T]
-        del v, up, mid, down, a, b, k_lo, k_hi, values  # freed before the next block's are made
+        # freed before the next block's are made
+        del v, ahead, behind, mid, diff, right, left, a, k_lo, k_hi, values
     return out[:, 0].tolist() if term.ndim == 1 else out
 
 
@@ -433,8 +438,9 @@ def _priced(term: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def layer_at_or_below(t: float, horizon: float, nt: int) -> int:
-    """Index of the stored time layer at or immediately below t; t must lie
-    in [0, horizon]."""
+    """Index of the stored time layer at or immediately below t; t must be a
+    real number in [0, horizon]."""
+    t = _check_real("time", t)
     if not 0.0 <= t <= horizon + 1e-12:
         raise ValueError(f"time {t} outside [0, {horizon}]")
     return min(nt, int(math.floor(t / (horizon / nt) + 1e-9)))
@@ -515,7 +521,12 @@ class GridFunction:
         return out
 
     def at(self, t: float, x):
-        xa = np.asarray(x, dtype=float)
+        """The field at time t and point(s) x, which must be real numbers: a
+        float for a scalar x, else an array of x's shape."""
+        xa = np.asarray(x)
+        if xa.dtype.kind not in "iuf":  # a bool, a string or an object is no point
+            raise ValueError(f"points must be real numbers, got {x!r}")
+        xa = xa.astype(float, copy=False)
         bracket = _bracket(self.grid, xa.reshape(-1))
         out = self.sample(t, bracket).reshape(xa.shape)
         return float(out) if out.ndim == 0 else out

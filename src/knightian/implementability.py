@@ -4,9 +4,10 @@ Under full insurance the net trade of agent i is shadow * (p_i - e_i), and
 it is implementable without ambiguity premia exactly when its upper and
 lower expectations agree.  Translation and positive homogeneity of the upper
 expectation give gap(trade_i) = shadow * gap(e_i), so the verdict is one
-march of the endowments; the equilibrium itself is priced by a fixed-sigma
-kernel, with no march.  The genericity probe measures how rarely it holds
-under random endowment perturbations.
+march of the endowments, of the first agent's alone when there are two; the
+equilibrium itself is priced by a fixed-sigma kernel, with no march.  The
+genericity probe measures how rarely it holds under random endowment
+perturbations.
 """
 
 import math
@@ -63,12 +64,27 @@ def implementability(endowments, prices, shadow, bounds, grid, tol: float) -> Ga
     """Upper and lower expectations of the net trades shadow * (p - e) of s
     full-insurance economies, their gaps and verdicts, as (s, n) arrays, from
     (s, n, nx) endowments, (s, n) prices and (s,) shadow values: one march of
-    the endowments, upper = shadow (p - lower(e)), lower = shadow (p - upper(e))."""
+    the endowments, upper = shadow (p - lower(e)), lower = shadow (p - upper(e)).
+
+    Two agents share a constant aggregate E, so e_2 = E - e_1, and translation
+    and lower(f) = -upper(-f) give upper(e_2) = E - lower(e_1) and lower(e_2)
+    = E - upper(e_1): only the first agent's endowments are marched, and E is
+    each economy's aggregate read at the origin as np.interp reads it.  The
+    march is monotone, so an aggregate that is flat only up to ptp(e_1 + e_2)
+    moves agent 2's expectations by at most that much, plus rounding.
+    """
     tol = check_tolerance("tol", tol)
     s, n, nx = endowments.shape
-    res = mean_ambiguity_gap(endowments.reshape(s * n, nx), bounds, grid, tol)
-    upper = shadow[:, None] * (prices - res.lower.reshape(s, n))
-    lower = shadow[:, None] * (prices - res.upper.reshape(s, n))
+    if n == 2:
+        res = mean_ambiguity_gap(endowments[:, 0], bounds, grid, tol)
+        total = np.array([np.interp(0.0, grid.nodes, e_1 + e_2) for e_1, e_2 in endowments])
+        e_upper = np.stack([res.upper, total - res.lower], axis=1)
+        e_lower = np.stack([res.lower, total - res.upper], axis=1)
+    else:
+        res = mean_ambiguity_gap(endowments.reshape(s * n, nx), bounds, grid, tol)
+        e_upper, e_lower = res.upper.reshape(s, n), res.lower.reshape(s, n)
+    upper = shadow[:, None] * (prices - e_lower)
+    lower = shadow[:, None] * (prices - e_upper)
     return GapResult.of(upper, lower, tol)
 
 
@@ -147,10 +163,9 @@ def _splits(perturbation: Perturbation, e_total: float, nodes, centers, widths):
 # per sample and agent the probe holds up to _PROBE_ROWS float64 rows of nx
 # nodes at once: the endowments, the solved samples' copy of them during the
 # gap march, and one march block's buffers; on top come about _SAMPLE_BYTES
-# of Python objects per sample (tracemalloc, 200 samples at nx = 401: 2.75
-# rows for bumps and 2.73 for ramps, all solved, 0.7 of them block buffers;
-# 2.58 and 2.53 rows for two exp(200) agents, 30 and 81 samples failed;
-# 0.26 kB of objects at nx = 11)
+# of Python objects per sample (tracemalloc, 200 samples at nx = 401: 2.74
+# rows for bumps and 2.73 for ramps, all solved; 2.58 and 2.53 rows for two
+# exp(200) agents, 30 and 81 samples failed; 0.26 kB of objects at nx = 11)
 _PROBE_ROWS = 3
 _SAMPLE_BYTES = 1024
 
@@ -192,7 +207,8 @@ def genericity_probe(
     as either outcome.  Every sample gives what `solve_equilibrium` and
     `check_implementability` give it alone, but the whole probe takes one
     fixed-sigma kernel, which prices every endowment and by linearity every
-    budget, and one march, of the solved samples' endowments for their gaps.
+    budget, and one march, of the solved samples' first endowments for both
+    agents' gaps.
     Like `solve_equilibrium`, the probe raises NonConstantEndowmentError for
     an economy whose aggregate is not flat.
     Without a `prior` the samples are priced at a constant `sigma_hi`.

@@ -744,7 +744,7 @@ class TestProbe:
         assert blob.count(b"planner weights at the simplex boundary") == 3
         assert (
             hashlib.sha256(blob).hexdigest()
-            == "c6a8438a40c9bc0074b173e41f4e561e9ebfbf10de676af4ff0c75147d6c21fd"
+            == "e2a5fab47e02f15ca0d88d04b24de7e1cdfade813f7eb5aa8fe0ac0d74ce8d19"
         )
 
 
@@ -793,7 +793,7 @@ class TestDeterminism:
         }
         assert digests == {
             "equilibrium.csv": "123e4b7359211bdb323c2d848c3d35a45e116e5036e2e62c21a277e9c230508b",
-            "implementability.csv": "2bcd7347fa863eef656b7dfa1dd4a0686fe08858e97ce7d80cff5835b8c381de",
+            "implementability.csv": "deeb21a97251ab0045781345d6f99953ebe74f0534b556c8b2c489d6fea02763",
         }
 
 

@@ -584,10 +584,13 @@ class TestBatchedMarch:
 # the node-major march kernel against the row-major update it replaces
 
 
-def row_major_march(term, bounds, grid, mode, layers=None):
+def row_major_march(term, bounds, grid, mode, layers=None, peng_flux=False):
     """Reference march: the row-major update of a (nx,) vector or a (k, nx)
-    stack, one allocating ufunc expression per sub-step, with the textbook
-    flux written out here rather than taken from the code under test."""
+    stack, one allocating ufunc expression per sub-step, with the curvature
+    (v+ - v) + (v- - v) and the textbook flux written out here rather than
+    taken from the code under test.  With `peng_flux` a band's flux is
+    max(d k_hi, d k_lo) instead, Peng's G as `VolBounds.g` states it, which
+    rounds a subnormal product as the march does."""
     m, dtau = reference_substeps(bounds, grid)
     if mode.kind == "fixed":
         k_fixed = flux_coefficient(mode.sigma, dtau, grid)
@@ -598,6 +601,8 @@ def row_major_march(term, bounds, grid, mode, layers=None):
         k_lo, k_hi = (flux_coefficient(s, dtau, grid) for s in (bounds.sigma_lo, bounds.sigma_hi))
 
         def flux(d):
+            if peng_flux:
+                return np.maximum(d * k_hi, d * k_lo)
             return k_hi * np.maximum(d, 0.0) - k_lo * np.maximum(-d, 0.0)
     lower = mode.kind == "lower"
     v = -term if lower else np.array(term, dtype=float)
@@ -700,9 +705,11 @@ class TestNodeMajorMarch:
     @pytest.mark.parametrize(
         "modes", [(UPPER, LOWER), (UPPER, LOWER, Mode.fixed(0.7))], ids=["shared-band", "mixed-band"]
     )
-    def test_substep_is_seven_ufuncs(self, monkeypatch, modes):
-        # the sub-step's cost as a count, not a timing: seven ufunc calls per
-        # sub-step and block, and one sign multiply per block
+    def test_substep_is_six_ufuncs(self, monkeypatch, modes):
+        # the sub-step's cost as a count, not a timing: six ufunc calls per
+        # sub-step and block (one first difference, the curvature from it, two
+        # flux products, their max and the update), and one sign multiply per
+        # block
         g = GridSpec(-1.0, 1.0, 5, 3)
         m, _ = gexp._substeps(BAND, g)
         assert m == 2
@@ -723,12 +730,38 @@ class TestNodeMajorMarch:
         blocks = len(stack)
         substeps = g.nt * m * blocks
         assert calls == {
-            "add": 2 * substeps,
+            "add": substeps,
             "subtract": 2 * substeps,
             "multiply": 2 * substeps + blocks,
             "maximum": substeps,
         }
-        assert sum(calls.values()) == 7 * g.nt * m * blocks + blocks
+        assert sum(calls.values()) == 6 * g.nt * m * blocks + blocks
+
+    @pytest.mark.parametrize(
+        "modes", [(UPPER, LOWER), (UPPER, LOWER, Mode.fixed(0.7))], ids=["shared-band", "mixed-band"]
+    )
+    def test_signed_zero_neighbourhoods_match_row_major_reference(self, modes):
+        # the curvature is (v+ - v) - (v - v-), the reference's (v+ - v) +
+        # (v- - v); the two differ only in the sign of a zero curvature, where
+        # the update adds it to a +0.0 node.  Every (v-, v, v+) triple of
+        # these values sits at nodes 1-3 of its own row, between frozen ends;
+        # the reference takes the march's flux, since the textbook one rounds
+        # products of 5e-324 to zeros of other signs
+        values = [0.0, 5e-324, 1.0, 1.0 + 2.0**-52, 3.0]
+        values += [-value for value in values]
+        g = GridSpec(-1.0, 1.0, 5, 3)
+        triples = np.array(np.meshgrid(values, values, values, indexing="ij")).reshape(3, -1).T
+        stack = np.zeros((len(triples), g.nx))
+        stack[:, 1:4] = triples
+        together = gexp._march(stack, BAND, g, modes)
+        for mode, marched in zip(modes, together, strict=True):
+            ref = row_major_march(stack, BAND, g, mode, peng_flux=True)
+            assert same_bits(marched, origins(ref, g))
+        for row in stack:
+            for mode in modes:
+                ref = np.empty((g.nt + 1, g.nx))
+                row_major_march(row, BAND, g, mode, ref, peng_flux=True)
+                assert same_bits(hooked_march(row, BAND, g, mode)[1], ref)
 
     def test_input_untouched(self):
         stack = np.stack([MARCH_GRID.nodes**2, -MARCH_GRID.nodes])

@@ -849,6 +849,33 @@ class TestGridFunctionInterp:
         with pytest.raises(ValueError, match="outside"):
             layer_at_or_below(t, BAND.horizon, GRID.nt)
 
+    @pytest.mark.parametrize(
+        "t, x, message",
+        [
+            (True, 0.0, "time must be a real number"),
+            ("0.5", 0.0, "time must be a real number"),
+            (None, 0.0, "time must be a real number"),
+            (0.5, "1", "points must be real numbers"),
+            (0.5, [0.0, "1"], "points must be real numbers"),
+            (0.5, [True], "points must be real numbers"),
+            (0.5, None, "points must be real numbers"),
+        ],
+        ids=["bool-t", "str-t", "none-t", "str-x", "str-in-x", "bool-x", "none-x"],
+    )
+    def test_non_numeric_query_rejected(self, t, x, message):
+        # on a 5 x 4 grid of arange(25) values these read 22.0 (True as t =
+        # 1), a TypeError from a comparison, and 14.0 (the string "1" coerced)
+        g = GridSpec(-1.0, 1.0, 5, 4)
+        field = GridFunction.of(np.arange(25.0).reshape(5, 5), g, 1.0)
+        with pytest.raises(ValueError, match=message):
+            field.at(t, x)
+        if x == 0.0:  # the rule is the layer lookup's, behind every sampler
+            with pytest.raises(ValueError, match=message):
+                field.sample(t, replication._bracket(g, np.zeros(1)))
+            with pytest.raises(ValueError, match=message):
+                layer_at_or_below(t, 1.0, g.nt)
+        assert field.at(1.0, 0.0) == 22.0 and field.at(np.float32(0.5), np.int64(1)) == 14.0
+
     @pytest.mark.parametrize("shape", [(3, 41), (41, 42), (41, 40), (42, 41), (41,), (41, 41, 1)])
     def test_values_must_fit_the_grid(self, shape):
         with pytest.raises(ValueError, match="do not fit"):
