@@ -22,7 +22,7 @@ from .dsl import parse, pretty_print
 from .equilibrium import ConvergenceError, NonConstantEndowmentError, solve_equilibrium
 from .gexp import LOWER, UPPER, GapResult, Mode, expectation, tree_expectation
 from .implementability import Perturbation, check_implementability, genericity_probe
-from .replication import ControlSpec, SimulationError, hedge_field, replicate, simulate_paths
+from .replication import ControlSpec, SimulationError, _hedge_march, replicate, simulate_paths
 
 __all__ = ["main", "build_parser"]
 
@@ -193,7 +193,8 @@ def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:
         expr = _solved_equilibrium(cfg).net_trade(args.agent)
         label = args.agent
 
-    hedge = hedge_field(expr, cfg.bounds, cfg.grid)
+    # the fixed-prior value is marched beside the hedge's upper column
+    hedge, (fixed_value,) = _hedge_march(expr, cfg.bounds, cfg.grid, (Mode.fixed(sigma),))
     paths = simulate_paths(
         ControlSpec.constant(sigma),
         cfg.bounds,
@@ -203,7 +204,6 @@ def cmd_replicate(cfg: Config, args, out_dir: Path) -> int:
         increments=cfg.mc.increments,
     )
     report = replicate(expr, hedge, paths)
-    fixed_value = expectation(expr, cfg.bounds, cfg.grid, Mode.fixed(sigma))
     upper_minus_fixed = report.upper_value - fixed_value
     identity_gap = report.mean_k - upper_minus_fixed
 

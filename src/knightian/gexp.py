@@ -557,15 +557,18 @@ def _tree_sweep(box: np.ndarray, mode: Mode, levels: int) -> np.ndarray:
     """Run `levels` backward steps of the tree recursion on a full lattice box.
 
     At each node the controller picks the low or the high move, each move
-    averaging its two children with weight one half.  Upper mode maximizes,
-    lower mode minimizes.  Entries outside the reachable set are garbage and
-    must not be read by the caller.
+    averaging its two children with weight one half, as 0.5 a + 0.5 b: for
+    finite children it cannot overflow, and it has the bits of 0.5 (a + b)
+    wherever that does not overflow and the halves are normal numbers.
+    Upper mode maximizes, lower mode minimizes.  Entries outside the
+    reachable set are garbage and must not be read by the caller.
     """
     pick = np.maximum if mode.kind == "upper" else np.minimum
     v = box
     for _ in range(levels):
-        lo_move = 0.5 * (v[2:, 1:-1] + v[:-2, 1:-1])
-        hi_move = 0.5 * (v[1:-1, 2:] + v[1:-1, :-2])
+        half = 0.5 * v
+        lo_move = half[2:, 1:-1] + half[:-2, 1:-1]
+        hi_move = half[1:-1, 2:] + half[1:-1, :-2]
         w = np.zeros_like(v)
         w[1:-1, 1:-1] = pick(lo_move, hi_move)
         v = w
@@ -595,7 +598,8 @@ def tree_expectation(
         xs = start + (2.0 * k - steps) * h
         v = _finite(evaluate(expr, xs), "payoff values on the lattice")
         for _ in range(steps):
-            v = 0.5 * (v[1:] + v[:-1])
+            v = 0.5 * v  # halves first, as `_tree_sweep` averages
+            v = v[1:] + v[:-1]
         return float(v[0])
 
     pos = _tree_positions(bounds, steps, start)

@@ -8,7 +8,6 @@ compensator accrues fastest under volatilities far from the worst case and
 vanishes along extremal paths.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -54,8 +53,11 @@ class SimulationError(RuntimeError):
 # increments are drawn for a chunk of _CHUNK_BYTES // (8 * n_steps) paths at a
 # time: one array of this many bytes of float64 gaussian increments (plus one
 # path's buffer), or an eighth of it of int8 binary ones (and while those are
-# drawn, two more arrays of that size)
+# drawn, one more array of that size)
 _CHUNK_BYTES = 16 << 20
+# the lattice walk builds its two float64 rows for a block of steps at a time,
+# as many steps as fit this many bytes of them (at least one)
+_ROW_BYTES = _CHUNK_BYTES // 64
 # path i of a seed draws from the Philox key (seed << 32) + i; keys hold 128 bits
 _MAX_PATHS = 1 << 32
 _MAX_SEED = 1 << 96
@@ -120,6 +122,15 @@ def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
     the hedge table, so the value surface itself is never stored: the table
     is all of (nt + 1, nx) size that is allocated.
     """
+    hedge, _ = _hedge_march(expr, bounds, grid, ())
+    return hedge
+
+
+def _hedge_march(expr: Expr, bounds: VolBounds, grid: GridSpec, others: tuple) -> tuple:
+    """`hedge_field`, and the payoff's origin values in the modes `others`,
+    marched beside the upper column: (HedgeField, list of floats).  Each
+    column of a march does the arithmetic of its march alone, so each value
+    has the bits of its own `expectation`."""
     dx = grid.dx
     table = np.empty((grid.nt + 1, grid.nx, 4))
 
@@ -141,8 +152,10 @@ def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
             col[0] = col[1]
             col[-1] = col[-2]
 
-    (upper_value,) = _march(evaluate(expr, grid.nodes), bounds, grid, (UPPER,), differentiate)
-    return HedgeField(table, grid, bounds, upper_value)
+    upper_value, *values = _march(
+        evaluate(expr, grid.nodes), bounds, grid, (UPPER,) + others, differentiate
+    )
+    return HedgeField(table, grid, bounds, upper_value), values
 
 
 @dataclass(eq=False, frozen=True)
@@ -191,7 +204,7 @@ class PathBatch:
     No path is stored.  `replicate` and `strategy_gains` generate the paths
     chunk by chunk and consume each chunk as it is made, so whatever the
     batch size they hold one chunk of increments: one `_CHUNK_BYTES` array
-    of float64 gaussian ones, or an eighth of that of int8 binary ones (three
+    of float64 gaussian ones, or an eighth of that of int8 binary ones (two
     such byte arrays while a binary chunk is drawn).
     """
 
@@ -215,15 +228,6 @@ class PathBatch:
         return self.bounds.horizon / self.n_steps
 
 
-def _transpose_bytes(a: np.ndarray) -> np.ndarray:
-    """a.T as a new C-contiguous array, for a C-contiguous (rows, 8 m) uint8
-    array: its 8-byte words are transposed as uint64 first, then the bytes
-    inside each word, several times faster than numpy's bytewise transpose."""
-    rows, width = a.shape
-    words = np.ascontiguousarray(a.view(np.uint64).T).view(np.uint8)
-    return np.ascontiguousarray(words.reshape(-1, rows, 8).transpose(0, 2, 1)).reshape(width, rows)
-
-
 def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps: int, kind: str):
     """Unit-variance increments of paths start..stop-1, step-major, shape
     (n_steps, rows): int8 signs for binary increments, float64 for gaussian.
@@ -231,20 +235,28 @@ def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps
     Path i draws from its own counter-based substream, Philox keyed
     (seed << 32) + i, so it is a pure function of (seed, i): neither the
     batch size nor the chunking reshuffles it.  One generator serves every
-    path; `state` is a fresh Philox state whose key is reset per path.
+    path; `state` is a fresh Philox state whose key is reset per path.  It
+    is copied once per chunk into Python ints and lists: Philox's state
+    setter reads those two to five times faster than numpy arrays.
 
     A binary path draws raw 64-bit words: step 2w is bit 31 of word w and
     step 2w + 1 its bit 63, the top bits of its low and high 32-bit halves.
     That is numpy's bounded-integer draw of integers(0, 2), which takes the
     low half first; test_replication.py::TestRawWordDraw pins the two equal,
-    so it is what catches a numpy change to that draw.
+    so it is what catches a numpy change to that draw.  The (rows, steps)
+    top bytes are transposed step-major in two passes, as 8-byte words and
+    then the bytes inside each word, several times faster than numpy's
+    bytewise transpose; each pass frees its input, so at most two byte
+    arrays of the chunk's size are alive.
     """
     rows = stop - start
-    key = state["state"]["key"]
+    inner = {name: np.asarray(value).tolist() for name, value in state["state"].items()}
+    state = {**state, "state": inner, "buffer": np.asarray(state["buffer"]).tolist()}
+    key = inner["key"]
     bits = gen.bit_generator
     if kind == "binary":
         # per step, the byte of its 32-bit half that holds bit 31; steps are
-        # drawn up to a multiple of 8 for _transpose_bytes, and the extra dropped
+        # drawn up to a multiple of 8 for the word transpose, and the extra dropped
         width = -(-n_steps // 8) * 8
         tops = np.empty((rows, width), dtype=np.uint8)
     else:
@@ -266,7 +278,11 @@ def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps
     if kind == "gaussian":
         return z
     tops >>= 7  # the drawn bits, 0 or 1
-    z = _transpose_bytes(tops)[:n_steps].view(np.int8)
+    words = np.ascontiguousarray(tops.view(np.uint64).T).view(np.uint8)
+    del tops
+    z = np.ascontiguousarray(words.reshape(-1, rows, 8).transpose(0, 2, 1))
+    del words
+    z = z.reshape(width, rows)[:n_steps].view(np.int8)
     z += z
     z -= 1
     return z
@@ -287,13 +303,15 @@ def _chunks(paths: PathBatch):
         )
 
 
-def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
+def _walk(paths: PathBatch, hedge: Optional[HedgeField] = None):
     """Generate a batch chunk by chunk.
 
     Yields (rows, steps) per chunk, rows being the chunk's slice of path
-    indices.  `steps` yields (k, b_k, b_{k+1}, sigma_k, bracket) for
-    k = 0 .. n_steps - 1, where bracket is b_k's interval on `grid` (None
-    without a grid) and sigma_k is a float under constant control.  A
+    indices.  `steps` yields (k, b_k, b_{k+1}, sigma_k, fields) for
+    k = 0 .. n_steps - 1, where fields is `hedge`'s delta and curvature at
+    b_k (None without a hedge) and sigma_k is a float under constant
+    control.  An extremal control whose hedge is `hedge` reads its
+    curvature from those fields, so a path-step gathers the table once.  A
     chunk's increments are freed once its steps are exhausted, before the
     next chunk is drawn.
     """
@@ -303,23 +321,29 @@ def _walk(paths: PathBatch, grid: Optional[GridSpec] = None):
     sq = math.sqrt(dt)
     if control.kind == "extremal":
         phi = control.hedge.phi_hat
-        shared = grid == phi.grid
+        own = control.hedge is hedge
+        shared = hedge is not None and hedge.grid == phi.grid
         hi, lo = paths.bounds.sigma_hi, paths.bounds.sigma_lo
 
     def steps(z):
         bk = np.zeros(z.shape[1])
         for k in range(n_steps):
-            bracket = None if grid is None else _bracket(grid, bk)
+            fields = bracket = None
+            if hedge is not None:
+                bracket = _bracket(hedge.grid, bk)
+                fields = hedge.sample(k * dt, bracket)
             if control.kind == "constant":
                 sig = control.sigma
             else:
-                own = bracket if shared else _bracket(phi.grid, bk)
-                curv = phi.sample(k * dt, own)
+                if own:
+                    curv = fields[1]
+                else:
+                    curv = phi.sample(k * dt, bracket if shared else _bracket(phi.grid, bk))
                 # ties at zero curvature take the high edge of the band
                 sig = np.where(curv >= 0.0, hi, lo)
             # a binary z[k] is int8, promoted to the same float64 signs
             b_next = bk + sig * sq * z[k]
-            yield k, bk, b_next, sig, bracket
+            yield k, bk, b_next, sig, fields
             bk = b_next
 
     for rows, z in _chunks(paths):
@@ -370,20 +394,19 @@ def _general_route(hedge: HedgeField, paths: PathBatch):
     """Per chunk of any batch: its rows, and per path the gains, the
     compensator K, its least increment, whether the path stayed on the
     grid, and its end point.  Each path-step computes one interpolation
-    bracket, shared by delta, curvature and an extremal control, and reads
-    delta and curvature with one gather of the hedge table."""
+    bracket and reads delta and curvature with one gather of the hedge
+    table, which serve an extremal control on this hedge too (`_walk`)."""
     grid = hedge.grid
     dt = paths.dt
     g = hedge.bounds.g
-    for rows, steps in _walk(paths, grid):
+    for rows, steps in _walk(paths, hedge):
         size = rows.stop - rows.start
         gain = np.zeros(size)
         comp = np.zeros(size)
         low = np.full(size, math.inf)
         b_min = np.zeros(size)
         b_max = np.zeros(size)
-        for k, bk, b_next, sig, bracket in steps:
-            eta_k, phi_k = hedge.sample(k * dt, bracket)
+        for _k, bk, b_next, sig, (eta_k, phi_k) in steps:
             gain += eta_k * (b_next - bk)
             inc = (g(2.0 * phi_k) - phi_k * (sig * sig)) * dt
             comp += inc
@@ -401,11 +424,13 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
     j per path, as an index into the lattice nodes a path can reach on the
     grid and one step past it; a path beyond them has left the grid, and
     reads the end nodes until its chunk is done.  `_bracket` runs once, on
-    those nodes.  For each run of steps on one hedge layer, one gather of
-    the layer builds two rows, delta times c and the compensator increment,
-    on the nodes the chunk's paths occupy and as far as they walk in the
-    run.  Each path-step gathers from both rows and moves j by its
-    increment.
+    those nodes, and each step's hedge layer is looked up once per batch.
+    The steps go in blocks of as many as fit `_ROW_BYTES` of two rows per
+    step, delta times c and the compensator increment: one 2-D gather of
+    the hedge table builds a block's rows, on the nodes the chunk's paths
+    occupy and as far as they walk in the block.  Each path-step gathers
+    from its two rows and moves j by its increment.  A row's value at a
+    node does not depend on the block or the chunk.
     """
     grid = hedge.grid
     n, dt = paths.n_steps, paths.dt
@@ -422,12 +447,10 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
     on_grid = np.flatnonzero((nodes >= grid.x_min) & (nodes <= grid.x_max))
     first, last = on_grid[0], on_grid[-1]
     top = nodes.size - 1
-
-    def layer_of(k):
-        return layer_at_or_below(k * dt, hedge.bounds.horizon, grid.nt)
-
-    eta_c = np.zeros(nodes.size)
-    inc = np.zeros(nodes.size)
+    layers = np.array([layer_at_or_below(k * dt, hedge.bounds.horizon, grid.nt) for k in range(n)])
+    block = max(1, _ROW_BYTES // (16 * nodes.size))
+    eta_c = np.zeros((block, nodes.size))
+    inc = np.zeros((block, nodes.size))
     for rows, z in _chunks(paths):
         size = rows.stop - rows.start
         gain = np.zeros(size)
@@ -437,27 +460,30 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
         j = np.full(size, below)  # nodes[below] is the origin
         j_min = j.copy()
         j_max = j.copy()
-        start = 0
-        for layer, run in itertools.groupby(range(n), layer_of):
-            stop = start + sum(1 for _ in run)
-            # the rows reach as far as the paths walk before the layer is left
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            # the rows reach as far as the paths walk before the block is left
             walk = stop - 1 - start
             near = slice(max(j.min() - walk, 0), min(j.max() + walk, top) + 1)
-            eta, phi = _sample(hedge.table, layer, [part[near] for part in bracket])
-            np.multiply(eta, c, out=eta_c[near])
-            np.multiply(g(2.0 * phi) - phi * (sigma * sigma), dt, out=inc[near])
+            j_near, d = (part[near] for part in bracket)
+            # (steps, nodes, 4): slope and value of delta, then of curvature
+            cells = hedge.table[layers[start:stop, None], j_near]
+            eta = cells[..., 0] * d + cells[..., 1]
+            phi = cells[..., 2] * d + cells[..., 3]
+            del cells
+            np.multiply(eta, c, out=eta_c[: stop - start, near])
+            np.multiply(g(2.0 * phi) - phi * (sigma * sigma), dt, out=inc[: stop - start, near])
             for k in range(start, stop):
                 step = z[k]
-                eta_c.take(j, out=read, mode="clip")
+                eta_c[k - start].take(j, out=read, mode="clip")
                 read *= step
                 gain += read
-                inc.take(j, out=read, mode="clip")
+                inc[k - start].take(j, out=read, mode="clip")
                 comp += read
                 np.minimum(low, read, out=low)
                 j += step
                 np.minimum(j_min, j, out=j_min)
                 np.maximum(j_max, j, out=j_max)
-            start = stop
         del z, step  # freed before the next chunk is drawn
         yield rows, gain, comp, low, (j_min >= first) & (j_max <= last), c * (j - below)
 
@@ -474,8 +500,8 @@ def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationRep
     The paths are generated and consumed chunk by chunk.  Binary paths at a
     constant sigma walk their lattice (`_lattice_route`): `_bracket` runs
     once, on the lattice nodes, and each path-step gathers two rows built
-    per step.  Any other batch takes `_general_route`, one bracket per
-    path-step.  On the lattice a path's position is c * j rather than a
+    per block of steps.  Any other batch takes `_general_route`, one bracket
+    per path-step.  On the lattice a path's position is c * j rather than a
     running sum of +-c, and its gain (eta * c) * z rather than
     eta * (b_next - b_k), so the two routes differ by ulps.
     """
@@ -583,7 +609,7 @@ def strategy_gains(strategy, paths: PathBatch, loading: Optional[GridFunction] =
     gains = np.empty(paths.n_paths)
     for rows, steps in _walk(paths):
         acc = np.zeros(rows.stop - rows.start)
-        for k, bk, b_next, _sig, _bracket in steps:
+        for k, bk, b_next, _sig, _fields in steps:
             t_k = k * dt
             s = strategy.at(t_k, bk)
             db = b_next - bk

@@ -116,6 +116,17 @@ class TestEval:
         tree = float(grab(out, "tree cross-check (steps=8):"))
         assert tree == pytest.approx(pde, abs=5e-2)
 
+    def test_tree_cross_check_of_large_payoff(self, ws, capsys):
+        # the march prices this payoff, and so does the tree: its averages
+        # cannot overflow where every lattice value is finite
+        code, out, _ = run(
+            capsys,
+            "--config", str(ws / "cfg.json"),
+            "eval", "1.7e308 - 1e300*x", "--tree-steps", "6",
+        )
+        assert code == 0
+        assert float(grab(out, "tree cross-check (steps=6):")) == pytest.approx(1.7e308, rel=1e-12)
+
     def test_parse_error_exit(self, ws, capsys):
         code, _, err = run(capsys, "--config", str(ws / "cfg.json"), "eval", "min(exp(x)")
         assert code == 2

@@ -339,6 +339,14 @@ class TestTree:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="lattice must be finite"):
             tree_expectation(parse("exp(1000 * x)"), BAND, 4, mode)
 
+    @pytest.mark.parametrize("mode", [UPPER, Mode.fixed(0.75)], ids=["upper", "fixed"])
+    def test_average_of_large_values_is_finite(self, mode):
+        # every lattice value is finite and below 1.8e308, but the sum of two
+        # of them is not: the tree halves each before adding them
+        v = tree_expectation(parse("1.7e308 - 1e300*x"), BAND, 6, mode)
+        assert math.isfinite(v)
+        assert v == pytest.approx(1.7e308, rel=1e-12)
+
     def test_start_offset(self):
         v = tree_expectation(EXAMPLE, BAND, 6, UPPER, start=3.0)
         # deep in the money the cap dominates and the value pins near 1

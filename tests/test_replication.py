@@ -670,6 +670,30 @@ class TestStreaming:
         monkeypatch.undo()
         assert bits(gains) == bits(strategy_gains(tight_hedge.eta, base_paths))
 
+    BLOCK = 8
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize(
+        "grid, n_steps",
+        [(GRID, BLOCK - 1), (GRID, BLOCK + 1), (SMALL, 47)],
+        ids=["block-below", "block-above", "steps-past-nt"],
+    )
+    def test_row_block_invariance(self, monkeypatch, grid, n_steps, rows):
+        # the lattice walk's rows are built per block of steps; on the example
+        # grid these paths reach every one of the 2 n + 1 lattice nodes, so
+        # this budget makes blocks of BLOCK steps, and on SMALL (nt = 20, fewer
+        # nodes) blocks of at least BLOCK.  Neither blocks nor chunks move a bit
+        hedge = hedge_field(EXAMPLE, BAND, grid)
+        paths = simulate_paths(ControlSpec.constant(0.75), BAND, self.N_PATHS, n_steps, seed=5)
+        base = replicate(EXAMPLE, hedge, paths)
+        monkeypatch.setattr(replication, "_ROW_BYTES", 16 * (2 * n_steps + 1) * self.BLOCK)
+        if rows is not None:
+            monkeypatch.setattr(replication, "_CHUNK_BYTES", rows * 8 * n_steps)
+        assert_reports_identical(replicate(EXAMPLE, hedge, paths), base)
+        ref = reference_replicate(EXAMPLE, hedge, *lattice_paths(0.75, self.N_PATHS, n_steps, 5))
+        for name, value in ref.items():
+            assert bits(getattr(base, name)) == bits(value), name
+
     def test_batch_holds_no_paths(self):
         p = simulate_paths(ControlSpec.constant(0.5), BAND, 1000, 64, seed=1)
         assert not [v for v in vars(p).values() if isinstance(v, np.ndarray)]
@@ -736,6 +760,23 @@ class TestLatticeWalk:
             assert bits(getattr(rep, name)) == bits(value), name
 
 
+    def test_layers_looked_up_once_per_batch(self, monkeypatch):
+        # the walk's layer schedule depends on the steps and the grid only,
+        # so five chunks look each step's layer up once, not five times
+        hedge = hedge_field(EXAMPLE, BAND, SMALL)
+        calls = []
+
+        def counted(t, horizon, nt):
+            calls.append(t)
+            return layer_at_or_below(t, horizon, nt)
+
+        monkeypatch.setattr(replication, "layer_at_or_below", counted)
+        monkeypatch.setattr(replication, "_CHUNK_BYTES", 6 * 8 * 450)
+        paths = simulate_paths(ControlSpec.constant(0.75), BAND, 30, 450, seed=3)
+        replicate(EXAMPLE, hedge, paths)
+        assert len(calls) == paths.n_steps
+
+
 class TestRawWordDraw:
     """Binary steps are read off raw Philox words; they must equal numpy's
     integers(0, 2) on the same per-path substream."""
@@ -777,15 +818,37 @@ class TestChunkFootprint:
         # three full chunks of the hedge workload's shape on the example grid
         n_steps = 512
         rows = replication._CHUNK_BYTES // (8 * n_steps)
-        # while a binary chunk is drawn, three (rows, n_steps) byte arrays are
-        # alive: the drawn top bytes, their word transpose and the int8 steps,
-        # 6 MiB here.  A gaussian chunk is one (rows, n_steps) float64 array,
-        # 16 MiB, walked through its transposed view.  On top come the
-        # per-path statistics and 32 float64 rows of a chunk (1 MiB) for the
-        # per-step arrays.  The binary peak measured 6.7 MiB; one more chunk
-        # kept alive reads 8.7 MiB, and 16 MiB float64 chunks 49.4 MiB.  The
-        # gaussian peak measured 16.9 MiB, and 32.7 MiB with a contiguous copy
-        # of the transpose.
+        # a binary chunk is allowed three (rows, n_steps) byte arrays, 6 MiB
+        # here; while it is drawn two are alive: the drawn top bytes and their
+        # word transpose, then that and the int8 steps.  A gaussian chunk is
+        # one (rows, n_steps) float64 array, 16 MiB, walked through its
+        # transposed view.  On top come the per-path statistics and 32
+        # float64 rows of a chunk (1 MiB) for the per-step arrays and the
+        # lattice walk's row blocks.  The binary peak measured 5.6 MiB on a
+        # first call and 4.8 MiB on a repeated one; one more chunk kept alive
+        # reads 6.8 MiB (test_long_batch_peak_memory catches that one), and
+        # 16 MiB float64 chunks 49.4 MiB.  The gaussian peak measured 17.0
+        # MiB, and 32.7 MiB with a contiguous copy of the transpose.
+        for increments, chunk_bytes in (("binary", 3), ("gaussian", 8)):
+            paths = simulate_paths(
+                ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1, increments=increments
+            )
+            tracemalloc.start()
+            try:
+                replicate(EXAMPLE, example_hedge, paths)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            chunk = chunk_bytes * rows * n_steps
+            bound = chunk + replication._PATH_BYTES * paths.n_paths + 32 * 8 * rows
+            assert peak <= bound, (increments, peak, bound)
+
+    def test_long_batch_peak_memory(self, example_hedge):
+        # three full chunks of 4096 steps: 512 paths each, and about 1,500
+        # lattice nodes, so the walk's rows come in blocks of 10 steps; the
+        # bound is test_replicate_peak_memory's
+        n_steps = 4096
+        rows = replication._CHUNK_BYTES // (8 * n_steps)
         for increments, chunk_bytes in (("binary", 3), ("gaussian", 8)):
             paths = simulate_paths(
                 ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1, increments=increments
