@@ -5,9 +5,9 @@ import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
-from .dsl import Expr, PayoffParseError, parse
+from .dsl import Expr, PayoffParseError, _store, parse
 from .equilibrium import Agent, Economy, PriorSpec
-from .gexp import GridSpec, VolBounds, _store, _substeps, check_tolerance, default_grid
+from .gexp import GridSpec, VolBounds, _substeps, check_tolerance, default_grid
 from .replication import _check_batch
 
 __all__ = ["ConfigError", "McSpec", "Tolerances", "Config", "load_config"]

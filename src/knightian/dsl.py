@@ -63,9 +63,11 @@ class Expr:
     """Base class of expression nodes.  Instances are frozen after creation.
 
     Building a node checks it: its children are nodes, and it keeps its
-    class's rule (`_fault`), else PayoffParseError at offset 0.  `depth`
-    counts the levels of the tree below and including the node; a node that
-    would exceed MAX_DEPTH raises ExprDepthError as it is built.
+    class's rule (`_check`), else PayoffParseError at offset 0.  A number
+    field is stored as the Python int or float that was checked, so equal
+    nodes hash and evaluate equal.  `depth` counts the levels of the tree
+    below and including the node; a node that would exceed MAX_DEPTH raises
+    ExprDepthError as it is built.
     """
 
     __slots__ = ()
@@ -74,36 +76,61 @@ class Expr:
     def _children(self) -> tuple:
         return ()
 
-    def _fault(self):
-        """Why the node's fields break its class's rule, or None."""
-        return None
+    def _check(self):
+        """Store the node's fields as checked, or ValueError saying how they
+        break its class's rule."""
 
     def __post_init__(self):
         children = self._children()
         if not all(isinstance(child, Expr) for child in children):
             raise PayoffParseError(f"{type(self).__name__} takes expression nodes", 0)
-        fault = self._fault()
-        if fault is not None:
-            raise PayoffParseError(fault, 0)
+        try:
+            self._check()
+        except ValueError as err:
+            raise PayoffParseError(str(err), 0) from None
         below = max((child.depth for child in children), default=0)
         if below >= MAX_DEPTH:
             raise ExprDepthError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
         object.__setattr__(self, "depth", below + 1)
 
 
-def _is(value, kind) -> bool:
-    """isinstance(value, kind), bools excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _check_integer(name: str, value, least: float = -math.inf) -> int:
+    """`value` as an int, unless it is not an integer (a bool is not one) or is below `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """`value` as a float, unless it is not a real number (a bool is not one) or overflows one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} lies past the float range") from None
+
+
+def _store(frozen, **checked):
+    """Write checked values back onto the fields of a frozen dataclass."""
+    for name, value in checked.items():
+        object.__setattr__(frozen, name, value)
 
 
 @dataclass(frozen=True)
 class Lit(Expr):
     value: float
 
-    def _fault(self):
-        # anything else prints as text that does not re-parse
-        if not (_is(self.value, numbers.Real) and math.isfinite(self.value)):
-            return f"literal {self.value!r} is not a finite number"
+    def _check(self):
+        try:
+            value = _check_real("literal", self.value)
+        except ValueError:  # not a real number, or past the float range
+            value = math.nan
+        if not math.isfinite(value):  # it would print as text that does not re-parse
+            raise ValueError(f"literal {self.value!r} is not a finite number")
+        _store(self, value=value)
 
 
 @dataclass(frozen=True)
@@ -128,9 +155,9 @@ class BinOp(Expr):
     def _children(self) -> tuple:
         return (self.lhs, self.rhs)
 
-    def _fault(self):
+    def _check(self):
         if self.op not in ("+", "-", "*", "/"):
-            return f"unknown operator {self.op!r}"
+            raise ValueError(f"unknown operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +168,8 @@ class Pow(Expr):
     def _children(self) -> tuple:
         return (self.base,)
 
-    def _fault(self):
-        if not _is(self.exponent, numbers.Integral):
-            return f"exponent must be an integer, got {self.exponent!r}"
+    def _check(self):
+        _store(self, exponent=_check_integer("exponent", self.exponent))
 
 
 @dataclass(frozen=True)
@@ -154,13 +180,13 @@ class Call(Expr):
     def _children(self) -> tuple:
         return self.args if isinstance(self.args, tuple) else (self.args,)
 
-    def _fault(self):
+    def _check(self):
         arity = FUNCTIONS.get(self.func) if isinstance(self.func, str) else None
         if arity is None:
-            return f"unknown function {self.func!r}"
+            raise ValueError(f"unknown function {self.func!r}")
         if len(self.args) != arity:
             plural = "s" if arity > 1 else ""
-            return f"{self.func} takes {arity} argument{plural}, got {len(self.args)}"
+            raise ValueError(f"{self.func} takes {arity} argument{plural}, got {len(self.args)}")
 
 
 _TOKEN_RE = re.compile(
@@ -380,14 +406,10 @@ def evaluate(expr: Expr, x):
     return np.full(xs.shape, _eval(expr, xs)).reshape(np.shape(x))[()]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def pretty_print(expr: Expr) -> str:
     """Canonical fully parenthesized rendering; parses back to an equal tree."""
     if isinstance(expr, Lit):
-        return _fmt(expr.value)
+        return repr(expr.value)
     if isinstance(expr, Var):
         return "x"
     if isinstance(expr, Neg):

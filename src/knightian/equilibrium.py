@@ -15,9 +15,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dsl import BinOp, Expr, Lit, evaluate
+from .dsl import BinOp, Expr, Lit, _check_real, _store, evaluate
 from . import gexp
-from .gexp import GridSpec, VolBounds, _check_real, _store, check_tolerance
+from .gexp import GridSpec, VolBounds, check_tolerance
 
 __all__ = [
     "Utility",

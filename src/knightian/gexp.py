@@ -14,13 +14,12 @@ PDE route; the two are never merged.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .dsl import Expr, evaluate
+from .dsl import Expr, _check_integer, _check_real, _store, evaluate
 
 __all__ = [
     "VolBounds",
@@ -169,31 +168,6 @@ class GridSpec:
         edges = np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
         edges.flags.writeable = False
         return edges
-
-
-def _check_integer(name: str, value, least: int) -> int:
-    """`value` as an int, unless it is not an integer (a bool is not one) or is below `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
-
-
-def _check_real(name: str, value) -> float:
-    """`value` as a float, unless it is not a real number (a bool is not one) or overflows one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} lies past the float range") from None
-
-
-def _store(frozen, **checked):
-    """Write checked values back onto the fields of a frozen dataclass."""
-    for name, value in checked.items():
-        object.__setattr__(frozen, name, value)
 
 
 def _finite(values, what: str):
@@ -381,13 +355,16 @@ def expectation(payoff, bounds: VolBounds, grid: GridSpec, mode: Union[Mode, tup
     grid: an (nx,) vector gives a float, a (k, nx) stack, marched at once, a
     (k,) array.  A tuple of modes, of any bands, is marched at once too and
     gives one value per mode.  The march reads only the origin, as np.interp
-    reads it, and builds no field and no (k, nx) output."""
+    reads it, and builds no field and no (k, nx) output.  Finite node values
+    can still overflow in the march, and an origin value that is not finite
+    raises ValueError: a library caller has no np.errstate to stop it."""
     if isinstance(mode, Mode):
-        (value,) = _march(_terminal_of(payoff, grid), bounds, grid, (mode,))
+        (value,) = expectation(payoff, bounds, grid, (mode,))
         return value
     if not mode:
         raise ValueError("expectation needs at least one mode")
-    return _march(_terminal_of(payoff, grid), bounds, grid, mode)
+    values = _march(_terminal_of(payoff, grid), bounds, grid, mode)
+    return _finite(values, "origin values of the march")
 
 
 def _fixed_kernel(sigma: float, bounds: VolBounds, grid: GridSpec) -> np.ndarray:
@@ -649,7 +626,8 @@ def mean_ambiguity_gap(
     march yields both bounds: each of its blocks takes f and -f side by side,
     with no doubled copy of the stack, and lower(f) = -upper(-f).  A gap
     within `tol`, which must be finite and positive, classifies the payoff
-    as mean-ambiguity-free.
+    as mean-ambiguity-free.  An expectation that is not finite raises
+    ValueError, never a NaN gap classified as not mean-ambiguity-free.
     """
     tol = check_tolerance("tol", tol)
-    return GapResult.of(*_march(_terminal_of(payoff, grid), bounds, grid, (UPPER, LOWER)), tol)
+    return GapResult.of(*expectation(payoff, bounds, grid, (UPPER, LOWER)), tol)

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dsl import _check_integer, _check_real, _store
 from .equilibrium import (
     Economy,
     EquilibriumResult,
@@ -23,8 +24,7 @@ from .equilibrium import (
     _solve_stack,
     require_constant_aggregate,
 )
-from .gexp import MEMORY_BUDGET, GapResult, _check_integer, _check_real, _store
-from .gexp import check_tolerance, mean_ambiguity_gap
+from .gexp import MEMORY_BUDGET, GapResult, check_tolerance, mean_ambiguity_gap
 
 __all__ = [
     "AgentVerdict",

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dsl import Expr, evaluate
+from .dsl import Expr, _check_integer, _check_real, _store, evaluate
 from .gexp import (
     MEMORY_BUDGET,
     UPPER,
@@ -22,11 +22,8 @@ from .gexp import (
     GridSpec,
     VolBounds,
     _bracket,
-    _check_integer,
-    _check_real,
     _march,
     _sample,
-    _store,
     layer_at_or_below,
 )
 
@@ -322,23 +319,21 @@ def _walk(paths: PathBatch, hedge: Optional[HedgeField] = None):
     if control.kind == "extremal":
         phi = control.hedge.phi_hat
         own = control.hedge is hedge
-        shared = hedge is not None and hedge.grid == phi.grid
         hi, lo = paths.bounds.sigma_hi, paths.bounds.sigma_lo
 
     def steps(z):
         bk = np.zeros(z.shape[1])
         for k in range(n_steps):
-            fields = bracket = None
+            fields = None
             if hedge is not None:
-                bracket = _bracket(hedge.grid, bk)
-                fields = hedge.sample(k * dt, bracket)
+                fields = hedge.sample(k * dt, _bracket(hedge.grid, bk))
             if control.kind == "constant":
                 sig = control.sigma
             else:
                 if own:
                     curv = fields[1]
                 else:
-                    curv = phi.sample(k * dt, bracket if shared else _bracket(phi.grid, bk))
+                    curv = phi.sample(k * dt, _bracket(phi.grid, bk))
                 # ties at zero curvature take the high edge of the band
                 sig = np.where(curv >= 0.0, hi, lo)
             # a binary z[k] is int8, promoted to the same float64 signs

@@ -1,10 +1,14 @@
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import knightian
 from knightian.dsl import (
     MAX_DEPTH,
     BinOp,
@@ -171,6 +175,30 @@ class TestParse:
         assert str(info.value) == f"{message} (offset 0)"
         assert not isinstance(info.value, ExprDepthError)
 
+    def test_numbers_stored_as_checked(self):
+        # a code-built node stores the Python float or int its check returned,
+        # so equal nodes hash equal and evaluate equal
+        narrow = np.float32(0.7)
+        assert type(Pow(Var(), np.int64(2)).exponent) is int
+        assert Pow(Var(), np.int64(2)) == Pow(Var(), 2)
+        assert Lit(narrow) != Lit(0.7)
+        nodes = [
+            Lit(0.7), Lit(np.float64(0.7)), Lit(Fraction(7, 10)), Lit(narrow), Lit(float(narrow)),
+            Lit(1), Lit(1.0), Pow(Var(), np.int64(2)), Pow(Var(), 2),
+        ]
+        for a in nodes:
+            for b in nodes:
+                if a == b:
+                    assert hash(a) == hash(b)
+                    assert evaluate(a, 0.5) == evaluate(b, 0.5)
+
+    def test_literal_past_float_range_refused(self):
+        # an int too large for a float is refused as any other literal is
+        value = 10**400
+        with pytest.raises(PayoffParseError) as info:
+            Lit(value)
+        assert str(info.value) == f"literal {value!r} is not a finite number (offset 0)"
+
     def test_depth_set_at_construction(self):
         # n = n + n shares one node per level: each node reads its children's
         # depth once, so building costs one step per level, not one per path
@@ -317,3 +345,21 @@ class TestPrettyPrint:
         assert parse("-3") == Lit(-3.0)
         assert parse("(-2)^2") == Pow(Lit(-2.0), 2)
         assert evaluate(parse(pretty_print(Pow(Lit(-2.0), 2))), 0.0) == 4.0
+
+
+def test_number_rule_has_one_owner():
+    # dsl holds the library's number rule (_check_integer, _check_real); no
+    # other module may name numbers.Real or numbers.Integral, so no second
+    # copy of the rule can come back
+    package = Path(knightian.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "dsl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "numbers"
+                and node.attr in ("Real", "Integral")
+            ) or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+            assert not named, f"{path.name}:{node.lineno} names the number rule outside dsl.py"

@@ -28,7 +28,7 @@ from knightian import (
     tree_expectation,
 )
 from knightian import gexp
-from knightian.dsl import evaluate, parse
+from knightian.dsl import Lit, evaluate, parse
 from knightian.gexp import MEMORY_BUDGET, _tree_positions, _tree_reachable, _tree_sweep
 
 from helpers import BAND, capped_exp_value, example_economy, example_payoff, random_payoff
@@ -245,7 +245,8 @@ class TestVolBounds:
     )
     def test_real_fields_stored_as_python_floats(self, value):
         bounds = VolBounds(value, value, value)
-        for stored in (bounds.sigma_lo, bounds.sigma_hi, bounds.horizon):
+        # a payoff literal keeps the same rule as the band
+        for stored in (bounds.sigma_lo, bounds.sigma_hi, bounds.horizon, Lit(value).value):
             assert type(stored) is float and stored == float(value)
 
     def test_float32_sigma_marches_as_its_float64_value(self):
@@ -444,6 +445,26 @@ class TestGap:
         res_e = mean_ambiguity_gap(EXAMPLE, BAND, g)
         res_a = mean_ambiguity_gap(evaluate(EXAMPLE, g.nodes), BAND, g)
         assert res_e == res_a
+
+    def test_march_overflow_raises(self):
+        # finite node values whose march overflows to NaN: a NaN gap would be
+        # classified as not mean-ambiguity-free, so the library raises where
+        # the commands' np.errstate exits 2; the errstate here only keeps the
+        # march's RuntimeWarning from failing the test first
+        g = GridSpec(-6, 6, 41, 40)
+        term = np.where(np.arange(g.nx) % 2, -1.7e308, 1.7e308)
+        stack = np.stack([np.zeros(g.nx), term])
+        calls = [
+            lambda: mean_ambiguity_gap(term, BAND, g),
+            lambda: mean_ambiguity_gap(stack, BAND, g),
+            lambda: expectation(term, BAND, g, UPPER),
+            lambda: expectation(term, BAND, g, Mode.fixed(0.7)),
+            lambda: expectation(stack, BAND, g, (UPPER, LOWER)),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in calls:
+                with pytest.raises(ValueError, match="^origin values of the march must be finite$"):
+                    call()
 
 
 class TestGridConvergence:
