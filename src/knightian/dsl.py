@@ -10,6 +10,7 @@ they can be shared freely between solver calls.
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,11 @@ class Lit(Expr):
         except ValueError:  # not a real number, or past the float range
             value = math.nan
         if not math.isfinite(value):  # it would print as text that does not re-parse
-            raise ValueError(f"literal {self.value!r} is not a finite number")
+            try:
+                shown = repr(self.value)
+            except ValueError:  # it holds an int past str()'s limit on digits
+                shown = f"of more than {sys.get_int_max_str_digits()} digits"
+            raise ValueError(f"literal {shown} is not a finite number")
         _store(self, value=value)
 
 
@@ -169,7 +174,13 @@ class Pow(Expr):
         return (self.base,)
 
     def _check(self):
-        _store(self, exponent=_check_integer("exponent", self.exponent))
+        exponent = _check_integer("exponent", self.exponent)
+        try:
+            str(exponent)  # pretty_print writes it, and the parser refuses what str() cannot
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"exponent of more than {limit} digits is too long") from None
+        _store(self, exponent=exponent)
 
 
 @dataclass(frozen=True)
@@ -184,6 +195,9 @@ class Call(Expr):
         arity = FUNCTIONS.get(self.func) if isinstance(self.func, str) else None
         if arity is None:
             raise ValueError(f"unknown function {self.func!r}")
+        if not isinstance(self.args, tuple):  # a lone node passes `_children`
+            got = type(self.args).__name__
+            raise ValueError(f"{self.func} takes a tuple of arguments, got {got}")
         if len(self.args) != arity:
             plural = "s" if arity > 1 else ""
             raise ValueError(f"{self.func} takes {arity} argument{plural}, got {len(self.args)}")

@@ -55,9 +55,9 @@ _FIELD_LAYERS = 4
 # march work per payoff column, nt * m * (nx + _SUBSTEP_NODES), checked before
 # marching.  Sized from a sub-step cost of up to 28 us of dispatch (nx = 3) plus
 # 8 ns per node, so dispatch counts as 3500 node updates.  A one-column
-# sub-step of six ufuncs costs about 4.6-4.7 us at nx = 3 and 2.9 us at
+# sub-step of six ufuncs costs about 4.2-4.3 us at nx = 3 and 2.8 us at
 # nx = 401 (2-core Xeon VM, numpy 2.4.6, best of five whole marches of 1e5 and
-# 5e4 sub-steps), and the costliest march admitted, at nx = 3, took 11.4-12.1 s.
+# 5e4 sub-steps), and the costliest march admitted, at nx = 3, took 9.1-9.8 s.
 WORK_BUDGET = 7_500_000_000
 _SUBSTEP_NODES = 3500
 
@@ -260,8 +260,9 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
     Each mode's flux takes its own band's coefficients (sigma_lo and
     sigma_hi), and m and dtau depend only on sigma_hi of `bounds`, so a
     column marched beside modes of other bands does the arithmetic of its
-    march alone.  Modes that share a band take the coefficients as scalars;
-    modes that do not, as two (nx - 2, columns) arrays per block, one
+    march alone.  Modes that share a band take the coefficients as 0-d
+    arrays, which numpy does not convert on every call as it does a Python
+    float; modes that do not, as two (nx - 2, columns) arrays per block, one
     coefficient per column (a broadcast row would run numpy's inner loop
     over a handful of columns).
     """
@@ -299,7 +300,7 @@ def _march(term: np.ndarray, bounds: VolBounds, grid: GridSpec, modes: tuple, la
         right, left = diff[1:], diff[:-1]
         a = np.empty_like(mid)
         if len(set(coeffs)) == 1:
-            k_lo, k_hi = coeffs[0]
+            k_lo, k_hi = (np.array(c) for c in coeffs[0])
         else:  # one coefficient per column, mode-major as the columns are
             k_lo, k_hi = (np.repeat(np.repeat(c, width)[None], len(mid), 0) for c in zip(*coeffs))
         # ufuncs take their output positionally (cheaper per call), except
@@ -383,7 +384,7 @@ def _fixed_kernel(sigma: float, bounds: VolBounds, grid: GridSpec) -> np.ndarray
     """
     _check_mode(Mode.fixed(sigma), bounds)
     m, dtau = _substeps(bounds, grid)
-    lam = 0.5 * sigma * sigma * dtau / (grid.dx * grid.dx)
+    lam = np.array(0.5 * sigma * sigma * dtau / (grid.dx * grid.dx))  # 0-d, as in `_march`
     (j,), (d,) = _bracket(grid, np.zeros(1))
     t = d / (grid.edges[j, 1] - grid.edges[j, 0])
     w = np.zeros(grid.nx)

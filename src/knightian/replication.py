@@ -50,11 +50,14 @@ class SimulationError(RuntimeError):
 # increments are drawn for a chunk of _CHUNK_BYTES // (8 * n_steps) paths at a
 # time: one array of this many bytes of float64 gaussian increments (plus one
 # path's buffer), or an eighth of it of int8 binary ones (and while those are
-# drawn, one more array of that size)
+# drawn, one block of _WORD_BYTES of their raw words)
 _CHUNK_BYTES = 16 << 20
 # the lattice walk builds its two float64 rows for a block of steps at a time,
 # as many steps as fit this many bytes of them (at least one)
 _ROW_BYTES = _CHUNK_BYTES // 64
+# a binary chunk's raw Philox words are held for a block of paths at a time,
+# as many paths as fit this many bytes of them (at least one)
+_WORD_BYTES = _CHUNK_BYTES // 64
 # path i of a seed draws from the Philox key (seed << 32) + i; keys hold 128 bits
 _MAX_PATHS = 1 << 32
 _MAX_SEED = 1 << 96
@@ -201,8 +204,8 @@ class PathBatch:
     No path is stored.  `replicate` and `strategy_gains` generate the paths
     chunk by chunk and consume each chunk as it is made, so whatever the
     batch size they hold one chunk of increments: one `_CHUNK_BYTES` array
-    of float64 gaussian ones, or an eighth of that of int8 binary ones (two
-    such byte arrays while a binary chunk is drawn).
+    of float64 gaussian ones, or an eighth of that of int8 binary ones (and
+    while a binary chunk is drawn, one `_WORD_BYTES` block of raw words).
     """
 
     control: ControlSpec
@@ -234,52 +237,53 @@ def _draw_increments(gen, state: dict, seed: int, start: int, stop: int, n_steps
     batch size nor the chunking reshuffles it.  One generator serves every
     path; `state` is a fresh Philox state whose key is reset per path.  It
     is copied once per chunk into Python ints and lists: Philox's state
-    setter reads those two to five times faster than numpy arrays.
+    setter reads those two to five times faster than numpy arrays.  As
+    i < 2**32, the key's upper 64-bit word is seed >> 32 for every path and
+    is set once, and its lower word is that of seed << 32, plus i.
 
-    A binary path draws raw 64-bit words: step 2w is bit 31 of word w and
-    step 2w + 1 its bit 63, the top bits of its low and high 32-bit halves.
-    That is numpy's bounded-integer draw of integers(0, 2), which takes the
-    low half first; test_replication.py::TestRawWordDraw pins the two equal,
-    so it is what catches a numpy change to that draw.  The (rows, steps)
-    top bytes are transposed step-major in two passes, as 8-byte words and
-    then the bytes inside each word, several times faster than numpy's
-    bytewise transpose; each pass frees its input, so at most two byte
-    arrays of the chunk's size are alive.
+    A binary path draws ceil(n_steps / 2) raw 64-bit words: step 2w is bit
+    31 of word w and step 2w + 1 its bit 63, the sign bits of its low and
+    high 32-bit halves.  That is numpy's bounded-integer draw of
+    integers(0, 2), which takes the low half first;
+    test_replication.py::TestRawWordDraw pins the two equal, so it is what
+    catches a numpy change to that draw.  Each path's words fill one row of
+    a little-endian (paths, words) block of at most `_WORD_BYTES`.  Per
+    block, one np.less of its 32-bit halves, read as signed ints and
+    transposed, against 0 writes their sign bits straight into a bool view
+    of the step-major int8 chunk; the chunk's 0s and 1s are then doubled
+    less one.
     """
     rows = stop - start
     inner = {name: np.asarray(value).tolist() for name, value in state["state"].items()}
     state = {**state, "state": inner, "buffer": np.asarray(state["buffer"]).tolist()}
     key = inner["key"]
+    key[1] = seed >> 32
+    first = ((seed << 32) & _MASK64) + start  # the lower key word of path start
     bits = gen.bit_generator
-    if kind == "binary":
-        # per step, the byte of its 32-bit half that holds bit 31; steps are
-        # drawn up to a multiple of 8 for the word transpose, and the extra dropped
-        width = -(-n_steps // 8) * 8
-        tops = np.empty((rows, width), dtype=np.uint8)
-    else:
+    if kind == "gaussian":
         # drawn a path at a time into one buffer, each copied into its column
         z = np.empty((n_steps, rows))
         path = np.empty(n_steps)
-    for row, i in enumerate(range(start, stop)):
-        path_key = (seed << 32) + i
-        key[0] = path_key & _MASK64
-        key[1] = path_key >> 64
-        bits.state = state
-        if kind == "binary":
-            # little-endian words: byte 3 of each 32-bit half holds its bit 31
-            words = bits.random_raw(width // 2).astype("<u8", copy=False)
-            tops[row] = words.view(np.uint8)[3::4]
-        else:
+        for row, path_key in enumerate(range(first, first + rows)):
+            key[0] = path_key
+            bits.state = state
             gen.standard_normal(n_steps, out=path)
             z[:, row] = path
-    if kind == "gaussian":
         return z
-    tops >>= 7  # the drawn bits, 0 or 1
-    words = np.ascontiguousarray(tops.view(np.uint64).T).view(np.uint8)
-    del tops
-    z = np.ascontiguousarray(words.reshape(-1, rows, 8).transpose(0, 2, 1))
-    del words
-    z = z.reshape(width, rows)[:n_steps].view(np.int8)
+    n_words = -(-n_steps // 2)
+    per = max(1, _WORD_BYTES // (8 * n_words))
+    # little-endian whatever the host, so each word's low half comes first
+    words = np.empty((min(per, rows), n_words), dtype="<u8")
+    z = np.empty((n_steps, rows), dtype=np.int8)
+    signs = z.view(np.bool_)
+    for lo in range(0, rows, per):
+        hi = min(lo + per, rows)
+        for row, path_key in enumerate(range(first + lo, first + hi)):
+            key[0] = path_key
+            bits.state = state
+            words[row] = bits.random_raw(n_words)
+        halves = words[: hi - lo].view("<i4").T[:n_steps]
+        np.less(halves, 0, out=signs[:, lo:hi])
     z += z
     z -= 1
     return z
@@ -417,35 +421,49 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
     Such a path is at c * j after each step, c = sigma * sqrt(dt) and j an
     integer, so every path-step reads a function of (k, j).  The walk keeps
     j per path, as an index into the lattice nodes a path can reach on the
-    grid and one step past it; a path beyond them has left the grid, and
-    reads the end nodes until its chunk is done.  `_bracket` runs once, on
-    those nodes, and each step's hedge layer is looked up once per batch.
-    The steps go in blocks of as many as fit `_ROW_BYTES` of two rows per
-    step, delta times c and the compensator increment: one 2-D gather of
-    the hedge table builds a block's rows, on the nodes the chunk's paths
-    occupy and as far as they walk in the block.  Each path-step gathers
-    from its two rows and moves j by its increment.  A row's value at a
-    node does not depend on the block or the chunk.
+    grid, out to the first node past each edge; `take(mode="clip")` reads
+    a path beyond them at the end node.  `_bracket` runs once, on those
+    nodes, and each step's hedge layer is looked up once per batch.  The
+    steps go in blocks of as many as fit `_ROW_BYTES` of two rows per step,
+    delta times c and the compensator increment: one 2-D gather of the
+    hedge table builds a block's rows, on the nodes on the grid that the
+    chunk's paths occupy and as far as they walk in the block.  Each
+    path-step gathers from its two rows and moves j by its increment.  A
+    row's value at a node does not depend on the block or the chunk.
+
+    A path leaves the grid exactly when it reads a node past an edge, or
+    ends on one.  The compensator rows hold NaN at those nodes, so such a
+    path's K is NaN for good, and the end node is tested once per chunk;
+    no step tracks j's range.  On the grid an increment that is not finite
+    is read as +inf instead: a path that reads one and stays on the grid
+    ends with K = +inf, not NaN, so it is kept, and `replicate` refuses its
+    statistics.
     """
     grid = hedge.grid
     n, dt = paths.n_steps, paths.dt
     sigma = paths.control.sigma
     g = hedge.bounds.g
     c = sigma * math.sqrt(dt)
-    # nodes to the last one within each edge and one past it, or all n; every
-    # node beyond lies a whole c past the edge, so rounding leaves it off the grid
-    below, above = (
-        n if c * n <= edge else min(n, int(edge / c) + 1) for edge in (-grid.x_min, grid.x_max)
-    )
+
+    def reach(edge):
+        # nodes on one side out to the first one past the edge, or all n if none is past it
+        if c * n <= edge:
+            return n
+        count = min(n, int(edge / c) + 1)
+        while count < n and c * count <= edge:
+            count += 1
+        return count
+
+    below, above = reach(-grid.x_min), reach(grid.x_max)
     nodes = c * np.arange(-below, above + 1)
     bracket = _bracket(grid, nodes)
-    on_grid = np.flatnonzero((nodes >= grid.x_min) & (nodes <= grid.x_max))
-    first, last = on_grid[0], on_grid[-1]
-    top = nodes.size - 1
+    on_grid = (nodes >= grid.x_min) & (nodes <= grid.x_max)
+    first, last = np.flatnonzero(on_grid)[[0, -1]]
     layers = np.array([layer_at_or_below(k * dt, hedge.bounds.horizon, grid.nt) for k in range(n)])
     block = max(1, _ROW_BYTES // (16 * nodes.size))
     eta_c = np.zeros((block, nodes.size))
     inc = np.zeros((block, nodes.size))
+    inc[:, ~on_grid] = math.nan  # never rebuilt: the blocks build nodes on the grid only
     for rows, z in _chunks(paths):
         size = rows.stop - rows.start
         gain = np.zeros(size)
@@ -453,13 +471,11 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
         low = np.full(size, math.inf)
         read = np.empty(size)
         j = np.full(size, below)  # nodes[below] is the origin
-        j_min = j.copy()
-        j_max = j.copy()
         for start in range(0, n, block):
             stop = min(start + block, n)
             # the rows reach as far as the paths walk before the block is left
             walk = stop - 1 - start
-            near = slice(max(j.min() - walk, 0), min(j.max() + walk, top) + 1)
+            near = slice(max(j.min() - walk, first), min(j.max() + walk, last) + 1)
             j_near, d = (part[near] for part in bracket)
             # (steps, nodes, 4): slope and value of delta, then of curvature
             cells = hedge.table[layers[start:stop, None], j_near]
@@ -467,7 +483,11 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
             phi = cells[..., 2] * d + cells[..., 3]
             del cells
             np.multiply(eta, c, out=eta_c[: stop - start, near])
-            np.multiply(g(2.0 * phi) - phi * (sigma * sigma), dt, out=inc[: stop - start, near])
+            built = inc[: stop - start, near]
+            np.multiply(g(2.0 * phi) - phi * (sigma * sigma), dt, out=built)
+            finite = np.isfinite(built)
+            if not finite.all():
+                built[~finite] = math.inf
             for k in range(start, stop):
                 step = z[k]
                 eta_c[k - start].take(j, out=read, mode="clip")
@@ -477,10 +497,9 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
                 comp += read
                 np.minimum(low, read, out=low)
                 j += step
-                np.minimum(j_min, j, out=j_min)
-                np.maximum(j_max, j, out=j_max)
         del z, step  # freed before the next chunk is drawn
-        yield rows, gain, comp, low, (j_min >= first) & (j_max <= last), c * (j - below)
+        inside = ~np.isnan(comp) & (j >= first) & (j <= last)
+        yield rows, gain, comp, low, inside, c * (j - below)
 
 
 def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationReport:

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from knightian.dsl import (
 )
 
 from helpers import random_payoff
+
+DIGITS = sys.get_int_max_str_digits()  # the most digits str() writes of an int
 
 
 class TestParse:
@@ -160,11 +163,19 @@ class TestParse:
             (lambda: Neg(2.0), "Neg takes expression nodes"),
             (lambda: BinOp("+", Var(), 2.0), "BinOp takes expression nodes"),
             (lambda: Call("max", [Var(), Var()]), "Call takes expression nodes"),
+            (lambda: Call("exp", Var()), "exp takes a tuple of arguments, got Var"),
+            (
+                lambda: Lit(10**5000),
+                f"literal of more than {DIGITS} digits is not a finite number",
+            ),
+            (lambda: Pow(Var(), 10**5000), f"exponent of more than {DIGITS} digits is too long"),
+            (lambda: Pow(Var(), -(10**5000)), f"exponent of more than {DIGITS} digits is too long"),
         ],
         ids=[
             "operator", "arity", "function", "list-function", "fractional-exponent",
             "bool-exponent", "infinite-literal", "nan-literal", "string-literal", "neg-child",
-            "binop-child", "list-args",
+            "binop-child", "list-args", "lone-node-args", "literal-past-str-digits",
+            "exponent-past-str-digits", "negative-exponent-past-str-digits",
         ],
     )
     def test_code_built_node_checked(self, build, message):
@@ -198,6 +209,12 @@ class TestParse:
         with pytest.raises(PayoffParseError) as info:
             Lit(value)
         assert str(info.value) == f"literal {value!r} is not a finite number (offset 0)"
+
+    def test_longest_exponent_prints_and_parses_back(self):
+        # Pow admits the exponents the parser reads: up to str()'s limit on digits
+        for exponent in (10 ** (DIGITS - 1), -(10 ** (DIGITS - 1))):
+            node = Pow(Var(), exponent)
+            assert parse(pretty_print(node)) == node
 
     def test_depth_set_at_construction(self):
         # n = n + n shares one node per level: each node reads its children's

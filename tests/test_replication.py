@@ -759,6 +759,49 @@ class TestLatticeWalk:
         for name, value in ref.items():
             assert bits(getattr(rep, name)) == bits(value), name
 
+    # at 6 steps sigma 0.51 has x_max = 3c with x_max / c just below 3, so the
+    # lattice's last node on the grid is the one int(x_max / c) misses
+    EDGE_C = 0.51 * math.sqrt(BAND.horizon / 6)
+    EDGE = 3 * EDGE_C
+
+    @pytest.mark.parametrize(
+        "grid, n_steps, sigma",
+        [(GridSpec(-1.3, 1.3, 27, 20), 4, 0.75), (GridSpec(-EDGE, EDGE, 31, 20), 6, 0.51)],
+        ids=["past-the-edge-at-the-last-step", "edge-on-a-node"],
+    )
+    def test_paths_leaving_the_grid_excluded(self, grid, n_steps, sigma):
+        # 1.3 lies between 3c and 4c = 1.5, so a path leaves only by four
+        # steps one way, the last of them its last step; on the second grid a
+        # path can step past the node on the edge and come back
+        hedge = hedge_field(EXAMPLE, BAND, grid)
+        control = ControlSpec.constant(sigma)
+        paths = simulate_paths(control, BAND, self.N_PATHS, n_steps, seed=self.SEED)
+        rep = replicate(EXAMPLE, hedge, paths)
+        b, sigmas, signs = lattice_paths(sigma, self.N_PATHS, n_steps, self.SEED)
+        ref = reference_replicate(EXAMPLE, hedge, b, sigmas, signs)
+        for name, value in ref.items():
+            assert bits(getattr(rep, name)) == bits(value), name
+        off = (b < grid.x_min) | (b > grid.x_max)
+        left = off.any(axis=1)
+        assert left.any() and not left.all()
+        if n_steps == 4:
+            assert not off[:, :-1].any()
+        else:
+            assert int(self.EDGE / self.EDGE_C) == 2
+            assert (b == self.EDGE).any() and (left & ~off[:, -1]).any()
+
+    @pytest.mark.parametrize("x", [0.0, 0.9], ids=["origin", "off-origin"])
+    def test_non_finite_increment_on_the_grid_raises(self, x):
+        # a NaN curvature in the grid interval of x: the paths that read it
+        # there stay on the grid, so their K is refused, not read as having left
+        hedge = hedge_field(EXAMPLE, BAND, SMALL)
+        table = hedge.table.copy()
+        (i,), _ = replication._bracket(SMALL, np.array([x]))
+        table[:, i, 3] = math.nan
+        broken = HedgeField(table, SMALL, BAND, hedge.upper_value)
+        paths = simulate_paths(ControlSpec.constant(0.75), BAND, self.N_PATHS, 40, seed=self.SEED)
+        with pytest.raises(SimulationError, match="non-finite replication statistics"):
+            replicate(EXAMPLE, broken, paths)
 
     def test_layers_looked_up_once_per_batch(self, monkeypatch):
         # the walk's layer schedule depends on the steps and the grid only,
@@ -804,6 +847,25 @@ class TestRawWordDraw:
                 expected = 2 * self._reference(seed, i).integers(0, 2, n_steps) - 1
                 assert np.array_equal(z[:, row], expected), (row, i)
 
+    @pytest.mark.parametrize("paths_per_block", [0, 1, 3], ids=["under-one-path", "one", "three"])
+    @pytest.mark.parametrize("n_steps", [1, 3, 511])
+    def test_binary_matches_integers_across_word_blocks(
+        self, monkeypatch, paths_per_block, n_steps
+    ):
+        # words are held for a block of paths at a time: 37 paths make 37 or
+        # 13 blocks, the last one partial, and an odd step count leaves the
+        # top half of each path's last word unread
+        n_words = (n_steps + 1) // 2
+        monkeypatch.setattr(replication, "_WORD_BYTES", paths_per_block * 8 * n_words + 7)
+        seed = 2**32 + 5
+        for start, stop in ((0, 37), (2**32 - 38, 2**32 - 1)):
+            z = self._draw(seed, start, stop, n_steps, "binary")
+            assert z.dtype == np.int8 and z.flags.c_contiguous
+            assert z.shape == (n_steps, stop - start)
+            for row, i in enumerate(range(start, stop)):
+                expected = 2 * self._reference(seed, i).integers(0, 2, n_steps) - 1
+                assert np.array_equal(z[:, row], expected), (row, i)
+
     @pytest.mark.parametrize("n_steps", [1, 3, 512])
     def test_gaussian_unchanged(self, n_steps):
         seed, start, stop = 2**32 + 5, 2**32 - 4, 2**32 - 1
@@ -819,16 +881,16 @@ class TestChunkFootprint:
         n_steps = 512
         rows = replication._CHUNK_BYTES // (8 * n_steps)
         # a binary chunk is allowed three (rows, n_steps) byte arrays, 6 MiB
-        # here; while it is drawn two are alive: the drawn top bytes and their
-        # word transpose, then that and the int8 steps.  A gaussian chunk is
-        # one (rows, n_steps) float64 array, 16 MiB, walked through its
-        # transposed view.  On top come the per-path statistics and 32
-        # float64 rows of a chunk (1 MiB) for the per-step arrays and the
-        # lattice walk's row blocks.  The binary peak measured 5.6 MiB on a
-        # first call and 4.8 MiB on a repeated one; one more chunk kept alive
-        # reads 6.8 MiB (test_long_batch_peak_memory catches that one), and
-        # 16 MiB float64 chunks 49.4 MiB.  The gaussian peak measured 17.0
-        # MiB, and 32.7 MiB with a contiguous copy of the transpose.
+        # here; it is one, the int8 steps, and while it is drawn one block of
+        # raw words (_WORD_BYTES) besides.  A gaussian chunk is one (rows,
+        # n_steps) float64 array, 16 MiB, walked through its transposed view.
+        # On top come the per-path statistics and 32 float64 rows of a chunk
+        # (1 MiB) for the per-step arrays and the lattice walk's row blocks.
+        # The binary peak measured 4.0 MiB on a first call and 3.3 MiB on a
+        # repeated one, and 5.1 MiB with one more chunk kept alive, which
+        # test_binary_peak_holds_one_chunk catches.  The gaussian peak
+        # measured 17.0 MiB, and 32.7 MiB with a contiguous copy of the
+        # transpose.
         for increments, chunk_bytes in (("binary", 3), ("gaussian", 8)):
             paths = simulate_paths(
                 ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1, increments=increments
@@ -846,7 +908,8 @@ class TestChunkFootprint:
     def test_long_batch_peak_memory(self, example_hedge):
         # three full chunks of 4096 steps: 512 paths each, and about 1,500
         # lattice nodes, so the walk's rows come in blocks of 10 steps; the
-        # bound is test_replicate_peak_memory's
+        # bound is test_replicate_peak_memory's.  The binary peak measured
+        # 2.7 MiB, and 4.7 MiB with one more chunk kept alive
         n_steps = 4096
         rows = replication._CHUNK_BYTES // (8 * n_steps)
         for increments, chunk_bytes in (("binary", 3), ("gaussian", 8)):
@@ -862,6 +925,30 @@ class TestChunkFootprint:
             chunk = chunk_bytes * rows * n_steps
             bound = chunk + replication._PATH_BYTES * paths.n_paths + 32 * 8 * rows
             assert peak <= bound, (increments, peak, bound)
+
+    @pytest.mark.parametrize("n_steps", [512, 4096])
+    def test_binary_peak_holds_one_chunk(self, example_hedge, n_steps):
+        # a repeated call over three full binary chunks holds one int8 chunk,
+        # one block of raw words while it is drawn, the per-path statistics
+        # and the lattice walk's row blocks with their temporaries, within six
+        # _ROW_BYTES; measured 3.3 and 2.7 MiB against bounds of 4.5 and 3.8
+        # MiB, and 5.1 and 4.7 MiB with one more chunk kept alive
+        rows = replication._CHUNK_BYTES // (8 * n_steps)
+        paths = simulate_paths(ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1)
+        replicate(EXAMPLE, example_hedge, paths)
+        tracemalloc.start()
+        try:
+            replicate(EXAMPLE, example_hedge, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (
+            rows * n_steps
+            + replication._WORD_BYTES
+            + replication._PATH_BYTES * paths.n_paths
+            + 6 * replication._ROW_BYTES
+        )
+        assert peak <= bound, (peak, bound)
 
     def test_hedge_field_holds_four_layers(self):
         # MEMORY_BUDGET admits grids by gexp._FIELD_LAYERS float64 layers: the
