@@ -1,7 +1,6 @@
 """JSON run configuration shared by the command-line tools."""
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
@@ -67,31 +66,9 @@ class Config:
         return self.pricing_prior
 
 
-def _number(value, where: str):
-    """`value` if it is a JSON number: not a bool (an int to Python), not a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return value
-
-
-def _integer(value, where: str) -> int:
-    """An integral JSON number; 41.0 passes, 41.9, Infinity and "41" do not."""
-    if isinstance(_number(value, where), int):
-        return value
-    if not value.is_integer():
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _finite(value, where: str) -> float:
-    """A finite JSON number, as a float; an integer too large for a float is not finite."""
-    try:
-        number = float(_number(value, where))
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
+def _integer(value, where: str):
+    """An integral JSON float (41.0, 1e3) as an int; any other value as given."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _string(value, where: str) -> str:
@@ -107,15 +84,19 @@ def _payoff(value, where: str) -> Expr:
         raise ConfigError(f"{where}: {err}") from err
 
 
-# how a field's annotated type is read from JSON; every other field is a finite number
 _READERS = {int: _integer, str: _string, Expr: _payoff}
 
 
 def _read(kind, value, where: str):
-    """`value` read as a field of type `kind`; a dataclass is a nested section."""
+    """`value` read as a field of type `kind`, a dataclass as a nested section;
+    a field of any other type takes the value as given, for that type to judge."""
     if is_dataclass(kind):
         return _section(kind, value, where)
-    return _READERS.get(kind, _finite)(value, where)
+    if kind in _READERS:
+        return _READERS[kind](value, where)
+    if value is None:  # an optional field's type would read null as left out
+        raise ConfigError(f"{where} must not be null")
+    return value
 
 
 def _require_keys(obj: dict, allowed, where: str):
@@ -153,8 +134,9 @@ def load_config(path) -> Config:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read configuration: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"configuration is not valid JSON: {err}") from err
+    # JSONDecodeError, or valid JSON Python cannot read (an integer past its digit limit)
+    except ValueError as err:
+        raise ConfigError(f"configuration is not readable JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     _require_keys(raw, [f.name for f in fields(Config)], "configuration")
@@ -163,8 +145,7 @@ def load_config(path) -> Config:
         raise ConfigError("configuration needs 'bounds'")
     bounds = _section(VolBounds, raw["bounds"], "bounds", horizon=1.0)
     grid = _section(GridSpec, raw["grid"], "grid") if "grid" in raw else None
-    # checked here so that a default grid out of float range, or an
-    # over-budget march, fails at load, before any work
+    # a default grid out of float range, or an over-budget march, fails at load
     try:
         grid = grid or default_grid(bounds)
         _substeps(bounds, grid)

@@ -223,8 +223,9 @@ def solve_equilibrium(
     so by linearity the budget w . trade of the net trade shadow * (p_i - e_i)
     is shadow * p_i * (sum(w) - 1), and no trade is built.  Two checks raise
     NegishiError: prices that miss the aggregate by more than CLEARING_TOL
-    (relative to max(1, |e|)), and a budget beyond `budget_tol`, which must
-    be finite and positive (ValueError).
+    (relative to max(1, |e|)), and a budget beyond `budget_tol` (relative to
+    max(1, max_i |shadow * p_i|)), which must be finite and positive
+    (ValueError).
     """
     require_constant_aggregate(economy)
     utilities = tuple(agent.utility for agent in economy.agents)
@@ -306,11 +307,14 @@ def _solve_stack(utilities, endowments, bounds, grid, prior, budget_tol: float) 
     shadow = np.zeros(s)
     shadow[live] = 1.0 / total[live]
     # w . shadow (p - e) = shadow (p sum(w) - w . e), and w . e = p
-    residual = shadow[:, None] * prices * (weights.sum() - 1.0)
+    value = shadow[:, None] * prices
+    residual = value * (weights.sum() - 1.0)
     aggregate = endowments.sum(axis=1)
     clearing = np.max(np.abs(prices.sum(axis=1)[:, None] - aggregate), axis=1)
     tol = CLEARING_TOL * np.maximum(1.0, np.max(np.abs(aggregate), axis=1))
     check(~(clearing > tol), "endowment prices do not clear the aggregate", clearing)
+    # relative, as clearing is: both read sum(w) - 1, scaled by the economy's units
     worst = np.max(np.abs(residual), axis=1)
-    check(~(worst > budget_tol), "PDE budget check disagrees with the closed form", worst)
+    scale = np.maximum(1.0, np.max(np.abs(value), axis=1))
+    check(~(worst > budget_tol * scale), "PDE budget check disagrees with the closed form", worst)
     return _Stack(prices, alpha, shadow, residual, clearing, errors)

@@ -143,10 +143,12 @@ class GridSpec:
             raise ValueError("grid must straddle the origin (x_min < 0 < x_max)")
         nx, nt = _check_integer("nx", self.nx, 3), _check_integer("nt", self.nt, 1)
         _store(self, x_min=x_min, x_max=x_max, nx=nx, nt=nt)
+        # exact integer arithmetic, so it runs first: an nx past the float
+        # range would overflow the spacing's division
+        if _FIELD_LAYERS * 8 * (nt + 1) * nx > MEMORY_BUDGET:
+            raise ValueError(f"a {nx} x {nt} grid exceeds the memory budget")
         if not 0.0 < self.dx * self.dx < math.inf:
             raise ValueError(f"node spacing {self.dx!r} and its square must be finite and positive")
-        if _FIELD_LAYERS * 8 * (self.nt + 1) * self.nx > MEMORY_BUDGET:
-            raise ValueError(f"a {self.nx} x {self.nt} grid exceeds the memory budget")
 
     @property
     def dx(self) -> float:

@@ -177,6 +177,55 @@ class TestEval:
         assert code == 2
 
 
+# every number a configuration holds: the section its error names, and the
+# keys down to it
+NUMERIC_FIELDS = [
+    ("bounds", ("bounds", "sigma_lo")),
+    ("bounds", ("bounds", "sigma_hi")),
+    ("bounds", ("bounds", "horizon")),
+    ("grid", ("grid", "x_min")),
+    ("grid", ("grid", "x_max")),
+    ("grid", ("grid", "nx")),
+    ("grid", ("grid", "nt")),
+    ("pricing_prior", ("pricing_prior", "sigma")),
+    ("mc", ("mc", "paths")),
+    ("mc", ("mc", "steps")),
+    ("mc", ("mc", "seed")),
+    ("tolerances", ("tolerances", "mean_af")),
+    ("tolerances", ("tolerances", "equilibrium")),
+    ("agents[0]", ("agents", 0, "utility", "gamma")),
+    ("agents[1]", ("agents", 1, "utility", "a")),
+]
+# raw JSON values; 41.5 is refused by counts and by fields whose range excludes it
+CORPUS_VALUES = [
+    '"1.0"', "true", "null", "[1]", "{}", "Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400,
+    "41.5",
+]
+CORPUS_IDS = [
+    "string", "true", "null", "list", "object", "inf", "-inf", "nan", "1e400", "400-digits", "41.5",
+]
+# fields that take 41.5 (None), or whose band at 41.5 the grid's refusal names
+AT_41_5 = dict.fromkeys(["horizon", "x_max", "mean_af", "equilibrium", "gamma", "a"])
+AT_41_5["sigma_hi"] = "grid"
+
+
+def corpus_config(ws, keys, raw):
+    """The test config with agents that take `gamma` and `a`, and the raw
+    JSON text `raw` at `keys`."""
+    agents = [
+        {"name": "a1", "utility": {"kind": "power", "gamma": 2.0}, "endowment": "min(exp(x), 1)"},
+        {"name": "a2", "utility": {"kind": "exp", "a": 1.0}, "endowment": "1 - min(exp(x), 1)"},
+    ]
+    path = write_config(ws / "corpus.json", agents=agents)
+    cfg = json.loads(path.read_text())
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = "<raw>"
+    path.write_text(json.dumps(cfg).replace('"<raw>"', raw))
+    return path
+
+
 class TestConfigHandling:
     def test_config_flag_required(self, capsys):
         code, _, err = run(capsys, "eval", "x")
@@ -226,12 +275,14 @@ class TestConfigHandling:
             ("grid", {"grid": {"x_min": -1e308, "x_max": 1e308, "nx": 401, "nt": 800}}),
             # no grid: the default grid's spacing 1.5e298 squares past the range
             ("grid", {"bounds": {"sigma_lo": 1, "sigma_hi": 1e150, "horizon": 1e300}, "grid": None}),
+            ("grid", {"grid": {"x_min": -6.0, "x_max": 6.0, "nx": 10**400, "nt": 40}}),
         ],
         ids=[
             "sigma_hi-squared-overflows",
             "spacing-squared-underflows",
             "span-overflows",
             "default-spacing-squared-overflows",
+            "nx-past-float-range",
         ],
     )
     def test_band_or_grid_out_of_float_range_names_its_section(
@@ -310,7 +361,60 @@ class TestConfigHandling:
         cfg = write_config(ws / f"typed_{section}.json", **{section: values})
         code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
         assert code == 2
-        assert f"{field} must be a number" in err
+        # the field's own type judges it, in the library's wording
+        kind = "an integer" if field in ("paths", "steps", "seed", "nx") else "a real number"
+        assert err.startswith(f"error: {section}"), err
+        assert f"{field} must be {kind}, got " in err
+        assert out == ""
+
+    @pytest.mark.parametrize("raw", CORPUS_VALUES, ids=CORPUS_IDS)
+    @pytest.mark.parametrize("section, keys", NUMERIC_FIELDS, ids=[k[-1] for _, k in NUMERIC_FIELDS])
+    def test_numeric_field_corpus(self, ws, section, keys, raw):
+        """Every number in the file is judged by its type, and a value it
+        refuses leaves as a ConfigError naming the section, never as
+        another exception."""
+        cfg = corpus_config(ws, keys, raw)
+        if raw == "41.5":
+            section = AT_41_5.get(keys[-1], section)
+        if section is None:
+            load_config(cfg)
+            return
+        with pytest.raises(ConfigError) as caught:
+            load_config(cfg)
+        assert str(caught.value).startswith(section), caught.value
+
+    @pytest.mark.parametrize("name", ["gamma", "a"])
+    def test_null_utility_parameter_rejected(self, ws, name):
+        # a null parameter is not one left out: a log agent takes neither
+        cfg = corpus_config(ws, ("agents", 0, "utility"), json.dumps({"kind": "log", name: None}))
+        with pytest.raises(ConfigError, match=rf"^agents\[0\]\.utility\.{name} must not be null"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize(
+        "keys, raw, read, expected",
+        [
+            (("grid", "nx"), "41.0", lambda c: c.grid.nx, 41),
+            (("mc", "paths"), "1e3", lambda c: c.mc.paths, 1000),
+            (("mc", "seed"), "7.0", lambda c: c.mc.seed, 7),
+            (("bounds", "sigma_hi"), "1", lambda c: c.bounds.sigma_hi, 1.0),
+            (("tolerances", "mean_af"), "1", lambda c: c.tolerances.mean_af, 1.0),
+            (("agents", 0, "utility", "gamma"), "3", lambda c: c.agents[0].utility.gamma, 3.0),
+        ],
+        ids=["nx", "paths", "seed", "sigma_hi", "mean_af", "gamma"],
+    )
+    def test_integral_json_numbers_load_as_their_type(self, ws, keys, raw, read, expected):
+        value = read(load_config(corpus_config(ws, keys, raw)))
+        assert value == expected
+        assert type(value) is type(expected)
+
+    def test_integer_past_json_digit_limit_is_a_config_error(self, ws, capsys):
+        # json.load raises a plain ValueError, not a JSONDecodeError, for it
+        cfg = corpus_config(ws, ("grid", "nx"), "1" + "0" * 5000)
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+        code, out, err = run(capsys, "--config", str(cfg), "eval", "x")
+        assert code == 2
+        assert err.startswith("error: configuration"), err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -557,27 +661,34 @@ class TestImplement:
         assert all(abs(float(r[3])) <= 1e-8 for r in rows[1:])
 
 
-    def test_large_aggregate_accepted(self, ws, capsys):
-        # an aggregate of 1e6: the prices miss it by one ulp, 1.164e-10, which
-        # the solver accepts, and so must the net trades
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("scale", ["1e3", "1e6", "1e7"])
+    def test_large_aggregate_accepted(self, ws, capsys, scale, sigma):
+        # an aggregate of up to 1e7: the prices miss it by an ulp, which the
+        # solver accepts, and so must the net trades.  Each budget residual
+        # shadow * p_i * (sum(w) - 1) is in the economy's units (8.1e-10 at
+        # 1e7 and sigma 0.5), so the budget check, like clearing, is relative
         exp_agents = [
-            {"name": "a1", "utility": {"kind": "exp", "a": 1e-7}, "endowment": "1e6 * min(exp(x), 1)"},
+            {"name": "a1", "utility": {"kind": "exp", "a": 1e-7}, "endowment": f"{scale} * min(exp(x), 1)"},
             {
                 "name": "a2",
                 "utility": {"kind": "exp", "a": 1e-7},
-                "endowment": "1e6 - 1e6 * min(exp(x), 1)",
+                "endowment": f"{scale} - {scale} * min(exp(x), 1)",
             },
         ]
-        write_config(ws / "million.json", agents=exp_agents)
-        out_dir = ws / "impl_million"
-        code, out, err = run(
-            capsys,
-            "--config", str(ws / "million.json"), "--out", str(out_dir),
-            "implement",
-        )
+        cfg = write_config(ws / "large.json", agents=exp_agents, pricing_prior={"sigma": sigma})
+        out_dir = ws / "large"
+        code, _, err = run(capsys, "--config", str(cfg), "--out", str(out_dir), "equilibrium")
+        assert code == 0, err
+        code, out, err = run(capsys, "--config", str(cfg), "--out", str(out_dir), "implement")
         assert code == 0, err
         assert "IMPLEMENTABLE: no" in out
         assert len(read_csv(out_dir / "implementability.csv")) == 3
+        code, out, err = run(
+            capsys, "--config", str(cfg), "--out", str(out_dir), "probe", "--samples", "3"
+        )
+        assert code == 0, err
+        assert "solver failures 0" in out
 
 
 class TestReplicate:

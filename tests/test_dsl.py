@@ -380,3 +380,11 @@ def test_number_rule_has_one_owner():
                 and node.attr in ("Real", "Integral")
             ) or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
             assert not named, f"{path.name}:{node.lineno} names the number rule outside dsl.py"
+    # config reads JSON shapes only: each value's own type judges the number
+    for node in ast.walk(ast.parse((package / "config.py").read_text())):
+        judged = (
+            (isinstance(node, ast.Import) and any(a.name == "math" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "math")
+            or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+        )
+        assert not judged, f"config.py:{node.lineno} grows a number rule of its own"

@@ -76,6 +76,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="budget"):
             GridSpec(-6.0, 6.0, nodes // 1000 + 1, 999)
 
+    @pytest.mark.parametrize("nx", [10**320, 10**400])
+    def test_grid_past_float_range_is_over_budget(self, nx):
+        # the budget's integer arithmetic runs before the spacing's float
+        # division, which an nx past the float range would overflow
+        with pytest.raises(ValueError, match="exceeds the memory budget"):
+            GridSpec(-6.0, 6.0, nx, 40)
+
     def test_fixed_sigma_inside_band(self):
         with pytest.raises(ValueError):
             expectation(EXAMPLE, BAND, default_grid(BAND), Mode.fixed(0.3))
