@@ -95,12 +95,27 @@ class Expr:
         object.__setattr__(self, "depth", below + 1)
 
 
+def _shown(value) -> str:
+    """`value` as a refusal shows it: its repr, but an integer of more than 24
+    digits by its first 24 characters and its count of digits (past str()'s
+    limit on digits, by that limit)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return repr(value)
+    try:
+        digits = str(int(value))
+    except ValueError:  # past str()'s limit on digits
+        sign = "-" if value < 0 else ""
+        return f"{sign}... (more than {sys.get_int_max_str_digits()} digits)"
+    count = len(digits.lstrip("-"))
+    return digits if count <= 24 else f"{digits[:24]}... ({count} digits)"
+
+
 def _check_integer(name: str, value, least: float = -math.inf) -> int:
     """`value` as an int, unless it is not an integer (a bool is not one) or is below `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+        raise ValueError(f"{name} must be at least {least}, got {_shown(value)}")
     return int(value)
 
 

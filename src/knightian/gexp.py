@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .dsl import Expr, _check_integer, _check_real, _store, evaluate
+from .dsl import Expr, _check_integer, _check_real, _shown, _store, evaluate
 
 __all__ = [
     "VolBounds",
@@ -44,11 +44,11 @@ SUBSTEP_CAP = 1000
 
 MAX_TREE_STEPS = 14
 
-# memory one run may claim, checked before anything is allocated; hedging holds
-# _FIELD_LAYERS (nt + 1, nx) float64 layers at most: the hedge table, which
-# packs delta, curvature and their interval slopes, each layer derived from the
-# march as it passes, so no value surface is kept (a tracemalloc peak of 4.08
-# layers on the 401 x 800 grid)
+# memory one run may claim, checked before anything is allocated; grids are
+# admitted by _FIELD_LAYERS (nt + 1, nx) float64 layers.  The hedge table holds
+# 2: delta and curvature node values, derived from the march as it passes (a
+# tracemalloc peak of 2.01 layers on the 401 x 800 grid).  Counting 2 instead
+# of 4 would change which grids are admitted, and so which inputs exit 2
 MEMORY_BUDGET = 1 << 30
 _FIELD_LAYERS = 4
 
@@ -146,7 +146,7 @@ class GridSpec:
         # exact integer arithmetic, so it runs first: an nx past the float
         # range would overflow the spacing's division
         if _FIELD_LAYERS * 8 * (nt + 1) * nx > MEMORY_BUDGET:
-            raise ValueError(f"a {nx} x {nt} grid exceeds the memory budget")
+            raise ValueError(f"a {_shown(nx)} x {_shown(nt)} grid exceeds the memory budget")
         if not 0.0 < self.dx * self.dx < math.inf:
             raise ValueError(f"node spacing {self.dx!r} and its square must be finite and positive")
 
@@ -162,6 +162,13 @@ class GridSpec:
         return nodes
 
     @functools.cached_property
+    def widths(self) -> np.ndarray:
+        """(nx - 1,) interval widths, np.diff(nodes); built once and read-only."""
+        widths = np.diff(self.nodes)
+        widths.flags.writeable = False
+        return widths
+
+    @functools.cached_property
     def edges(self) -> np.ndarray:
         """(nx, 2) table whose row j holds nodes[j] and nodes[j + 1] (the last
         row repeats x_max), so one gather reads both ends of an interval;
@@ -170,6 +177,12 @@ class GridSpec:
         edges = np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
         edges.flags.writeable = False
         return edges
+
+
+def _check_shape(values, shape: tuple):
+    """Raise ValueError unless `values` has this shape."""
+    if np.shape(values) != shape:
+        raise ValueError(f"values of shape {np.shape(values)} do not fit a {shape} grid")
 
 
 def _finite(values, what: str):
@@ -342,9 +355,8 @@ def solve_terminal_values(
     layer: the march writes each one into the field's table as it passes."""
     if np.shape(terminal) != (grid.nx,):
         raise ValueError(f"terminal values must have shape ({grid.nx},)")
-    table = np.empty((grid.nt + 1, grid.nx, 2))
-    # layer k lands in row k of the value column
-    _march(terminal, bounds, grid, (mode,), table[..., 1].__setitem__)
+    table = np.empty((grid.nt + 1, grid.nx))
+    _march(terminal, bounds, grid, (mode,), table.__setitem__)
     return GridFunction(table, grid, bounds.horizon)
 
 
@@ -445,12 +457,25 @@ def _bracket(grid: GridSpec, x: np.ndarray):
     return j, x - np.take(edges[:, 0], j)
 
 
-def _sample(table: np.ndarray, k: int, bracket) -> list:
-    """Every field of an (nt + 1, nx, 2 f) table of f fields, each a column of
-    slopes and one of node values, at layer k and the points of a `_bracket`,
-    by np.interp's formula; one gather reads all of them."""
+def _slopes(values: np.ndarray, widths: np.ndarray, out: np.ndarray):
+    """Write np.interp's slopes of 2-D node values, along their first axis, into
+    `out`: (v[j+1] - v[j]) / widths[j], and 0 past the last node."""
+    np.subtract(values[1:], values[:-1], out[:-1])
+    np.divide(out[:-1], widths[:, None], out[:-1])
+    out[-1] = 0.0
+
+
+def _sample(table: np.ndarray, grid: GridSpec, horizon: float, t: float, bracket) -> list:
+    """Every field of an (nt + 1, nx, f) table of f fields' node values (or of
+    an (nt + 1, nx) one of one field's) at the layer at or below t and a
+    `_bracket`'s points, by np.interp's formula: one gather reads the layer's
+    values and the slopes derived beside them."""
     j, d = bracket
-    near = np.take(table[k], j, axis=0)
+    layer = table[layer_at_or_below(t, horizon, grid.nt)].reshape(grid.nx, -1)
+    cells = np.empty(layer.shape + (2,))
+    _slopes(layer, grid.widths, cells[..., 0])
+    cells[..., 1] = layer
+    near = np.take(cells.reshape(grid.nx, -1), j, axis=0)
     return [near[:, i] * d + near[:, i + 1] for i in range(0, near.shape[1], 2)]
 
 
@@ -459,11 +484,11 @@ class GridFunction:
     """Space-time field sampled like the solver stores it: the time layer at
     or below t, linear interpolation in x (clamped at the grid edges).
 
-    `table` is an (nt + 1, nx, 2) array, possibly a block of a wider one:
-    its builder fills in the node values (column 1), and construction the
-    slope of the grid interval right of each node (column 0, 0 past the last
-    node), in place.  Sampling matches np.interp bit for bit, except that a
-    stored -0.0 can come back as 0.0.
+    `table` holds the (nt + 1, nx) node values, row k the layer at
+    t_k = k * horizon / nt; it may be a strided view of a wider array, and
+    construction neither copies nor writes an array it is given.  No slope is stored: sampling
+    derives the slopes of the layer it reads (`_sample`), so it matches
+    np.interp bit for bit, except that a stored -0.0 can come back as 0.0.
     """
 
     table: np.ndarray
@@ -472,32 +497,22 @@ class GridFunction:
 
     def __post_init__(self):
         self.horizon = check_tolerance("horizon", self.horizon)
-        shape = (self.grid.nt + 1, self.grid.nx, 2)
-        if np.shape(self.table) != shape:
-            raise ValueError(f"a table of shape {np.shape(self.table)} does not fit a {shape} grid")
-        slope, value = self.table[..., 0], self.table[..., 1]
-        np.subtract(value[:, 1:], value[:, :-1], slope[:, :-1])
-        np.divide(slope[:, :-1], np.diff(self.grid.nodes), slope[:, :-1])
-        slope[:, -1] = 0.0
+        self.table = np.asarray(self.table)
+        _check_shape(self.table, (self.grid.nt + 1, self.grid.nx))
 
     @classmethod
     def of(cls, values, grid: GridSpec, horizon: float) -> "GridFunction":
         """The field of (nt + 1, nx) node values, copied into a new table."""
-        shape = (grid.nt + 1, grid.nx)
-        if np.shape(values) != shape:
-            raise ValueError(f"values of shape {np.shape(values)} do not fit a {shape} grid")
-        table = np.empty(shape + (2,))
-        table[..., 1] = values
-        return cls(table, grid, horizon)
+        return cls(np.array(values, dtype=float), grid, horizon)
 
     @property
     def values(self) -> np.ndarray:
         """(nt + 1, nx) node values; row k is the layer at t_k = k * horizon / nt."""
-        return self.table[..., 1]
+        return self.table
 
     def sample(self, t: float, bracket) -> np.ndarray:
         """The layer at or below t at the points of a `_bracket` on this grid."""
-        (out,) = _sample(self.table, layer_at_or_below(t, self.horizon, self.grid.nt), bracket)
+        (out,) = _sample(self.table, self.grid, self.horizon, t, bracket)
         return out
 
     def at(self, t: float, x):
@@ -505,7 +520,7 @@ class GridFunction:
         float for a scalar x, else an array of x's shape."""
         xa = np.asarray(x)
         if xa.dtype.kind not in "iuf":  # a bool, a string or an object is no point
-            raise ValueError(f"points must be real numbers, got {x!r}")
+            raise ValueError(f"points must be real numbers, got {_shown(x)}")
         xa = xa.astype(float, copy=False)
         bracket = _bracket(self.grid, xa.reshape(-1))
         out = self.sample(t, bracket).reshape(xa.shape)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dsl import _check_integer, _check_real, _store
+from .dsl import _check_integer, _check_real, _shown, _store
 from .equilibrium import (
     Economy,
     EquilibriumResult,
@@ -221,7 +221,9 @@ def genericity_probe(
     tol = check_tolerance("tol", tol)
     per_sample = 8 * _PROBE_ROWS * economy.n_agents * economy.grid.nx + _SAMPLE_BYTES
     if n_samples * per_sample > MEMORY_BUDGET:
-        raise ValueError(f"{n_samples} samples exceed the memory budget of {MEMORY_BUDGET} bytes")
+        raise ValueError(
+            f"{_shown(n_samples)} samples exceed the memory budget of {MEMORY_BUDGET} bytes"
+        )
     if prior is None:
         prior = PriorSpec.constant(economy.bounds.sigma_hi)
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dsl import Expr, _check_integer, _check_real, _store, evaluate
+from .dsl import Expr, _check_integer, _check_real, _shown, _store, evaluate
 from .gexp import (
     MEMORY_BUDGET,
     UPPER,
@@ -22,8 +22,10 @@ from .gexp import (
     GridSpec,
     VolBounds,
     _bracket,
+    _check_shape,
     _march,
     _sample,
+    _slopes,
     layer_at_or_below,
 )
 
@@ -73,14 +75,19 @@ def _check_batch(n_paths: int, n_steps: int, seed: int, increments: str) -> tupl
     seed = _check_integer("seed", seed, 0)
     if n_paths >= _MAX_PATHS:
         raise ValueError(
-            f"{n_paths} paths would overlap the next seed's substreams; at most {_MAX_PATHS - 1}"
+            f"{_shown(n_paths)} paths would overlap the next seed's substreams; "
+            f"at most {_MAX_PATHS - 1}"
         )
     if n_paths * _PATH_BYTES > MEMORY_BUDGET:
-        raise ValueError(f"{n_paths} paths exceed the memory budget of {MEMORY_BUDGET} bytes")
+        raise ValueError(
+            f"{_shown(n_paths)} paths exceed the memory budget of {MEMORY_BUDGET} bytes"
+        )
     if 8 * n_steps > _CHUNK_BYTES:
-        raise ValueError(f"{n_steps} steps exceed the per-chunk budget of {_CHUNK_BYTES // 8}")
+        raise ValueError(
+            f"{_shown(n_steps)} steps exceed the per-chunk budget of {_CHUNK_BYTES // 8}"
+        )
     if seed >= _MAX_SEED:
-        raise ValueError(f"seed must lie in [0, 2**96), got {seed}")
+        raise ValueError(f"seed must lie in [0, 2**96), got {_shown(seed)}")
     if increments not in ("binary", "gaussian"):
         raise ValueError(f"unknown increment kind {increments!r}")
     return n_paths, n_steps, seed
@@ -91,9 +98,9 @@ class HedgeField:
     """Delta and curvature of the upper value surface of a payoff, and that
     surface's value at the origin.
 
-    Both fields live in `table`, one (nt + 1, nx, 4) array: slope and value
-    of delta, then of curvature.  `eta` and `phi_hat` are its two halves,
-    derived at construction, so `sample` reads both with one gather.
+    Both fields live in `table`, one (nt + 1, nx, 2) array of node values:
+    delta, then curvature.  `eta` and `phi_hat` are views of its columns,
+    and `sample` reads both with one gather (`_sample`).
     """
 
     table: np.ndarray
@@ -104,13 +111,14 @@ class HedgeField:
     phi_hat: GridFunction = field(init=False)  # half the second space derivative
 
     def __post_init__(self):
-        self.eta = GridFunction(self.table[..., :2], self.grid, self.bounds.horizon)
-        self.phi_hat = GridFunction(self.table[..., 2:], self.grid, self.bounds.horizon)
+        _check_shape(self.table, (self.grid.nt + 1, self.grid.nx, 2))
+        self.eta = GridFunction(self.table[..., 0], self.grid, self.bounds.horizon)
+        self.phi_hat = GridFunction(self.table[..., 1], self.grid, self.bounds.horizon)
 
     def sample(self, t: float, bracket):
         """Delta and curvature at the layer at or below t and the points of a
         `_bracket` on the grid."""
-        return _sample(self.table, layer_at_or_below(t, self.bounds.horizon, self.grid.nt), bracket)
+        return _sample(self.table, self.grid, self.bounds.horizon, t, bracket)
 
 
 def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
@@ -132,11 +140,11 @@ def _hedge_march(expr: Expr, bounds: VolBounds, grid: GridSpec, others: tuple) -
     column of a march does the arithmetic of its march alone, so each value
     has the bits of its own `expectation`."""
     dx = grid.dx
-    table = np.empty((grid.nt + 1, grid.nx, 4))
+    table = np.empty((grid.nt + 1, grid.nx, 2))
 
     def differentiate(k, v):
         up, mid, down = v[2:], v[1:-1], v[:-2]
-        eta, phi = table[k, :, 1], table[k, :, 3]
+        eta, phi = table[k, :, 0], table[k, :, 1]
         # eta = (v+ - v-) / (2 dx)
         inner = eta[1:-1]
         np.subtract(up, down, inner)
@@ -425,9 +433,10 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
     a path beyond them at the end node.  `_bracket` runs once, on those
     nodes, and each step's hedge layer is looked up once per batch.  The
     steps go in blocks of as many as fit `_ROW_BYTES` of two rows per step,
-    delta times c and the compensator increment: one 2-D gather of the
-    hedge table builds a block's rows, on the nodes on the grid that the
-    chunk's paths occupy and as far as they walk in the block.  Each
+    delta times c and the compensator increment.  They are built on the
+    nodes on the grid that the chunk's paths occupy and as far as they walk
+    in the block, from each field's layers over the grid nodes those
+    lattice nodes bracket.  Each
     path-step gathers from its two rows and moves j by its increment.  A
     row's value at a node does not depend on the block or the chunk.
 
@@ -477,11 +486,12 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
             walk = stop - 1 - start
             near = slice(max(j.min() - walk, first), min(j.max() + walk, last) + 1)
             j_near, d = (part[near] for part in bracket)
-            # (steps, nodes, 4): slope and value of delta, then of curvature
-            cells = hedge.table[layers[start:stop, None], j_near]
-            eta = cells[..., 0] * d + cells[..., 1]
-            phi = cells[..., 2] * d + cells[..., 3]
-            del cells
+            # each field's layers over the grid nodes that the lattice nodes bracket
+            lo, hi = j_near[0], j_near[-1] + 2
+            at, widths = j_near - lo, grid.widths[lo : hi - 1]
+            eta, phi = (
+                _rows_at(hedge.table[layers[start:stop], lo:hi, f], at, d, widths) for f in (0, 1)
+            )
             np.multiply(eta, c, out=eta_c[: stop - start, near])
             built = inc[: stop - start, near]
             np.multiply(g(2.0 * phi) - phi * (sigma * sigma), dt, out=built)
@@ -500,6 +510,15 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
         del z, step  # freed before the next chunk is drawn
         inside = ~np.isnan(comp) & (j >= first) & (j <= last)
         yield rows, gain, comp, low, inside, c * (j - below)
+
+
+def _rows_at(values: np.ndarray, at: np.ndarray, d: np.ndarray, widths: np.ndarray):
+    """Rows of (rows, n) node values at a `_bracket`'s points, their intervals
+    `at` counted from the first node, by np.interp's formula."""
+    slope = np.empty_like(values)
+    _slopes(values.T, widths, slope.T)
+    near = slope.take(at, axis=1)
+    return np.add(np.multiply(near, d, out=near), values.take(at, axis=1), out=near)
 
 
 def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationReport:

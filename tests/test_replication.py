@@ -35,9 +35,10 @@ from knightian import (
     strategy_gains,
 )
 from knightian.cli import main
+from knightian.config import ConfigError, McSpec
 from knightian.dsl import evaluate, parse
 from knightian.gexp import check_tolerance, layer_at_or_below
-from knightian.implementability import Perturbation
+from knightian.implementability import Perturbation, genericity_probe
 
 from helpers import BAND, example_economy, linear_split_economy, random_payoff
 
@@ -445,7 +446,7 @@ def _other_band_hedge():
         ),
         (
             lambda: HedgeField(np.zeros((SMALL.nt + 1, SMALL.nx, 3)), SMALL, BAND, 0.0),
-            "does not fit",
+            "values of shape (21, 41, 3) do not fit a (21, 41, 2) grid",
         ),
         (lambda: VolBounds(True, 1.0, 1.0), "sigma_lo must be a real number, got True"),
         (lambda: VolBounds(0.5, 1.0, True), "horizon must be a real number, got True"),
@@ -502,6 +503,48 @@ def test_unusable_library_inputs_rejected(call, message):
     """Each fails with a ValueError before any work, not later or as another error."""
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def _probe_of(n_samples):
+    return genericity_probe(example_economy(SMALL), n_samples, Perturbation("bump", 0.1))
+
+
+def _point(x):
+    return GridFunction.of(np.zeros((SMALL.nt + 1, SMALL.nx)), SMALL, 1.0).at(0.5, x)
+
+
+def _constant_batch(**sizes):
+    sizes = {"n_paths": 50, "n_steps": 16, **sizes}
+    return simulate_paths(ControlSpec.constant(0.7), BAND, **sizes)
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000, -(10**5000)], ids=["400", "5000", "-5000"])
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda v: GridSpec(-6.0, 6.0, v, 40), ValueError, "nx must be at least 3|x 40 grid"),
+        (lambda v: GridSpec(-6.0, 6.0, 41, v), ValueError, "nt must be at least 1|a 41 x .* grid"),
+        (lambda v: _constant_batch(n_paths=v), ValueError, "paths must be at least|paths would"),
+        (lambda v: _constant_batch(n_steps=v), ValueError, "steps must be at least|steps exceed"),
+        (lambda v: _constant_batch(seed=v), ValueError, "seed must be at least 0|seed must lie"),
+        (lambda v: McSpec(paths=v), ConfigError, "paths must be at least 1|paths would overlap"),
+        (lambda v: McSpec(steps=v), ConfigError, "steps must be at least 1|steps exceed the"),
+        (lambda v: McSpec(seed=v), ConfigError, "seed must be at least 0|seed must lie in"),
+        (_probe_of, ValueError, "n_samples must be at least 1|samples exceed the memory"),
+        (_point, ValueError, "points must be real numbers"),
+    ],
+    ids=[
+        "grid-nx", "grid-nt", "batch-paths", "batch-steps", "batch-seed", "mc-paths", "mc-steps",
+        "mc-seed", "probe-samples", "field-points",
+    ],
+)
+def test_over_long_integers_refused_in_short(call, error, message, value):
+    """An integer of hundreds or thousands of digits is refused by a message
+    that names its field and shows at most a few of its digits."""
+    with pytest.raises(error, match=message) as caught:
+        call(value)
+    assert type(caught.value) is error
+    assert len(str(caught.value)) < 200, str(caught.value)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +840,7 @@ class TestLatticeWalk:
         hedge = hedge_field(EXAMPLE, BAND, SMALL)
         table = hedge.table.copy()
         (i,), _ = replication._bracket(SMALL, np.array([x]))
-        table[:, i, 3] = math.nan
+        table[:, i, 1] = math.nan
         broken = HedgeField(table, SMALL, BAND, hedge.upper_value)
         paths = simulate_paths(ControlSpec.constant(0.75), BAND, self.N_PATHS, 40, seed=self.SEED)
         with pytest.raises(SimulationError, match="non-finite replication statistics"):
@@ -886,8 +929,8 @@ class TestChunkFootprint:
         # n_steps) float64 array, 16 MiB, walked through its transposed view.
         # On top come the per-path statistics and 32 float64 rows of a chunk
         # (1 MiB) for the per-step arrays and the lattice walk's row blocks.
-        # The binary peak measured 4.0 MiB on a first call and 3.3 MiB on a
-        # repeated one, and 5.1 MiB with one more chunk kept alive, which
+        # The binary peak measured 3.3 MiB on a first call and on a repeated
+        # one, and 5.3 MiB with one more chunk kept alive, which
         # test_binary_peak_holds_one_chunk catches.  The gaussian peak
         # measured 17.0 MiB, and 32.7 MiB with a contiguous copy of the
         # transpose.
@@ -932,7 +975,7 @@ class TestChunkFootprint:
         # one block of raw words while it is drawn, the per-path statistics
         # and the lattice walk's row blocks with their temporaries, within six
         # _ROW_BYTES; measured 3.3 and 2.7 MiB against bounds of 4.5 and 3.8
-        # MiB, and 5.1 and 4.7 MiB with one more chunk kept alive
+        # MiB, and 5.3 and 4.7 MiB with one more chunk kept alive
         rows = replication._CHUNK_BYTES // (8 * n_steps)
         paths = simulate_paths(ControlSpec.constant(0.5), BAND, 3 * rows, n_steps, seed=1)
         replicate(EXAMPLE, example_hedge, paths)
@@ -950,9 +993,10 @@ class TestChunkFootprint:
         )
         assert peak <= bound, (peak, bound)
 
-    def test_hedge_field_holds_four_layers(self):
-        # MEMORY_BUDGET admits grids by gexp._FIELD_LAYERS float64 layers: the
-        # four columns of the hedge table, and no value surface
+    def test_hedge_field_holds_two_layers(self):
+        # MEMORY_BUDGET admits grids by gexp._FIELD_LAYERS float64 layers; the
+        # hedge table holds two of them, delta and curvature node values, and
+        # no slope and no value surface is kept (measured 2.01 layers)
         assert gexp._FIELD_LAYERS == 4
         tracemalloc.start()
         try:
@@ -961,7 +1005,7 @@ class TestChunkFootprint:
         finally:
             tracemalloc.stop()
         layer = 8 * (GRID.nt + 1) * GRID.nx
-        assert peak <= 4.25 * layer, peak / layer
+        assert peak <= 2.25 * layer, peak / layer
 
 
 class TestGridFunctionInterp:
@@ -1038,6 +1082,87 @@ class TestGridFunctionInterp:
         for t in (0.0, 0.37, BAND.horizon):
             k = layer_at_or_below(t, BAND.horizon, GRID.nt)
             assert bits(field.sample(t, bracket)) == bits(np.interp(x, nodes, field.values[k]))
+
+
+def stored_slope_sample(values, grid, x):
+    """A field's values at points x by the formula of a table that stores each
+    interval's slope beside the node values, built over all layers at once."""
+    slope = np.empty_like(values)
+    np.subtract(values[:, 1:], values[:, :-1], slope[:, :-1])
+    np.divide(slope[:, :-1], np.diff(grid.nodes), slope[:, :-1])
+    slope[:, -1] = 0.0
+    j, d = replication._bracket(grid, x)
+    return slope[:, j] * d + values[:, j]
+
+
+def same_or_nan(a, b):
+    """Bit for bit, save that a NaN matches any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and bits(a[~nan]) == bits(b[~nan])
+
+
+class TestDerivedSlopes:
+    """Fields store node values only; the slopes derived where they are read
+    give np.interp's bits and those of slopes stored beside the values."""
+
+    def test_hedge_samples_match_np_interp(self, example_hedge):
+        nodes = GRID.nodes
+        x = np.concatenate(
+            [
+                [GRID.x_min, GRID.x_max, -7.0, 7.5, -1e300, 1e300, -np.inf, np.inf, np.nan],
+                np.random.default_rng(8).uniform(-6.5, 6.5, 5000),
+            ]
+        )
+        bracket = replication._bracket(GRID, x)
+        for t in (0.0, 0.37, BAND.horizon):
+            k = layer_at_or_below(t, BAND.horizon, GRID.nt)
+            eta = np.interp(x, nodes, example_hedge.eta.values[k])
+            phi = np.interp(x, nodes, example_hedge.phi_hat.values[k])
+            sampled_eta, sampled_phi = example_hedge.sample(t, bracket)
+            for got, want in (
+                (sampled_eta, eta),
+                (sampled_phi, phi),
+                (example_hedge.eta.at(t, x), eta),
+                (example_hedge.phi_hat.at(t, x), phi),
+            ):
+                assert same_or_nan(got, want)
+
+    def test_lattice_rows_on_a_node_at_the_edge(self):
+        # the edge-on-a-node grid: the lattice node 3c lies exactly on x_max,
+        # where the window of derived slopes ends at the grid's last node
+        c = TestLatticeWalk.EDGE_C
+        grid = GridSpec(-TestLatticeWalk.EDGE, TestLatticeWalk.EDGE, 31, 20)
+        hedge = hedge_field(EXAMPLE, BAND, grid)
+        lattice = c * np.arange(-3, 4)
+        assert lattice[-1] == grid.x_max and lattice[0] == grid.x_min
+        j, d = replication._bracket(grid, lattice)
+        assert j[-1] == grid.nx - 1
+        layers = np.arange(grid.nt + 1)
+        lo, hi = j[0], j[-1] + 2
+        for f, field in enumerate((hedge.eta, hedge.phi_hat)):
+            rows = replication._rows_at(
+                hedge.table[layers, lo:hi, f], j - lo, d, grid.widths[lo : hi - 1]
+            )
+            for k in layers:
+                assert bits(rows[k]) == bits(np.interp(lattice, grid.nodes, field.values[k]))
+
+    @pytest.mark.parametrize("case", ["non-finite-node", "negative-zero-at-the-end"])
+    def test_edge_values_match_stored_slopes(self, case):
+        g = GridSpec(-1.0, 1.0, 9, 4)
+        values = np.random.default_rng(9).normal(size=(g.nt + 1, g.nx))
+        if case == "non-finite-node":
+            values[1, 3], values[2, 5], values[3, -1] = math.nan, math.inf, -math.inf
+        else:
+            values[:, -1] = -0.0
+        before = values.tobytes()
+        field = GridFunction(values, g, 1.0)
+        assert values.tobytes() == before
+        x = np.concatenate([g.nodes, [-2.0, 2.0, -np.inf, np.inf], np.linspace(-1.1, 1.1, 97)])
+        with np.errstate(invalid="ignore"):  # inf - inf, inf * 0: NaN, as both formulas give
+            want = stored_slope_sample(values, g, x)
+            for k in range(g.nt + 1):
+                assert same_or_nan(field.at(k / g.nt, x), want[k])
+        assert values.tobytes() == before
 
 
 class TestGolden:
