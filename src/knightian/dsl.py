@@ -98,7 +98,10 @@ class Expr:
 def _shown(value) -> str:
     """`value` as a refusal shows it: its repr, but an integer of more than 24
     digits by its first 24 characters and its count of digits (past str()'s
-    limit on digits, by that limit)."""
+    limit on digits, by that limit), and a str of more than 24 characters,
+    such as a number's text, by its first 24 and its length."""
+    if isinstance(value, str) and len(value) > 24:
+        return f"{value[:24]!r}... ({len(value)} characters)"
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         return repr(value)
     try:
@@ -145,11 +148,7 @@ class Lit(Expr):
         except ValueError:  # not a real number, or past the float range
             value = math.nan
         if not math.isfinite(value):  # it would print as text that does not re-parse
-            try:
-                shown = repr(self.value)
-            except ValueError:  # it holds an int past str()'s limit on digits
-                shown = f"of more than {sys.get_int_max_str_digits()} digits"
-            raise ValueError(f"literal {shown} is not a finite number")
+            raise ValueError(f"literal {_shown(self.value)} is not a finite number")
         _store(self, value=value)
 
 
@@ -332,7 +331,7 @@ class _Parser:
             try:
                 return Lit(float(text))
             except PayoffParseError:  # it overflowed to inf, which Lit refuses
-                raise PayoffParseError(f"number {text!r} is out of range", pos) from None
+                raise PayoffParseError(f"number {_shown(text)} is out of range", pos) from None
         if kind == "name":
             if text == "x":
                 return Var()
@@ -427,7 +426,8 @@ def evaluate(expr: Expr, x):
     float for a float.  A float is evaluated as a one-element array, so a
     point and a grid give the same bits.  Evaluation is pure and
     deterministic.  Raises EvalDomainError when the value would leave the
-    reals.
+    reals, and OverflowError, also an ArithmeticError, when an int in `x`
+    lies past the float range (10**400, or one entry of a list).
     """
     xs = np.array(x, dtype=float, ndmin=1)
     # np.full broadcasts a constant and copies, so a bare x never hands back

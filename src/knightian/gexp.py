@@ -168,16 +168,6 @@ class GridSpec:
         widths.flags.writeable = False
         return widths
 
-    @functools.cached_property
-    def edges(self) -> np.ndarray:
-        """(nx, 2) table whose row j holds nodes[j] and nodes[j + 1] (the last
-        row repeats x_max), so one gather reads both ends of an interval;
-        built once and read-only."""
-        nodes = self.nodes
-        edges = np.stack([nodes, np.append(nodes[1:], nodes[-1])], axis=1)
-        edges.flags.writeable = False
-        return edges
-
 
 def _check_shape(values, shape: tuple):
     """Raise ValueError unless `values` has this shape."""
@@ -400,7 +390,7 @@ def _fixed_kernel(sigma: float, bounds: VolBounds, grid: GridSpec) -> np.ndarray
     m, dtau = _substeps(bounds, grid)
     lam = np.array(0.5 * sigma * sigma * dtau / (grid.dx * grid.dx))  # 0-d, as in `_march`
     (j,), (d,) = _bracket(grid, np.zeros(1))
-    t = d / (grid.edges[j, 1] - grid.edges[j, 0])
+    t = d / grid.widths[j]
     w = np.zeros(grid.nx)
     w[j + 1] = t
     w[j] = 1.0 - t
@@ -442,41 +432,39 @@ def _bracket(grid: GridSpec, x: np.ndarray):
     """Grid interval of each query point, clamped to the grid.
 
     Returns j and x - nodes[j] with nodes[j] <= x < nodes[j + 1] (j = nx - 1
-    only at x_max).  The uniform-grid guess is corrected against both ends of
-    its interval, read from `grid.edges` in one gather, so the bracket is the
-    one np.interp's search finds.
+    only at x_max).  The uniform-grid guess is corrected against `grid.nodes`,
+    first at its left end and then at the right end of the corrected interval,
+    so the bracket is the one np.interp's search finds.
     """
     x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
     # fmin also sends NaN to a valid index; its d stays NaN, as np.interp's value
     j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
-    edges = grid.edges
-    ends = np.take(edges, j, axis=0)
+    nodes = grid.nodes
     # the guess is off by at most one, and never in both directions
-    j -= ends[:, 0] > x
-    j += ends[:, 1] <= x
-    return j, x - np.take(edges[:, 0], j)
+    j -= np.take(nodes, j) > x
+    j += np.take(nodes, j + 1) <= x
+    return j, x - np.take(nodes, j)
 
 
-def _slopes(values: np.ndarray, widths: np.ndarray, out: np.ndarray):
-    """Write np.interp's slopes of 2-D node values, along their first axis, into
-    `out`: (v[j+1] - v[j]) / widths[j], and 0 past the last node."""
-    np.subtract(values[1:], values[:-1], out[:-1])
-    np.divide(out[:-1], widths[:, None], out[:-1])
-    out[-1] = 0.0
+def _rows_at(values: np.ndarray, j: np.ndarray, d: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """(..., n) node values, row by row, at a `_bracket`'s points, their
+    intervals j counted from the first node, as a (..., len(j)) array, by
+    np.interp's formula: the slopes (v[j+1] - v[j]) / widths[j], and 0 past
+    the last node, derived over the rows, then slope * d + v[j]."""
+    slope = np.empty_like(values)
+    np.subtract(values[..., 1:], values[..., :-1], slope[..., :-1])
+    np.divide(slope[..., :-1], widths, slope[..., :-1])
+    slope[..., -1] = 0.0
+    near = slope.take(j, axis=-1)
+    return np.add(np.multiply(near, d, out=near), values.take(j, axis=-1), out=near)
 
 
-def _sample(table: np.ndarray, grid: GridSpec, horizon: float, t: float, bracket) -> list:
-    """Every field of an (nt + 1, nx, f) table of f fields' node values (or of
-    an (nt + 1, nx) one of one field's) at the layer at or below t and a
-    `_bracket`'s points, by np.interp's formula: one gather reads the layer's
-    values and the slopes derived beside them."""
-    j, d = bracket
-    layer = table[layer_at_or_below(t, horizon, grid.nt)].reshape(grid.nx, -1)
-    cells = np.empty(layer.shape + (2,))
-    _slopes(layer, grid.widths, cells[..., 0])
-    cells[..., 1] = layer
-    near = np.take(cells.reshape(grid.nx, -1), j, axis=0)
-    return [near[:, i] * d + near[:, i + 1] for i in range(0, near.shape[1], 2)]
+def _sample(table: np.ndarray, grid: GridSpec, horizon: float, t: float, bracket) -> np.ndarray:
+    """Every field of an (nt + 1, nx, f) table of f fields' node values at the
+    layer at or below t and a `_bracket`'s points, as an (f, n) array, or the
+    field of an (nt + 1, nx) table as an (n,) one (`_rows_at` on the layer)."""
+    layer = table[layer_at_or_below(t, horizon, grid.nt)]
+    return _rows_at(layer.T, *bracket, grid.widths)
 
 
 @dataclass(eq=False)
@@ -486,9 +474,10 @@ class GridFunction:
 
     `table` holds the (nt + 1, nx) node values, row k the layer at
     t_k = k * horizon / nt; it may be a strided view of a wider array, and
-    construction neither copies nor writes an array it is given.  No slope is stored: sampling
-    derives the slopes of the layer it reads (`_sample`), so it matches
-    np.interp bit for bit, except that a stored -0.0 can come back as 0.0.
+    construction neither copies nor writes an array it is given.  No slope
+    is stored: `at` reads its layer through `_sample`, whose `_rows_at`
+    derives the slopes there, so it matches np.interp bit for bit, except
+    that a stored -0.0 can come back as 0.0.
     """
 
     table: np.ndarray
@@ -510,11 +499,6 @@ class GridFunction:
         """(nt + 1, nx) node values; row k is the layer at t_k = k * horizon / nt."""
         return self.table
 
-    def sample(self, t: float, bracket) -> np.ndarray:
-        """The layer at or below t at the points of a `_bracket` on this grid."""
-        (out,) = _sample(self.table, self.grid, self.horizon, t, bracket)
-        return out
-
     def at(self, t: float, x):
         """The field at time t and point(s) x, which must be real numbers: a
         float for a scalar x, else an array of x's shape."""
@@ -523,7 +507,7 @@ class GridFunction:
             raise ValueError(f"points must be real numbers, got {_shown(x)}")
         xa = xa.astype(float, copy=False)
         bracket = _bracket(self.grid, xa.reshape(-1))
-        out = self.sample(t, bracket).reshape(xa.shape)
+        out = _sample(self.table, self.grid, self.horizon, t, bracket).reshape(xa.shape)
         return float(out) if out.ndim == 0 else out
 
 

@@ -24,8 +24,8 @@ from .gexp import (
     _bracket,
     _check_shape,
     _march,
+    _rows_at,
     _sample,
-    _slopes,
     layer_at_or_below,
 )
 
@@ -100,7 +100,7 @@ class HedgeField:
 
     Both fields live in `table`, one (nt + 1, nx, 2) array of node values:
     delta, then curvature.  `eta` and `phi_hat` are views of its columns,
-    and `sample` reads both with one gather (`_sample`).
+    and `_sample` reads both at once as a (2, n) array.
     """
 
     table: np.ndarray
@@ -114,11 +114,6 @@ class HedgeField:
         _check_shape(self.table, (self.grid.nt + 1, self.grid.nx, 2))
         self.eta = GridFunction(self.table[..., 0], self.grid, self.bounds.horizon)
         self.phi_hat = GridFunction(self.table[..., 1], self.grid, self.bounds.horizon)
-
-    def sample(self, t: float, bracket):
-        """Delta and curvature at the layer at or below t and the points of a
-        `_bracket` on the grid."""
-        return _sample(self.table, self.grid, self.bounds.horizon, t, bracket)
 
 
 def hedge_field(expr: Expr, bounds: VolBounds, grid: GridSpec) -> HedgeField:
@@ -318,9 +313,10 @@ def _walk(paths: PathBatch, hedge: Optional[HedgeField] = None):
     Yields (rows, steps) per chunk, rows being the chunk's slice of path
     indices.  `steps` yields (k, b_k, b_{k+1}, sigma_k, fields) for
     k = 0 .. n_steps - 1, where fields is `hedge`'s delta and curvature at
-    b_k (None without a hedge) and sigma_k is a float under constant
-    control.  An extremal control whose hedge is `hedge` reads its
-    curvature from those fields, so a path-step gathers the table once.  A
+    b_k, a (2, n) array read by `_sample` (None without a hedge), and
+    sigma_k is a float under constant control.  An extremal control whose
+    hedge is `hedge` reads its curvature from those fields, so a path-step
+    reads the hedge's layer once; any other reads its own with `_sample`.  A
     chunk's increments are freed once its steps are exhausted, before the
     next chunk is drawn.
     """
@@ -338,14 +334,16 @@ def _walk(paths: PathBatch, hedge: Optional[HedgeField] = None):
         for k in range(n_steps):
             fields = None
             if hedge is not None:
-                fields = hedge.sample(k * dt, _bracket(hedge.grid, bk))
+                bracket = _bracket(hedge.grid, bk)
+                fields = _sample(hedge.table, hedge.grid, hedge.bounds.horizon, k * dt, bracket)
             if control.kind == "constant":
                 sig = control.sigma
             else:
                 if own:
                     curv = fields[1]
                 else:
-                    curv = phi.sample(k * dt, _bracket(phi.grid, bk))
+                    bracket = _bracket(phi.grid, bk)
+                    curv = _sample(phi.table, phi.grid, phi.horizon, k * dt, bracket)
                 # ties at zero curvature take the high edge of the band
                 sig = np.where(curv >= 0.0, hi, lo)
             # a binary z[k] is int8, promoted to the same float64 signs
@@ -401,8 +399,8 @@ def _general_route(hedge: HedgeField, paths: PathBatch):
     """Per chunk of any batch: its rows, and per path the gains, the
     compensator K, its least increment, whether the path stayed on the
     grid, and its end point.  Each path-step computes one interpolation
-    bracket and reads delta and curvature with one gather of the hedge
-    table, which serve an extremal control on this hedge too (`_walk`)."""
+    bracket and reads delta and curvature from one layer of the hedge table
+    (`_sample`), which serve an extremal control on this hedge too (`_walk`)."""
     grid = hedge.grid
     dt = paths.dt
     g = hedge.bounds.g
@@ -436,9 +434,10 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
     delta times c and the compensator increment.  They are built on the
     nodes on the grid that the chunk's paths occupy and as far as they walk
     in the block, from each field's layers over the grid nodes those
-    lattice nodes bracket.  Each
-    path-step gathers from its two rows and moves j by its increment.  A
-    row's value at a node does not depend on the block or the chunk.
+    lattice nodes bracket, read at them by `_rows_at`, the reader behind
+    every field's `_sample`.  Each path-step gathers from its two rows and
+    moves j by its increment.  A row's value at a node does not depend on
+    the block or the chunk.
 
     A path leaves the grid exactly when it reads a node past an edge, or
     ends on one.  The compensator rows hold NaN at those nodes, so such a
@@ -510,15 +509,6 @@ def _lattice_route(hedge: HedgeField, paths: PathBatch):
         del z, step  # freed before the next chunk is drawn
         inside = ~np.isnan(comp) & (j >= first) & (j <= last)
         yield rows, gain, comp, low, inside, c * (j - below)
-
-
-def _rows_at(values: np.ndarray, at: np.ndarray, d: np.ndarray, widths: np.ndarray):
-    """Rows of (rows, n) node values at a `_bracket`'s points, their intervals
-    `at` counted from the first node, by np.interp's formula."""
-    slope = np.empty_like(values)
-    _slopes(values.T, widths, slope.T)
-    near = slope.take(at, axis=1)
-    return np.add(np.multiply(near, d, out=near), values.take(at, axis=1), out=near)
 
 
 def replicate(expr: Expr, hedge: HedgeField, paths: PathBatch) -> ReplicationReport:

@@ -166,7 +166,7 @@ class TestParse:
             (lambda: Call("exp", Var()), "exp takes a tuple of arguments, got Var"),
             (
                 lambda: Lit(10**5000),
-                f"literal of more than {DIGITS} digits is not a finite number",
+                f"literal ... (more than {DIGITS} digits) is not a finite number",
             ),
             (lambda: Pow(Var(), 10**5000), f"exponent of more than {DIGITS} digits is too long"),
             (lambda: Pow(Var(), -(10**5000)), f"exponent of more than {DIGITS} digits is too long"),
@@ -204,11 +204,29 @@ class TestParse:
                     assert evaluate(a, 0.5) == evaluate(b, 0.5)
 
     def test_literal_past_float_range_refused(self):
-        # an int too large for a float is refused as any other literal is
-        value = 10**400
+        # an int too large for a float is refused as any other literal is,
+        # shown by its first 24 digits and its count of them
         with pytest.raises(PayoffParseError) as info:
-            Lit(value)
-        assert str(info.value) == f"literal {value!r} is not a finite number (offset 0)"
+            Lit(10**400)
+        shown = "1" + "0" * 23 + "... (401 digits)"
+        assert str(info.value) == f"literal {shown} is not a finite number (offset 0)"
+
+    @pytest.mark.parametrize(
+        "build, message, offset",
+        [
+            (lambda: Lit(10**400), "literal 100000000000000000000000... (401 digits) is", 0),
+            (lambda: parse("1" * 400), f"number {'1' * 24!r}... (400 characters) is", 0),
+            (lambda: parse("x + " + "9" * 5000), f"number {'9' * 24!r}... (5000 characters)", 4),
+        ],
+        ids=["literal", "number", "number-past-str-digits"],
+    )
+    def test_long_number_refused_in_short(self, build, message, offset):
+        # a refusal caps the number it shows, at its first 24 digits or
+        # characters, and the parser's keeps the number's offset
+        with pytest.raises(PayoffParseError) as info:
+            build()
+        assert str(info.value).startswith(message) and len(str(info.value)) < 200
+        assert info.value.offset == offset
 
     def test_longest_exponent_prints_and_parses_back(self):
         # Pow admits the exponents the parser reads: up to str()'s limit on digits
@@ -309,6 +327,12 @@ class TestEvaluate:
             evaluate(parse("1/x"), 0.0)
         with pytest.raises(EvalDomainError):
             evaluate(parse("x^-2"), 0.0)
+
+    @pytest.mark.parametrize("x", [10**400, -(10**400), [1.0, 10**400]])
+    def test_int_past_float_range_overflows(self, x):
+        # not an EvalDomainError: numpy's OverflowError, an ArithmeticError too
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            evaluate(parse("x"), x)
 
 
 class TestPrettyPrint:

@@ -148,11 +148,10 @@ class TestValidation:
 
     def test_grid_geometry_built_once_and_read_only(self):
         g = GridSpec(-6.0, 6.0, 41, 40)
-        assert g.nodes is g.nodes and g.edges is g.edges
+        assert g.nodes is g.nodes and g.widths is g.widths
         assert g.nodes.tobytes() == np.linspace(-6.0, 6.0, 41).tobytes()
-        assert g.edges[:-1].tobytes() == np.stack([g.nodes[:-1], g.nodes[1:]], axis=1).tobytes()
-        assert list(g.edges[-1]) == [6.0, 6.0]
-        for table in (g.nodes, g.edges):
+        assert g.widths.tobytes() == np.diff(g.nodes).tobytes()
+        for table in (g.nodes, g.widths):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
         # the cache is not a field: equal grids stay equal and hash alike

@@ -1065,7 +1065,7 @@ class TestGridFunctionInterp:
             field.at(t, x)
         if x == 0.0:  # the rule is the layer lookup's, behind every sampler
             with pytest.raises(ValueError, match=message):
-                field.sample(t, replication._bracket(g, np.zeros(1)))
+                gexp._sample(field.table, g, field.horizon, t, gexp._bracket(g, np.zeros(1)))
             with pytest.raises(ValueError, match=message):
                 layer_at_or_below(t, 1.0, g.nt)
         assert field.at(1.0, 0.0) == 22.0 and field.at(np.float32(0.5), np.int64(1)) == 14.0
@@ -1078,10 +1078,11 @@ class TestGridFunctionInterp:
     def test_sample_reads_the_layer_at_or_below(self, field):
         nodes = GRID.nodes
         x = np.random.default_rng(7).uniform(-6.5, 6.5, 200)
-        bracket = replication._bracket(GRID, x)
+        bracket = gexp._bracket(GRID, x)
         for t in (0.0, 0.37, BAND.horizon):
             k = layer_at_or_below(t, BAND.horizon, GRID.nt)
-            assert bits(field.sample(t, bracket)) == bits(np.interp(x, nodes, field.values[k]))
+            sampled = gexp._sample(field.table, GRID, field.horizon, t, bracket)
+            assert bits(sampled) == bits(np.interp(x, nodes, field.values[k]))
 
 
 def stored_slope_sample(values, grid, x):
@@ -1101,6 +1102,31 @@ def same_or_nan(a, b):
     return np.array_equal(nan, np.isnan(b)) and bits(a[~nan]) == bits(b[~nan])
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [GRID, SMALL, GridSpec(-TestLatticeWalk.EDGE, TestLatticeWalk.EDGE, 31, 20)],
+    ids=["example", "small", "edge-on-a-node"],
+)
+def test_bracket_is_np_interp_search(grid):
+    # the uniform-grid guess corrected against the nodes finds np.interp's
+    # interval, searchsorted(nodes, x, "right") - 1 capped at nx - 1, bit for bit
+    nodes, lo, hi = grid.nodes, grid.x_min, grid.x_max
+    x = np.concatenate(
+        [
+            nodes,
+            [lo, hi, lo - 1.0, hi + 1.0, -1e300, 1e300, -np.inf, np.inf],
+            np.random.default_rng(10).uniform(lo - 0.5, hi + 0.5, 5000),
+        ]
+    )
+    j, d = gexp._bracket(grid, x)
+    clipped = np.clip(x, lo, hi)
+    want = np.minimum(np.searchsorted(nodes, clipped, "right") - 1, grid.nx - 1)
+    assert bits(j) == bits(want)
+    assert bits(d) == bits(clipped - nodes[want])
+    (j_nan,), (d_nan,) = gexp._bracket(grid, np.array([np.nan]))
+    assert 0 <= j_nan < grid.nx and math.isnan(d_nan)
+
+
 class TestDerivedSlopes:
     """Fields store node values only; the slopes derived where they are read
     give np.interp's bits and those of slopes stored beside the values."""
@@ -1113,12 +1139,13 @@ class TestDerivedSlopes:
                 np.random.default_rng(8).uniform(-6.5, 6.5, 5000),
             ]
         )
-        bracket = replication._bracket(GRID, x)
+        bracket = gexp._bracket(GRID, x)
         for t in (0.0, 0.37, BAND.horizon):
             k = layer_at_or_below(t, BAND.horizon, GRID.nt)
             eta = np.interp(x, nodes, example_hedge.eta.values[k])
             phi = np.interp(x, nodes, example_hedge.phi_hat.values[k])
-            sampled_eta, sampled_phi = example_hedge.sample(t, bracket)
+            table = example_hedge.table
+            sampled_eta, sampled_phi = gexp._sample(table, GRID, BAND.horizon, t, bracket)
             for got, want in (
                 (sampled_eta, eta),
                 (sampled_phi, phi),
@@ -1140,7 +1167,7 @@ class TestDerivedSlopes:
         layers = np.arange(grid.nt + 1)
         lo, hi = j[0], j[-1] + 2
         for f, field in enumerate((hedge.eta, hedge.phi_hat)):
-            rows = replication._rows_at(
+            rows = gexp._rows_at(
                 hedge.table[layers, lo:hi, f], j - lo, d, grid.widths[lo : hi - 1]
             )
             for k in layers:
